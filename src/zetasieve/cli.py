@@ -6,7 +6,8 @@ envelope {schema_version, command, parameters, payload} so a result file
 records the invocation that produced it.  CSV uses '.' decimals and 17
 significant digits, enough to round-trip a double losslessly.
 
-Exit codes: 0 success, 2 usage or parse error, 3 mathematical domain error.
+Exit codes: 0 success, 2 usage or parse error (an unwritable --out
+included), 3 mathematical domain error.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import representations as rep
 from .admissible import admissible_up_to
 from .errors import DomainError, InputError
 from .reference import reference_zeta
 from .representations import (
     RepresentationKind,
     euler_even_zeta,
-    remainder_bound,
+    partial_sum_table,
     special_value,
     zeta_alt_coth_partial,
     zeta_alt_partial,
@@ -156,51 +154,6 @@ def _cmd_eval(args) -> str:
     return "\n".join(lines)
 
 
-def _converge_values(z: complex, n_max: int, kind: str, ns: list[int]):
-    """Values at every requested truncation from one cumulative pass."""
-    members, logs, signs = rep._base_data(n_max)
-    rep._gate(z, n_max, rep.POLE_GATE)
-    if kind in ("direct", "coth"):
-        sign_vec = None
-    else:
-        sign_vec = signs
-    if kind in ("direct", "alt"):
-        if z.real >= 0.0:
-            w = np.exp(-z * logs)
-            terms = w / (1.0 - w)
-        else:
-            v = np.exp(z * logs)
-            terms = 1.0 / (v - 1.0)
-    else:
-        terms = 1.0 / np.tanh(0.5 * z * logs)
-    if sign_vec is not None:
-        terms = terms * sign_vec
-    partial = np.cumsum(terms)
-    counts = np.searchsorted(members, np.asarray(ns, dtype=np.float64), "right")
-    prefactor = None
-    if kind in ("alt", "alt-coth"):
-        prefactor = rep._eta_prefactor(z)
-    out = []
-    for n_row, count in zip(ns, counts):
-        count = int(count)
-        acc = complex(partial[count - 1]) if count else 0j
-        if kind == "direct":
-            value = 1.0 + acc
-        elif kind == "coth":
-            value = (2.0 - count) / 2.0 + 0.5 * acc
-        elif kind == "alt":
-            value = (1.0 + acc) / prefactor
-        else:
-            constant = 1.0 if count % 2 == 0 else 0.5
-            value = (constant + 0.5 * acc) / prefactor
-        scale = 1.0 if prefactor is None else 1.0 / abs(prefactor)
-        tail = (
-            remainder_bound(n_row, z.real) * scale if z.real > 1.0 else None
-        )
-        out.append((n_row, value, tail))
-    return out
-
-
 def _cmd_converge(args) -> str:
     if args.step < 1:
         raise InputError(f"step must be >= 1, got {args.step}")
@@ -214,18 +167,17 @@ def _cmd_converge(args) -> str:
     except (DomainError, InputError):
         reference = None
     if args.rep == "bernoulli":
-        rows = []
-        for n_row in ns:
-            result = zeta_bernoulli_partial(args.z, n_row, args.order)
-            rows.append((n_row, result.value, result.tail_bound))
+        rows = [zeta_bernoulli_partial(args.z, n, args.order) for n in ns]
     else:
-        rows = _converge_values(args.z, args.n_max, args.rep, ns)
+        kind = RepresentationKind(args.rep)
+        rows = partial_sum_table(kind, args.z, args.n_max, ns)
     lines = ["n,value_re,value_im,abs_error,tail_bound"]
-    for n_row, value, tail in rows:
+    for row in rows:
+        value = row.value
         err = "" if reference is None else _g(abs(value - reference))
-        bound = "" if tail is None else _g(tail)
+        bound = "" if row.tail_bound is None else _g(row.tail_bound)
         lines.append(
-            f"{n_row},{_g(value.real)},{_g(value.imag)},{err},{bound}"
+            f"{row.truncation},{_g(value.real)},{_g(value.imag)},{err},{bound}"
         )
     return "\n".join(lines)
 
@@ -425,10 +377,14 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    else:
+    if args.out is None:
         print(text)
+        return 0
+    try:
+        args.out.write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, InputError, PoleError
+from .errors import DomainError, PoleError
+from .representations import check_point
 
 __all__ = ["reference_zeta"]
 
@@ -44,16 +45,6 @@ _TARGET_DIGITS = 13.0
 _MIN_STAGES = 24
 _MAX_STAGES = 320
 _PREFACTOR_GUARD = 1e-8
-
-
-def _check_point(z) -> complex:
-    try:
-        z = complex(z)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a complex number, got {z!r}") from exc
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InputError(f"non-finite argument {z!r}")
-    return z
 
 
 def _stages(z: complex) -> int:
@@ -123,7 +114,7 @@ def reference_zeta(z) -> complex:
     Good to well below 1e-10 absolute away from the pole and from the eta
     zeros (guarded); validates itself on first use.
     """
-    z = _check_point(z)
+    z = check_point(z)
     if z.real <= 0.0:
         raise DomainError(f"reference evaluator requires Re(z) > 0, got {z}")
     if abs(z - 1.0) < 1e-12:

@@ -94,7 +94,8 @@ class EvalResult:
     tail_bound: float | None
 
 
-def _check_point(z) -> complex:
+def check_point(z) -> complex:
+    """z as a finite complex; InputError for bools, non-numbers, inf, nan."""
     if isinstance(z, bool):
         raise InputError(f"expected a number, got {z!r}")
     try:
@@ -107,7 +108,7 @@ def _check_point(z) -> complex:
 
 
 @lru_cache(maxsize=32)
-def _base_data(n: int):
+def _base_data(n):
     """(members, logs, signs) as read-only float arrays for the set at n."""
     members = admissible_up_to(n).members
     arr = np.asarray(members, dtype=np.float64)
@@ -125,8 +126,8 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     Poles sit at z = 2*pi*i*k/log(r) for each admissible r <= n and integer
     k; k = 0 is the pole at the origin shared by every term.
     """
-    z = _check_point(z)
-    arr, logs, _ = _base_data(int(n))
+    z = check_point(z)
+    arr, logs, _ = _base_data(n)
     spacing = TWO_PI / logs
     k = np.rint(z.imag / spacing)
     dist = np.hypot(z.real, z.imag - k * spacing)
@@ -139,31 +140,58 @@ def pole_distance(z, n) -> float:
     return nearest_pole(z, n)[0]
 
 
-def _gate(z: complex, n: int, gate: float) -> None:
+def pole_gate(z: complex, n, gate: float) -> None:
+    """Raise PoleProximityError when z lies within gate of a term pole.
+
+    Every pole lies on Re z = 0, so |Re z| > gate clears them all without
+    scanning the lattice; only points in the strip pay for the scan.
+    """
+    if abs(z.real) > gate:
+        return
     dist, base, k = nearest_pole(z, n)
     if dist <= gate:
         raise PoleProximityError(z, base, k, dist)
 
 
-def _term_sum(z: complex, logs: np.ndarray, signs=None) -> complex:
-    """sum of s_r / (r**z - 1), overflow-safe on both half planes."""
+def _kernel(z: complex, logs: np.ndarray, derivative: bool = False):
+    """1/(r**z - 1), or with derivative r**z/(r**z - 1)**2, per base."""
     if z.real >= 0.0:
-        w = np.exp(-z * logs)
-        t = w / (1.0 - w)
+        num = np.exp(-z * logs)
+        den = 1.0 - num
     else:
         v = np.exp(z * logs)
-        t = 1.0 / (v - 1.0)
-    if signs is not None:
-        t = t * signs
-    return complex(t.sum())
+        num = v if derivative else 1.0
+        den = v - 1.0
+    return num / den**2 if derivative else num / den
 
 
-def _coth_sum(z: complex, logs: np.ndarray, signs=None) -> complex:
-    """sum of s_r * coth(z*log(r)/2)."""
-    c = 1.0 / np.tanh(0.5 * z * logs)
-    if signs is not None:
-        c = c * signs
-    return complex(c.sum())
+_ALTERNATING = (
+    RepresentationKind.ALTERNATING,
+    RepresentationKind.ALTERNATING_COTH,
+)
+_COTH = (RepresentationKind.COTH, RepresentationKind.ALTERNATING_COTH)
+_TERM_SUM_KINDS = (RepresentationKind.DIRECT, *_COTH, *_ALTERNATING)
+
+
+def _terms(kind, z: complex, logs: np.ndarray, signs: np.ndarray):
+    """The kind's per-base terms: s_r/(r**z - 1) or s_r*coth(z*log(r)/2)."""
+    if kind in _COTH:
+        t = 1.0 / np.tanh(0.5 * z * logs)
+    else:
+        t = _kernel(z, logs)
+    return t * signs if kind in _ALTERNATING else t
+
+
+def _value(kind, acc: complex, l: int, p: complex) -> complex:
+    """The kind's constant and prefactor applied to its term sum acc."""
+    if kind is RepresentationKind.DIRECT:
+        return 1.0 + acc
+    if kind is RepresentationKind.COTH:
+        return (2.0 - l) / 2.0 + 0.5 * acc
+    if kind is RepresentationKind.ALTERNATING:
+        return (1.0 + acc) / p
+    constant = 1.0 if l % 2 == 0 else 0.5
+    return (constant + 0.5 * acc) / p
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -180,6 +208,15 @@ def _eta_prefactor(z: complex) -> complex:
             " eta-factor zero at z = 1"
         )
     return p
+
+
+def _prepare(kind, z, n, gate: float):
+    """Point, n, prefactor (1.0 for plain kinds) and gate, in that order."""
+    z = check_point(z)
+    members, logs, signs = _base_data(n)
+    p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
+    pole_gate(z, n, gate)
+    return z, members, logs, signs, p
 
 
 def remainder_bound(n, sigma) -> float:
@@ -206,23 +243,46 @@ def _tail_or_none(z: complex, n: int, scale: float = 1.0) -> float | None:
     return None
 
 
+def _evaluate(kind, z, n, gate: float) -> EvalResult:
+    """A term-sum form at one truncation: checks, kernel, constant, tail."""
+    z, _, logs, signs, p = _prepare(kind, z, n, gate)
+    l = len(logs)
+    value = _value(kind, complex(_terms(kind, z, logs, signs).sum()), l, p)
+    tail = _tail_or_none(z, int(n), 1.0 / abs(p))
+    return EvalResult(value, int(n), l, tail)
+
+
+def partial_sum_table(kind, z, n_max, ns) -> list[EvalResult]:
+    """A term-sum form at every truncation in ns, from one cumulative pass.
+
+    The checks and the pole gate run once, at n_max; each row then reads
+    its prefix of np.cumsum over the terms up to n_max.  Every n in ns
+    must lie in [2, n_max].
+    """
+    if kind not in _TERM_SUM_KINDS:
+        raise InputError(f"no cumulative form for {kind!r}")
+    z, members, logs, signs, p = _prepare(kind, z, n_max, POLE_GATE)
+    partial = np.cumsum(_terms(kind, z, logs, signs))
+    counts = np.searchsorted(members, np.asarray(ns, dtype=float), "right")
+    rows = []
+    for n, count in zip(ns, counts):
+        if not 2 <= n <= n_max:
+            raise InputError(f"truncation {n} is outside [2, {n_max}]")
+        count = int(count)
+        value = _value(kind, complex(partial[count - 1]), count, p)
+        tail = _tail_or_none(z, n, 1.0 / abs(p))
+        rows.append(EvalResult(value, n, count, tail))
+    return rows
+
+
 def zeta_direct_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
     """1 + sum over admissible r <= n of 1/(r**z - 1)."""
-    z = _check_point(z)
-    _, logs, _ = _base_data(int(n))
-    _gate(z, n, gate)
-    value = 1.0 + _term_sum(z, logs)
-    return EvalResult(value, int(n), len(logs), _tail_or_none(z, int(n)))
+    return _evaluate(RepresentationKind.DIRECT, z, n, gate)
 
 
 def zeta_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
     """(2-l)/2 + (1/2) sum coth(z*log(r)/2); identical to the direct form."""
-    z = _check_point(z)
-    _, logs, _ = _base_data(int(n))
-    _gate(z, n, gate)
-    l = len(logs)
-    value = (2.0 - l) / 2.0 + 0.5 * _coth_sum(z, logs)
-    return EvalResult(value, int(n), l, _tail_or_none(z, int(n)))
+    return _evaluate(RepresentationKind.COTH, z, n, gate)
 
 
 def zeta_alt_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
@@ -232,14 +292,7 @@ def zeta_alt_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
     index > n, so their sum is bounded by the same integral bound, divided
     by |1 - 2**(1-z)|.
     """
-    z = _check_point(z)
-    _, logs, signs = _base_data(int(n))
-    p = _eta_prefactor(z)
-    _gate(z, n, gate)
-    value = (1.0 + _term_sum(z, logs, signs)) / p
-    return EvalResult(
-        value, int(n), len(logs), _tail_or_none(z, int(n), scale=1.0 / abs(p))
-    )
+    return _evaluate(RepresentationKind.ALTERNATING, z, n, gate)
 
 
 def zeta_alt_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
@@ -250,16 +303,7 @@ def zeta_alt_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
     parity balance of the admissible set cooperates, which it does at every
     truncation this package pins in its fixtures; see the tests.)
     """
-    z = _check_point(z)
-    _, logs, signs = _base_data(int(n))
-    p = _eta_prefactor(z)
-    _gate(z, n, gate)
-    l = len(logs)
-    constant = 1.0 if l % 2 == 0 else 0.5
-    value = (constant + 0.5 * _coth_sum(z, logs, signs)) / p
-    return EvalResult(
-        value, int(n), l, _tail_or_none(z, int(n), scale=1.0 / abs(p))
-    )
+    return _evaluate(RepresentationKind.ALTERNATING_COTH, z, n, gate)
 
 
 def zeta_bernoulli_partial(
@@ -272,18 +316,18 @@ def zeta_bernoulli_partial(
     per-term Laurent expansions; outside it the series diverges and the
     call is rejected with the disk radius in the message.
     """
-    z = _check_point(z)
+    z = check_point(z)
     if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
         raise InputError(f"M must be an integer, got {M!r}")
     M = int(M)
     if M < 0:
         raise InputError(f"M must be >= 0, got {M}")
-    arr, logs, _ = _base_data(int(n))
+    arr, logs, _ = _base_data(n)
     r_max = int(arr[-1])
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
         raise ConvergenceDomainError(z, TWO_PI / log_max, r_max)
-    _gate(z, n, gate)
+    pole_gate(z, n, gate)
 
     table = bernoulli_table(M + 1)
     # Exact rational coefficient B_{m+1}/(m+1)!, floated once.
@@ -358,14 +402,8 @@ def derivative_partial(kind, z, n, *, gate: float = POLE_GATE) -> complex:
             "derivative_partial supports DIRECT and ALTERNATING kinds,"
             f" got {kind!r}"
         )
-    z = _check_point(z)
-    _, logs, signs = _base_data(int(n))
-    _gate(z, n, gate)
-    if z.real >= 0.0:
-        w = np.exp(-z * logs)
-        g = w / (1.0 - w) ** 2  # r**z/(r**z-1)**2 rewritten in r**(-z)
-    else:
-        v = np.exp(z * logs)
-        g = v / (v - 1.0) ** 2
+    z = check_point(z)
+    _, logs, signs = _base_data(n)
+    pole_gate(z, n, gate)
     weights = logs * signs if use_signs else logs
-    return complex(-(weights * g).sum())
+    return complex(-(weights * _kernel(z, logs, derivative=True)).sum())

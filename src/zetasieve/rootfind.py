@@ -12,9 +12,14 @@ pole-free circle around each candidate.  Aggregation is order-independent:
 results are collected in seed order whatever the thread schedule, so runs
 with different thread counts produce identical output.
 
-Scalar evaluation here is plain cmath over the member list, sized for the
-desk-scale truncations the experiments use (a handful of terms); the
-vectorized evaluators in the representations module are the tool for large n.
+Target evaluation stays a scalar cmath loop over the member list that
+gives the value and the derivative from one exp per base: at the handful of
+terms a search uses, one point costs less than half of what the same sums
+cost in numpy.  The vectorized evaluators in the representations module are
+the tool for large n.  Everything about the pole lattice -- Newton's gate,
+the clearance of a verification circle, the radius it may take -- goes
+through the representations module (pole_gate, nearest_pole,
+pole_distance), so the lattice is written down once.
 """
 
 from __future__ import annotations
@@ -28,8 +33,21 @@ from functools import partial
 import numpy as np
 
 from .admissible import admissible_up_to
-from .errors import ContourError, InputError, ResolutionError
-from .representations import POLE_GATE, TWO_PI, RepresentationKind
+from .errors import (
+    ContourError,
+    InputError,
+    PoleProximityError,
+    ResolutionError,
+)
+from .representations import (
+    POLE_GATE,
+    TWO_PI,
+    RepresentationKind,
+    check_point,
+    nearest_pole,
+    pole_distance,
+    pole_gate,
+)
 
 __all__ = [
     "Target",
@@ -58,41 +76,26 @@ class Target:
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
 
-    def value_at(self, z: complex) -> complex:
-        total = complex(self.constant)
-        if z.real >= 0.0:
-            for lg, s in zip(self.logs, self.signs):
-                w = cmath.exp(-z * lg)
-                total += s * w / (1.0 - w)
-        else:
-            for lg, s in zip(self.logs, self.signs):
-                v = cmath.exp(z * lg)
-                total += s / (v - 1.0)
-        return total
-
-    def derivative_at(self, z: complex) -> complex:
-        total = 0j
+    def value_and_derivative_at(self, z: complex) -> tuple[complex, complex]:
+        """f(z) and f'(z) from one cmath.exp per base."""
+        value = complex(self.constant)
+        slope = 0j
         if z.real >= 0.0:
             for lg, s in zip(self.logs, self.signs):
                 w = cmath.exp(-z * lg)
                 d = 1.0 - w
-                total += s * lg * w / (d * d)
+                value += s * w / d
+                slope += s * lg * w / (d * d)
         else:
             for lg, s in zip(self.logs, self.signs):
                 v = cmath.exp(z * lg)
                 d = v - 1.0
-                total += s * lg * v / (d * d)
-        return -total
+                value += s / d
+                slope += s * lg * v / (d * d)
+        return value, -slope
 
-    def pole_distance_at(self, z: complex) -> float:
-        best = math.inf
-        for lg in self.logs:
-            spacing = TWO_PI / lg
-            k = round(z.imag / spacing)
-            d = math.hypot(z.real, z.imag - k * spacing)
-            if d < best:
-                best = d
-        return best
+    def value_at(self, z: complex) -> complex:
+        return self.value_and_derivative_at(z)[0]
 
 
 def make_target(kind, n, constant: float = 1.0) -> Target:
@@ -206,19 +209,16 @@ def newton_refine(
     wide enough that a genuine basin is never cut, while unbounded drifts
     (targets with no zeros at all) are cut off quickly.
     """
-    z = complex(seed)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InputError(f"seed must be finite, got {seed!r}")
+    z = check_point(seed)
     if tol <= 0.0:
         raise InputError(f"tol must be positive, got {tol}")
     if box is None:
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
     iterations = 0
     while iterations < max_iter:
-        if target.pole_distance_at(z) <= gate:
+        if _near_pole(target, z, gate):
             return NewtonFailure("pole", z, iterations)
-        fz = target.value_at(z)
-        dz = target.derivative_at(z)
+        fz, dz = target.value_and_derivative_at(z)
         if abs(dz) < 1e-14:
             return NewtonFailure("stagnation", z, iterations)
         step = fz / dz
@@ -230,7 +230,7 @@ def newton_refine(
             return NewtonFailure("escape", z_next, iterations)
         z = z_next
         if abs(step) < tol:
-            if target.pole_distance_at(z) <= gate:
+            if _near_pole(target, z, gate):
                 return NewtonFailure("pole", z, iterations)
             if abs(target.value_at(z)) <= tol:
                 z = _polish(target, z, box, gate)
@@ -245,20 +245,29 @@ def newton_refine(
     return NewtonFailure("max-iter", z, max_iter)
 
 
+def _near_pole(target, z, gate) -> bool:
+    """Whether the representations pole gate refuses z."""
+    try:
+        pole_gate(z, target.n, gate)
+    except PoleProximityError:
+        return True
+    return False
+
+
 def _polish(target, z, box, gate):
     """A couple of extra Newton steps to push the residual to rounding."""
     for _ in range(2):
-        dz = target.derivative_at(z)
+        fz, dz = target.value_and_derivative_at(z)
         if abs(dz) < 1e-14:
             break
-        z_next = z - target.value_at(z) / dz
+        z_next = z - fz / dz
         if not (
             box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
         ):
             break
-        if target.pole_distance_at(z_next) <= gate:
+        if _near_pole(target, z_next, gate):
             break
-        if abs(target.value_at(z_next)) <= abs(target.value_at(z)):
+        if abs(target.value_at(z_next)) <= abs(fz):
             z = z_next
         else:
             break
@@ -275,41 +284,29 @@ def winding_count(
 ) -> int:
     """Winding number of the target around 0 along a circle.
 
-    Valid as a zero count only when the disc is pole-free; lattice poles
-    strictly inside are detected analytically and raise ContourError.
-    Phase steps above pi/2 are refused (ResolutionError) rather than
-    unwrapped optimistically.
+    Valid as a zero count only when the disc is pole-free.  A pole inside
+    the disc, or within gate of the circle anywhere along it (not only at
+    the samples), raises ContourError; one nearest_pole call on the center
+    decides both.  Phase steps above pi/2 are refused (ResolutionError)
+    rather than unwrapped optimistically.
     """
-    center = complex(center)
-    if not (math.isfinite(center.real) and math.isfinite(center.imag)):
-        raise InputError(f"center must be finite, got {center!r}")
+    center = check_point(center)
     if not (isinstance(radius, (int, float)) and radius > 0.0):
         raise InputError(f"radius must be positive, got {radius!r}")
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 8:
         raise InputError(f"samples must be an integer >= 8, got {samples!r}")
 
-    # Analytic pole check: a lattice point i*k*spacing lies inside the circle
-    # iff |center.re| < radius and k*spacing falls within the chord.
-    for r, lg in zip(target.members, target.logs):
-        spacing = TWO_PI / lg
-        if abs(center.real) < radius:
-            half = math.sqrt(radius * radius - center.real * center.real)
-            k_lo = math.ceil((center.imag - half) / spacing)
-            k_hi = math.floor((center.imag + half) / spacing)
-            if k_lo <= k_hi:
-                raise ContourError(
-                    f"pole 2*pi*i*{k_lo}/log({r}) lies inside the contour"
-                    f" around {center} (radius {radius})"
-                )
+    # With no pole inside the disc, the pole nearest the center is also the
+    # one nearest the circle, so this one test covers both refusals exactly.
+    dist, base, k = nearest_pole(center, target.n)
+    if dist <= radius + gate:
+        raise ContourError(
+            f"pole 2*pi*i*{k}/log({base}) lies {dist:.3e} from {center}:"
+            f" inside the contour of radius {radius} or within {gate:g} of it"
+        )
 
     theta = np.linspace(0.0, TWO_PI, samples + 1)
     pts = center + radius * np.exp(1j * theta)
-    clearance = min(target.pole_distance_at(complex(p)) for p in pts)
-    if clearance <= gate:
-        raise ContourError(
-            f"contour around {center} (radius {radius}) passes within"
-            f" {clearance:.3e} of a pole"
-        )
     values = np.array([target.value_at(complex(p)) for p in pts])
     if np.any(values == 0):
         raise ResolutionError("exact zero on the contour; perturb the radius")
@@ -491,7 +488,7 @@ def _verify(target, roots, tol, gate) -> None:
             default=math.inf,
         )
         base_radius = 0.5 * min(
-            target.pole_distance_at(rec.location), neighbor, 1.0
+            pole_distance(rec.location, target.n), neighbor, 1.0
         )
         count = None
         for shrink in (1.0, 0.5, 0.25):

@@ -6,8 +6,17 @@ import pytest
 from zetasieve import (
     AdmissibleSet,
     InputError,
+    RepresentationKind,
     admissible_up_to,
     decompose_power,
+    derivative_partial,
+    nearest_pole,
+    pole_distance,
+    zeta_alt_coth_partial,
+    zeta_alt_partial,
+    zeta_bernoulli_partial,
+    zeta_coth_partial,
+    zeta_direct_partial,
 )
 
 
@@ -112,10 +121,26 @@ class TestAdmissibleUpTo:
             expected = decompose_power(m).exponent == 1
             assert (m in member_set) == expected
 
-    @pytest.mark.parametrize("bad", [1, 0, -3, 1.5, None, True])
+    @pytest.mark.parametrize("bad", [1, 0, -3, 1.5, None, True, 6.7, "6", 1e3])
     def test_rejects_bad_limits(self, bad):
         with pytest.raises(InputError):
             admissible_up_to(bad)
+        # Every entry point that takes a truncation rejects it the same way,
+        # rather than truncating 6.7 or 1e3 to an integer.
+        z = complex(0.5, 2.0)
+        calls = [
+            lambda: zeta_direct_partial(z, bad),
+            lambda: zeta_coth_partial(z, bad),
+            lambda: zeta_alt_partial(z, bad),
+            lambda: zeta_alt_coth_partial(z, bad),
+            lambda: zeta_bernoulli_partial(z, bad, 10),
+            lambda: derivative_partial(RepresentationKind.DIRECT, z, bad),
+            lambda: nearest_pole(z, bad),
+            lambda: pole_distance(z, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
 
 
 class TestPartitionProperty:

@@ -311,6 +311,16 @@ class TestOutputFile:
         assert out == ""
         assert path.read_text().splitlines()[-1] == "l=8"
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "value.txt"
+        code, out, err = run(
+            capsys, "eval", "--rep", "direct", "--z", "2,0", "--n", "6",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_out_json_parses(self, capsys, tmp_path):
         path = tmp_path / "roots.json"
         code, out, _ = run(

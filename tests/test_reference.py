@@ -77,7 +77,9 @@ class TestDomain:
         with pytest.raises(DomainError):
             reference_zeta(z)
 
-    @pytest.mark.parametrize("z", [float("nan"), complex(float("inf"), 0), [2]])
+    @pytest.mark.parametrize(
+        "z", [float("nan"), complex(float("inf"), 0), [2], True]
+    )
     def test_rejects_non_finite(self, z):
         with pytest.raises(InputError):
             reference_zeta(z)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetasieve import (
     ConvergenceDomainError,
@@ -320,6 +322,8 @@ class TestDerivative:
                 fd = (target.value_at(z + h) - target.value_at(z - h)) / (2 * h)
                 got = derivative_partial(kind, z, n)
                 assert abs(got - fd) <= 1e-6 * (1 + abs(got)), f"z={z} n={n}"
+                fused = target.value_and_derivative_at(z)[1]
+                assert abs(fused - got) <= 1e-14, f"z={z} n={n}"
 
     def test_rejects_other_kinds(self):
         with pytest.raises(InputError):
@@ -359,6 +363,44 @@ class TestPoleLattice:
             zeta_coth_partial(z, 12)
         assert info.value.base == 3
         assert info.value.lattice_index == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        pick=st.integers(0, 10**6),
+        k=st.integers(-4, 4),
+        gate_exp=st.floats(-8.0, -2.0),
+        edge=st.sampled_from(["inside", "below", "at", "above"]),
+        re_scale=st.floats(-2.0, 2.0),
+        im_scale=st.floats(-2.0, 2.0),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    @example(12, 0, 0, -6.0, "at", 0.0, 0.0, 1.0)
+    @example(12, 0, 0, -6.0, "below", 0.0, 0.0, -1.0)
+    @example(12, 0, 0, -6.0, "above", 0.0, 0.0, 1.0)
+    def test_gate_raises_exactly_within_the_gate(
+        self, n, pick, k, gate_exp, edge, re_scale, im_scale, side
+    ):
+        # The gate skips the lattice scan when |Re z| > gate; it must still
+        # raise exactly when the nearest pole is within the gate, including
+        # for |Re z| one ulp either side of the gate.
+        gate = 10.0**gate_exp
+        members = admissible_up_to(n).members
+        r = members[pick % len(members)]
+        re = {
+            "inside": re_scale * gate,
+            "below": side * math.nextafter(gate, 0.0),
+            "at": side * gate,
+            "above": side * math.nextafter(gate, math.inf),
+        }[edge]
+        z = complex(re, 2 * math.pi * k / math.log(r) + im_scale * gate)
+        near = nearest_pole(z, n)[0] <= gate
+        try:
+            zeta_direct_partial(z, n, gate=gate)
+        except PoleProximityError:
+            assert near
+        else:
+            assert not near
 
     def test_gate_width_is_configurable(self):
         z = complex(1e-4, 0.0)

@@ -154,6 +154,13 @@ class TestWindingCount:
         t = make_target(ALT, 2)
         with pytest.raises(ContourError):
             winding_count(t, complex(0.0, LATTICE_2 + 1e-7), 1e-7 * 0.5)
+        # A circle passing 5e-7 from the origin pole, with the closest
+        # approach halfway between two of its 256 samples: every sample
+        # clears the gate, but the circle itself does not.
+        theta = 2 * math.pi * 64.5 / 256
+        center = -(0.3 + 5e-7) * complex(math.cos(theta), math.sin(theta))
+        with pytest.raises(ContourError):
+            winding_count(make_target(DIRECT, 3), center, 0.3)
 
     def test_undersampled_fast_phase_is_refused_not_guessed(self):
         # Circle passing 0.02 from the origin pole: adjacent samples
