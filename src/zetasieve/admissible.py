@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import check_int
 
 __all__ = [
     "PowerDecomposition",
@@ -55,15 +55,6 @@ class AdmissibleSet:
     term_count: int
 
 
-def _validated_int(m, name: str, minimum: int, maximum: int) -> int:
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {m!r}")
-    m = int(m)
-    if m < minimum or m > maximum:
-        raise InputError(f"{name} must be in [{minimum}, {maximum}], got {m}")
-    return m
-
-
 def _int_kth_root(m: int, k: int) -> int:
     """Largest integer x with x**k <= m."""
     if k == 1:
@@ -87,7 +78,7 @@ def decompose_power(m) -> PowerDecomposition:
 
     exponent == 1 iff m is admissible (not a perfect power).
     """
-    m = _validated_int(m, "m", 2, MAX_VALUE)
+    m = check_int(m, "m", 2, MAX_VALUE)
     # Largest conceivable exponent is log2(m); scanning downward returns the
     # maximal one first, which also guarantees the base is not itself a power.
     for k in range(m.bit_length() - 1, 1, -1):
@@ -115,7 +106,7 @@ def _power_sieve(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def admissible_up_to(n) -> AdmissibleSet:
     """All admissible bases r with 2 <= r <= n, ascending, plus the count l."""
-    n = _validated_int(n, "n", 2, MAX_LIMIT)
+    n = check_int(n, "n", 2, MAX_LIMIT)
     sieve = _power_sieve(n)
     members = tuple(int(r) for r in np.flatnonzero(~sieve[2:]) + 2)
     return AdmissibleSet(limit=n, members=members, term_count=len(members))

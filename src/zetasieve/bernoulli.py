@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import InputError
+from .errors import check_int
 
 __all__ = ["BernoulliTable", "bernoulli_table", "DEFAULT_MAX_INDEX"]
 
@@ -26,11 +26,7 @@ class BernoulliTable:
     values: tuple[Fraction, ...]
 
     def __getitem__(self, index: int) -> Fraction:
-        if not 0 <= index <= self.max_index:
-            raise InputError(
-                f"Bernoulli index {index} outside table range 0..{self.max_index}"
-            )
-        return self.values[index]
+        return self.values[check_int(index, "Bernoulli index", 0, self.max_index)]
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.values)
@@ -43,14 +39,7 @@ def bernoulli_table(max_index, *, maximum: int = DEFAULT_MAX_INDEX) -> Bernoulli
     rationals the recurrence is stable (no cancellation concern applies to
     Fraction arithmetic).
     """
-    if isinstance(max_index, bool) or not isinstance(max_index, int):
-        raise InputError(f"max_index must be an integer, got {max_index!r}")
-    if max_index < 0:
-        raise InputError(f"max_index must be >= 0, got {max_index}")
-    if max_index > maximum:
-        raise InputError(
-            f"max_index {max_index} exceeds the configured maximum {maximum}"
-        )
+    max_index = check_int(max_index, "max_index", 0, maximum)
     values = [Fraction(1)]
     for m in range(1, max_index + 1):
         acc = Fraction(0)

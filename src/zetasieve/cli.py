@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .admissible import admissible_up_to
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, check_int
 from .reference import reference_zeta
 from .representations import (
     RepresentationKind,
@@ -155,11 +155,9 @@ def _cmd_eval(args) -> str:
 
 
 def _cmd_converge(args) -> str:
-    if args.step < 1:
-        raise InputError(f"step must be >= 1, got {args.step}")
-    if args.n_max < 2:
-        raise InputError(f"n-max must be >= 2, got {args.n_max}")
-    ns = [n for n in range(args.step, args.n_max + 1, args.step) if n >= 2]
+    step = check_int(args.step, "step", 1)
+    n_max = check_int(args.n_max, "n-max", 2)
+    ns = [n for n in range(step, n_max + 1, step) if n >= 2]
     if not ns:
         raise InputError("no truncations >= 2 to report; raise n-max or step")
     try:
@@ -170,7 +168,7 @@ def _cmd_converge(args) -> str:
         rows = [zeta_bernoulli_partial(args.z, n, args.order) for n in ns]
     else:
         kind = RepresentationKind(args.rep)
-        rows = partial_sum_table(kind, args.z, args.n_max, ns)
+        rows = partial_sum_table(kind, args.z, n_max, ns)
     lines = ["n,value_re,value_im,abs_error,tail_bound"]
     for row in rows:
         value = row.value
@@ -317,7 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_zeros.add_argument("--region", type=_parse_region, required=True)
     p_zeros.add_argument("--tol", type=float, default=1e-10)
     p_zeros.add_argument("--grid", type=_parse_grid, default=(40, 40))
-    p_zeros.add_argument("--threads", type=int, default=1)
+    p_zeros.add_argument(
+        "--threads", type=int, default=1, help="no effect on results or speed"
+    )
     p_zeros.add_argument("--out", type=Path, default=None)
     p_zeros.set_defaults(handler=_cmd_zeros)
 

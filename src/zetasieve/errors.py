@@ -1,11 +1,21 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the argument checkers.
 
 Two families matter to callers: bad arguments (:class:`InputError`, the CLI
 maps these to exit code 2) and mathematically out-of-domain requests
 (:class:`DomainError` and subclasses, exit code 3).
+
+Public entry points check each argument with one of three checkers, which
+raise InputError: ``check_int`` (rejects bools, non-integers such as 6.0 or
+"6", and values out of range; accepts numpy integers), ``check_real``
+(rejects bools, strings, complex values, inf, nan and values below the
+minimum) and ``check_point`` (rejects bools, non-numbers, inf and nan).
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 __all__ = [
     "ZetaSieveError",
@@ -77,3 +87,46 @@ class ContourError(DomainError):
 
 class ResolutionError(DomainError):
     """Phase sampling along a contour is too coarse to unwrap safely."""
+
+
+def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """value as an int in [minimum, maximum]; no maximum when it is None."""
+    if isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise InputError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def check_real(
+    value, name: str, minimum: float | None = None, strict: bool = False
+) -> float:
+    """value as a finite float, >= minimum (> minimum when strict)."""
+    # float and int come first only because the ABC check alone is slow.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        relation = ">" if strict else ">="
+        raise InputError(f"{name} must be {relation} {minimum}, got {value!r}")
+    return value
+
+
+def check_point(z) -> complex:
+    """z as a finite complex; InputError for bools, non-numbers, inf, nan."""
+    if isinstance(z, bool):
+        raise InputError(f"expected a number, got {z!r}")
+    try:
+        z = complex(z)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected a complex number, got {z!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InputError(f"non-finite argument {z!r}")
+    return z

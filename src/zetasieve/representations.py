@@ -42,6 +42,9 @@ from .errors import (
     InputError,
     PoleProximityError,
     SingularPrefactorError,
+    check_int,
+    check_point,
+    check_real,
 )
 
 __all__ = [
@@ -92,19 +95,6 @@ class EvalResult:
     truncation: int
     term_count: int
     tail_bound: float | None
-
-
-def check_point(z) -> complex:
-    """z as a finite complex; InputError for bools, non-numbers, inf, nan."""
-    if isinstance(z, bool):
-        raise InputError(f"expected a number, got {z!r}")
-    try:
-        z = complex(z)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a complex number, got {z!r}") from exc
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InputError(f"non-finite argument {z!r}")
-    return z
 
 
 @lru_cache(maxsize=32)
@@ -215,7 +205,7 @@ def _prepare(kind, z, n, gate: float):
     z = check_point(z)
     members, logs, signs = _base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
-    pole_gate(z, n, gate)
+    pole_gate(z, n, check_real(gate, "gate", 0.0))
     return z, members, logs, signs, p
 
 
@@ -225,13 +215,8 @@ def remainder_bound(n, sigma) -> float:
     Integral-test bound; it dominates the true truncation error of the
     direct form because every skipped integer exceeds n.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise InputError(f"sigma must be finite, got {sigma!r}")
+    n = check_int(n, "n", 1)
+    sigma = check_real(sigma, "sigma")
     if sigma <= 1.0:
         raise DomainError(f"remainder bound needs sigma > 1, got {sigma}")
     return float(n) ** (1.0 - sigma) / (sigma - 1.0)
@@ -266,8 +251,7 @@ def partial_sum_table(kind, z, n_max, ns) -> list[EvalResult]:
     counts = np.searchsorted(members, np.asarray(ns, dtype=float), "right")
     rows = []
     for n, count in zip(ns, counts):
-        if not 2 <= n <= n_max:
-            raise InputError(f"truncation {n} is outside [2, {n_max}]")
+        n = check_int(n, "truncation", 2, n_max)
         count = int(count)
         value = _value(kind, complex(partial[count - 1]), count, p)
         tail = _tail_or_none(z, n, 1.0 / abs(p))
@@ -317,17 +301,13 @@ def zeta_bernoulli_partial(
     call is rejected with the disk radius in the message.
     """
     z = check_point(z)
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
-        raise InputError(f"M must be an integer, got {M!r}")
-    M = int(M)
-    if M < 0:
-        raise InputError(f"M must be >= 0, got {M}")
+    M = check_int(M, "M", 0)
     arr, logs, _ = _base_data(n)
     r_max = int(arr[-1])
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
         raise ConvergenceDomainError(z, TWO_PI / log_max, r_max)
-    pole_gate(z, n, gate)
+    pole_gate(z, n, check_real(gate, "gate", 0.0))
 
     table = bernoulli_table(M + 1)
     # Exact rational coefficient B_{m+1}/(m+1)!, floated once.
@@ -348,15 +328,7 @@ def zeta_bernoulli_partial(
 
 def euler_even_zeta(m, *, maximum: int = DEFAULT_MAX_INDEX) -> float:
     """Euler's closed form zeta(2m) = (-1)**(m+1) B_{2m} (2*pi)**(2m) / (2*(2m)!)."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise InputError(f"m must be an integer, got {m!r}")
-    m = int(m)
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    if 2 * m > maximum:
-        raise InputError(
-            f"2m = {2 * m} exceeds the Bernoulli table maximum {maximum}"
-        )
+    m = check_int(m, "m", 1, maximum // 2)
     b = bernoulli_table(2 * m)[2 * m]
     rational = (-1) ** (m + 1) * b / (2 * math.factorial(2 * m))
     return float(rational) * TWO_PI ** (2 * m)
@@ -370,19 +342,13 @@ _SPECIAL_KINDS = {
 
 
 def special_value(kind, m, n) -> EvalResult:
-    """Direct partial sum at the integer argument m, 2m, or 2m+1."""
+    """Direct partial sum at the integer argument m, 2m, or 2m+1 (>= 2)."""
     if kind not in _SPECIAL_KINDS:
         raise InputError(
             f"kind must be one of {sorted(_SPECIAL_KINDS)}, got {kind!r}"
         )
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise InputError(f"m must be an integer, got {m!r}")
-    argument = _SPECIAL_KINDS[kind](int(m))
-    if argument < 2:
-        raise InputError(
-            f"kind {kind!r} with m = {m} gives argument {argument} < 2"
-        )
-    return zeta_direct_partial(complex(argument), n)
+    m = check_int(m, "m", 2 if kind == "any" else 1)
+    return zeta_direct_partial(complex(_SPECIAL_KINDS[kind](m)), n)
 
 
 def derivative_partial(kind, z, n, *, gate: float = POLE_GATE) -> complex:
@@ -404,6 +370,6 @@ def derivative_partial(kind, z, n, *, gate: float = POLE_GATE) -> complex:
         )
     z = check_point(z)
     _, logs, signs = _base_data(n)
-    pole_gate(z, n, gate)
+    pole_gate(z, n, check_real(gate, "gate", 0.0))
     weights = logs * signs if use_signs else logs
     return complex(-(weights * _kernel(z, logs, derivative=True)).sum())

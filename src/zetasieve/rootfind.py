@@ -8,9 +8,9 @@ carries all the zeros.
 
 The pipeline is grid-seeded Newton refinement, deterministic deduplication,
 conjugate canonicalization, and an argument-principle verification on a
-pole-free circle around each candidate.  Aggregation is order-independent:
-results are collected in seed order whatever the thread schedule, so runs
-with different thread counts produce identical output.
+pole-free circle around each candidate.  Seeds are refined in one loop,
+in seed order: the search is pure-Python cmath, bound by the interpreter
+lock, so find_zeros accepts a thread count but does not use threads.
 
 Target evaluation stays a scalar cmath loop over the member list that
 gives the value and the derivative from one exp per base: at the handful of
@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -38,12 +36,14 @@ from .errors import (
     InputError,
     PoleProximityError,
     ResolutionError,
+    check_int,
+    check_point,
+    check_real,
 )
 from .representations import (
     POLE_GATE,
     TWO_PI,
     RepresentationKind,
-    check_point,
     nearest_pole,
     pole_distance,
     pole_gate,
@@ -103,9 +103,7 @@ def make_target(kind, n, constant: float = 1.0) -> Target:
         raise InputError(
             f"targets exist for DIRECT and ALTERNATING kinds, got {kind!r}"
         )
-    constant = float(constant)
-    if not math.isfinite(constant):
-        raise InputError(f"constant must be finite, got {constant!r}")
+    constant = check_real(constant, "constant")
     members = admissible_up_to(n).members
     logs = tuple(math.log(r) for r in members)
     if kind is RepresentationKind.ALTERNATING:
@@ -149,18 +147,13 @@ class SearchRegion:
 
     def __post_init__(self):
         for name in ("re_min", "re_max", "im_min", "im_max"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise InputError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        for name in ("grid_re", "grid_im"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 2))
         if not self.re_min < self.re_max:
             raise InputError("re_min must be < re_max")
         if not self.im_min < self.im_max:
             raise InputError("im_min must be < im_max")
-        for name in ("grid_re", "grid_im"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-                raise InputError(f"{name} must be an integer >= 2, got {v!r}")
 
     def contains(self, z: complex) -> bool:
         return (
@@ -210,8 +203,9 @@ def newton_refine(
     (targets with no zeros at all) are cut off quickly.
     """
     z = check_point(seed)
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
+    tol = check_real(tol, "tol", 0.0, strict=True)
+    max_iter = check_int(max_iter, "max_iter", 1)
+    gate = check_real(gate, "gate", 0.0)
     if box is None:
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
     iterations = 0
@@ -291,10 +285,9 @@ def winding_count(
     rather than unwrapped optimistically.
     """
     center = check_point(center)
-    if not (isinstance(radius, (int, float)) and radius > 0.0):
-        raise InputError(f"radius must be positive, got {radius!r}")
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 8:
-        raise InputError(f"samples must be an integer >= 8, got {samples!r}")
+    radius = check_real(radius, "radius", 0.0, strict=True)
+    samples = check_int(samples, "samples", 8)
+    gate = check_real(gate, "gate", 0.0)
 
     # With no pole inside the disc, the pole nearest the center is also the
     # one nearest the circle, so this one test covers both refusals exactly.
@@ -385,16 +378,15 @@ def find_zeros(
     """All roots of the target inside the region, verified and sorted.
 
     Deterministic for a given (target, region, tol): seeds are refined
-    independently (optionally across threads), collected in seed order,
-    deduplicated at radius 10*tol, canonicalized into exact conjugate
-    pairs, sorted by (im, re), and each verified by a winding count on a
-    pole-free circle.  Unverifiable candidates are kept with
-    verified=False rather than dropped.
+    one after another in seed order, deduplicated at radius 10*tol,
+    canonicalized into exact conjugate pairs, sorted by (im, re), and each
+    verified by a winding count on a pole-free circle.  Unverifiable
+    candidates are kept with verified=False rather than dropped.  threads
+    (an integer >= 1) changes neither the result nor the speed.
     """
-    if tol <= 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise InputError(f"threads must be an integer >= 1, got {threads!r}")
+    tol = check_real(tol, "tol", 0.0, strict=True)
+    check_int(threads, "threads", 1)
+    gate = check_real(gate, "gate", 0.0)
     region = _nudged(region, target, gate)
 
     res = np.linspace(region.re_min, region.re_max, region.grid_re)
@@ -408,17 +400,12 @@ def find_zeros(
         region.im_min - margin_im,
         region.im_max + margin_im,
     )
-    refine = partial(
-        newton_refine, target, tol=tol, max_iter=60, box=box, gate=gate
-    )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(refine, seeds))
-    else:
-        results = [refine(seed) for seed in seeds]
+    results = [
+        newton_refine(target, seed, tol=tol, max_iter=60, box=box, gate=gate)
+        for seed in seeds
+    ]
 
-    # Seed-order deduplication: with a fixed seed list this is schedule
-    # independent.  Keep the lowest residual per cluster.
+    # Seed-order deduplication; keep the lowest residual per cluster.
     dedupe_radius = 10.0 * tol
     roots: list[RootRecord] = []
     for outcome in results:

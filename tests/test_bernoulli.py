@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetasieve import InputError, bernoulli_table
@@ -76,6 +77,7 @@ class TestTableInterface:
         table = bernoulli_table(10)
         assert table.max_index == 10
         assert len(table.values) == 11
+        assert bernoulli_table(np.int64(5)) == bernoulli_table(5)
 
     def test_float_view(self):
         floats = bernoulli_table(6).as_floats()

@@ -62,6 +62,76 @@ def test_the_checker_sees_private_reads(tmp_path):
     assert len(private_reads(probe)) == 2
 
 
+def package_imports(path: Path) -> set[str]:
+    """Package modules this module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif node.module in (None, "zetasieve"):
+            # from . import x  /  from zetasieve import x
+            modules = [f"zetasieve.{alias.name}" for alias in node.names]
+        elif node.level > 0:
+            modules = [f"zetasieve.{node.module}"]
+        else:
+            modules = [node.module]
+        found.update(
+            m.split(".")[1] for m in modules if m.startswith("zetasieve.")
+        )
+    return found
+
+
+def bool_checks(path: Path) -> list[str]:
+    """Calls isinstance(x, bool) or isinstance(x, (..., bool, ...))."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_reference_imports_only_errors():
+    # The oracle audits the representations, so it must not be built on them.
+    assert package_imports(PACKAGE / "reference.py") == {"errors"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_only_errors_checks_for_bools(path):
+    # Argument checks live in errors (check_int, check_real, check_point).
+    assert bool_checks(path) == []
+
+
+def test_the_walkers_see_planted_cases(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .errors import InputError\n"
+        "from . import representations\n"
+        "import zetasieve.rootfind\n"
+        "from zetasieve.admissible import admissible_up_to\n"
+        "from zetasieve import bernoulli\n"
+        "import numpy\n"
+        "isinstance(n, bool)\n"
+        "isinstance(n, (int, bool))\n"
+        "isinstance(n, int)\n"
+    )
+    assert package_imports(probe) == {
+        "errors", "representations", "rootfind", "admissible", "bernoulli"
+    }
+    assert len(bool_checks(probe)) == 2
+
+
 def traced_attributes() -> list[tuple[str, str]]:
     """(module, attribute) pairs of the benchmark's TRACED table."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from zetasieve import DomainError, InputError, PoleError, reference_zeta
+from zetasieve.reference import _zeta_raw
 
 mpmath.mp.dps = 30
 
@@ -52,6 +53,19 @@ class TestAgainstMpmath:
         want = complex(mpmath.zeta(mpmath.mpf(z)))
         got = reference_zeta(z)
         assert abs(got - want) <= 1e-8 * abs(want)
+
+    def test_accurate_up_to_the_stage_cap_and_refused_beyond(self):
+        z = complex(0.5, 300.0)
+        want = complex(mpmath.zeta(mpmath.mpc(z)))
+        assert abs(reference_zeta(z) - want) <= 1e-10
+        # |Im z| = 600 needs more than the 320-stage cap; the capped sum is
+        # off by far more than 1e-10, so the oracle must refuse, not return it.
+        z = complex(0.5, 600.0)
+        want = complex(mpmath.zeta(mpmath.mpc(z)))
+        assert abs(_zeta_raw(z, 320) - want) > 1e-6
+        for z in (z, z.conjugate()):
+            with pytest.raises(DomainError):
+                reference_zeta(z)
 
     def test_conjugate_symmetry(self):
         for z in (complex(1.5, 2.0), complex(0.5, 9.3), complex(2.25, -4.0)):

@@ -212,6 +212,8 @@ class TestRemainderBound:
             remainder_bound(0, 2.0)
         with pytest.raises(InputError):
             remainder_bound(2.5, 2.0)
+        with pytest.raises(InputError):
+            remainder_bound(10, "2.5")
 
 
 class TestBernoulliSeries:
@@ -429,6 +431,22 @@ class TestInputChecking:
     def test_rejects_non_numeric_points(self, bad):
         with pytest.raises(InputError):
             zeta_direct_partial(bad, 6)
+
+    @pytest.mark.parametrize("gate", [float("nan"), -1.0, float("inf"), "1e-6"])
+    def test_rejects_bad_gates(self, gate):
+        # nan and -1 would switch the pole gate off rather than fail.
+        z = complex(1e-9, 0.0)
+        calls = [
+            lambda: zeta_direct_partial(z, 6, gate=gate),
+            lambda: zeta_coth_partial(z, 6, gate=gate),
+            lambda: zeta_alt_partial(z, 6, gate=gate),
+            lambda: zeta_alt_coth_partial(z, 6, gate=gate),
+            lambda: zeta_bernoulli_partial(z, 6, 10, gate=gate),
+            lambda: derivative_partial(RepresentationKind.DIRECT, z, 6, gate=gate),
+        ]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
 
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)

@@ -77,8 +77,9 @@ class TestTarget:
     def test_rejects_unsupported_kinds(self):
         with pytest.raises(InputError):
             make_target(RepresentationKind.COTH, 6)
-        with pytest.raises(InputError):
-            make_target(DIRECT, 6, float("inf"))
+        for constant in (float("inf"), True, "2"):
+            with pytest.raises(InputError):
+                make_target(DIRECT, 6, constant)
 
 
 class TestNewtonRefine:
@@ -127,8 +128,18 @@ class TestNewtonRefine:
         t = make_target(DIRECT, 3)
         with pytest.raises(InputError):
             newton_refine(t, float("nan"))
-        with pytest.raises(InputError):
-            newton_refine(t, 1.0, tol=0.0)
+        bad = [
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": "1e-10"},
+            {"max_iter": 0},
+            {"max_iter": "5"},
+            {"gate": float("nan")},
+            {"gate": -1.0},
+        ]
+        for kwargs in bad:
+            with pytest.raises(InputError):
+                newton_refine(t, complex(0.1, 3.4), **kwargs)
 
 
 class TestWindingCount:
@@ -174,10 +185,14 @@ class TestWindingCount:
 
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
-        with pytest.raises(InputError):
-            winding_count(t, complex(0, 3.5), -0.1)
+        for radius in (-0.1, True, float("inf")):
+            with pytest.raises(InputError):
+                winding_count(t, complex(0, 3.5), radius)
         with pytest.raises(InputError):
             winding_count(t, complex(0, 3.5), 0.2, samples=4)
+        for gate in (float("nan"), -1.0):
+            with pytest.raises(InputError):
+                winding_count(t, complex(0, 3.5), 0.2, gate=gate)
 
 
 class TestSearchRegion:
@@ -190,6 +205,8 @@ class TestSearchRegion:
             SearchRegion(-1.0, 1.0, -1.0, 1.0, grid_re=1)
         with pytest.raises(InputError):
             SearchRegion(-1.0, float("inf"), -1.0, 1.0)
+        with pytest.raises(InputError):
+            SearchRegion(False, True, 0, 1)
 
     def test_contains_is_boundary_inclusive(self):
         region = SearchRegion(-1.0, 1.0, -2.0, 2.0)
@@ -303,10 +320,17 @@ class TestFindZeros:
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
         region = SearchRegion(-1, 1, -1, 1)
-        with pytest.raises(InputError):
-            find_zeros(t, region, tol=-1e-10)
-        with pytest.raises(InputError):
-            find_zeros(t, region, threads=0)
+        bad = [
+            {"tol": -1e-10},
+            {"tol": float("nan")},
+            {"tol": "1e-10"},
+            {"threads": 0},
+            {"gate": float("nan")},
+            {"gate": -1.0},
+        ]
+        for kwargs in bad:
+            with pytest.raises(InputError):
+                find_zeros(t, region, **kwargs)
 
 
 class TestAltThreeErratum:
