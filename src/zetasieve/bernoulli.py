@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import check_int
@@ -33,13 +34,23 @@ class BernoulliTable:
 
 
 def bernoulli_table(max_index, *, maximum: int = DEFAULT_MAX_INDEX) -> BernoulliTable:
-    """B_0 .. B_max_index via the binomial recurrence, exactly.
+    """B_0 .. B_max_index, exactly; max_index may not exceed maximum.
+
+    Tables are cached by size and shared between callers, which is safe
+    because a table and its Fractions are immutable.
+    """
+    maximum = check_int(maximum, "maximum", 0)
+    return _table(check_int(max_index, "max_index", 0, maximum))
+
+
+@lru_cache(maxsize=32)
+def _table(max_index: int) -> BernoulliTable:
+    """B_0 .. B_max_index via the binomial recurrence.
 
     sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, solved for B_m.  With exact
     rationals the recurrence is stable (no cancellation concern applies to
     Fraction arithmetic).
     """
-    max_index = check_int(max_index, "max_index", 0, maximum)
     values = [Fraction(1)]
     for m in range(1, max_index + 1):
         acc = Fraction(0)

@@ -8,7 +8,8 @@ Public entry points check each argument with one of three checkers, which
 raise InputError: ``check_int`` (rejects bools, non-integers such as 6.0 or
 "6", and values out of range; accepts numpy integers), ``check_real``
 (rejects bools, strings, complex values, inf, nan and values below the
-minimum) and ``check_point`` (rejects bools, non-numbers, inf and nan).
+minimum) and ``check_point`` (rejects bools, strings, non-numbers, inf and
+nan).
 """
 
 from __future__ import annotations
@@ -120,8 +121,10 @@ def check_real(
 
 
 def check_point(z) -> complex:
-    """z as a finite complex; InputError for bools, non-numbers, inf, nan."""
-    if isinstance(z, bool):
+    """z as a finite complex; InputError for bools, strings, non-numbers,
+    inf and nan."""
+    # complex() would parse "2" or "2+0j"; a point must be a number.
+    if isinstance(z, (bool, str)):
         raise InputError(f"expected a number, got {z!r}")
     try:
         z = complex(z)

@@ -99,15 +99,15 @@ class EvalResult:
 
 @lru_cache(maxsize=32)
 def _base_data(n):
-    """(members, logs, signs) as read-only float arrays for the set at n."""
-    members = admissible_up_to(n).members
-    arr = np.asarray(members, dtype=np.float64)
-    logs = np.log(arr)
+    """(bases, logs, signs) for the set at n: the set's read-only int64
+    bases, and read-only float64 arrays of log r and (-1)**(r-1)."""
+    bases = admissible_up_to(n).bases
+    logs = np.log(bases)
     # (-1)**(r-1): odd bases keep their sign, even bases flip.
-    signs = np.where(np.asarray(members, dtype=np.int64) % 2 == 1, 1.0, -1.0)
-    for a in (arr, logs, signs):
+    signs = np.where(bases % 2 == 1, 1.0, -1.0)
+    for a in (logs, signs):
         a.setflags(write=False)
-    return arr, logs, signs
+    return bases, logs, signs
 
 
 def nearest_pole(z, n) -> tuple[float, int, int]:
@@ -117,12 +117,12 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     k; k = 0 is the pole at the origin shared by every term.
     """
     z = check_point(z)
-    arr, logs, _ = _base_data(n)
+    bases, logs, _ = _base_data(n)
     spacing = TWO_PI / logs
     k = np.rint(z.imag / spacing)
     dist = np.hypot(z.real, z.imag - k * spacing)
     i = int(np.argmin(dist))
-    return float(dist[i]), int(arr[i]), int(k[i])
+    return float(dist[i]), int(bases[i]), int(k[i])
 
 
 def pole_distance(z, n) -> float:
@@ -203,10 +203,10 @@ def _eta_prefactor(z: complex) -> complex:
 def _prepare(kind, z, n, gate: float):
     """Point, n, prefactor (1.0 for plain kinds) and gate, in that order."""
     z = check_point(z)
-    members, logs, signs = _base_data(n)
+    bases, logs, signs = _base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
     pole_gate(z, n, check_real(gate, "gate", 0.0))
-    return z, members, logs, signs, p
+    return z, bases, logs, signs, p
 
 
 def remainder_bound(n, sigma) -> float:
@@ -246,13 +246,11 @@ def partial_sum_table(kind, z, n_max, ns) -> list[EvalResult]:
     """
     if kind not in _TERM_SUM_KINDS:
         raise InputError(f"no cumulative form for {kind!r}")
-    z, members, logs, signs, p = _prepare(kind, z, n_max, POLE_GATE)
+    z, bases, logs, signs, p = _prepare(kind, z, n_max, POLE_GATE)
     partial = np.cumsum(_terms(kind, z, logs, signs))
-    counts = np.searchsorted(members, np.asarray(ns, dtype=float), "right")
+    ns = [check_int(n, "truncation", 2, n_max) for n in ns]
     rows = []
-    for n, count in zip(ns, counts):
-        n = check_int(n, "truncation", 2, n_max)
-        count = int(count)
+    for n, count in zip(ns, np.searchsorted(bases, ns, "right").tolist()):
         value = _value(kind, complex(partial[count - 1]), count, p)
         tail = _tail_or_none(z, n, 1.0 / abs(p))
         rows.append(EvalResult(value, n, count, tail))
@@ -302,18 +300,14 @@ def zeta_bernoulli_partial(
     """
     z = check_point(z)
     M = check_int(M, "M", 0)
-    arr, logs, _ = _base_data(n)
-    r_max = int(arr[-1])
+    bases, logs, _ = _base_data(n)
+    r_max = int(bases[-1])
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
         raise ConvergenceDomainError(z, TWO_PI / log_max, r_max)
     pole_gate(z, n, check_real(gate, "gate", 0.0))
 
-    table = bernoulli_table(M + 1)
-    # Exact rational coefficient B_{m+1}/(m+1)!, floated once.
-    coeffs = [
-        float(table[m + 1] / math.factorial(m + 1)) for m in range(M + 1)
-    ]
+    coeffs = _laurent_coefficients(M)
     x = z * logs  # |x| < 2*pi elementwise, so powers cannot overflow
     powers = np.ones(len(logs), dtype=np.complex128)
     acc = 0j
@@ -326,10 +320,20 @@ def zeta_bernoulli_partial(
     return EvalResult(value, int(n), len(logs), _tail_or_none(z, int(n)))
 
 
+@lru_cache(maxsize=32)
+def _laurent_coefficients(M: int) -> tuple[float, ...]:
+    """B_{m+1}/(m+1)! for m = 0..M, each floated once from the exact rational."""
+    table = bernoulli_table(M + 1)
+    return tuple(
+        float(table[m + 1] / math.factorial(m + 1)) for m in range(M + 1)
+    )
+
+
 def euler_even_zeta(m, *, maximum: int = DEFAULT_MAX_INDEX) -> float:
     """Euler's closed form zeta(2m) = (-1)**(m+1) B_{2m} (2*pi)**(2m) / (2*(2m)!)."""
+    maximum = check_int(maximum, "maximum", 0)
     m = check_int(m, "m", 1, maximum // 2)
-    b = bernoulli_table(2 * m)[2 * m]
+    b = bernoulli_table(2 * m, maximum=maximum)[2 * m]
     rational = (-1) ** (m + 1) * b / (2 * math.factorial(2 * m))
     return float(rational) * TWO_PI ** (2 * m)
 

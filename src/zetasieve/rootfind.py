@@ -134,6 +134,28 @@ PRESETS: dict[str, Target] = {
 }
 
 
+_BOUNDS = ("re_min", "re_max", "im_min", "im_max")
+
+
+def _checked_bounds(bounds) -> tuple[float, float, float, float]:
+    """(re_min, re_max, im_min, im_max) as finite floats, min < max per axis."""
+    try:
+        re_min, re_max, im_min, im_max = bounds
+    except (TypeError, ValueError):
+        raise InputError(
+            f"expected four bounds (re_min, re_max, im_min, im_max), got {bounds!r}"
+        ) from None
+    re_min = check_real(re_min, "re_min")
+    re_max = check_real(re_max, "re_max")
+    im_min = check_real(im_min, "im_min")
+    im_max = check_real(im_max, "im_max")
+    if not re_min < re_max:
+        raise InputError("re_min must be < re_max")
+    if not im_min < im_max:
+        raise InputError("im_min must be < im_max")
+    return re_min, re_max, im_min, im_max
+
+
 @dataclass(frozen=True)
 class SearchRegion:
     """Rectangle in the z plane plus the per-axis seed counts."""
@@ -146,14 +168,11 @@ class SearchRegion:
     grid_im: int = 40
 
     def __post_init__(self):
-        for name in ("re_min", "re_max", "im_min", "im_max"):
-            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        for name, value in zip(_BOUNDS, _checked_bounds(bounds)):
+            object.__setattr__(self, name, value)
         for name in ("grid_re", "grid_im"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 2))
-        if not self.re_min < self.re_max:
-            raise InputError("re_min must be < re_max")
-        if not self.im_min < self.im_max:
-            raise InputError("im_min must be < im_max")
 
     def contains(self, z: complex) -> bool:
         return (
@@ -198,9 +217,10 @@ def newton_refine(
     """Newton iteration from seed; RootRecord on success, NewtonFailure else.
 
     Success requires both |f(z)| <= tol and the last step below tol.  The
-    box is the escape fence; by default it extends 25 units around the seed,
-    wide enough that a genuine basin is never cut, while unbounded drifts
-    (targets with no zeros at all) are cut off quickly.
+    box (re_min, re_max, im_min, im_max) is the escape fence; by default it
+    extends 25 units around the seed, wide enough that a genuine basin is
+    never cut, while unbounded drifts (targets with no zeros at all) are
+    cut off quickly.
     """
     z = check_point(seed)
     tol = check_real(tol, "tol", 0.0, strict=True)
@@ -208,6 +228,8 @@ def newton_refine(
     gate = check_real(gate, "gate", 0.0)
     if box is None:
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
+    else:
+        box = _checked_bounds(box)
     iterations = 0
     while iterations < max_iter:
         if _near_pole(target, z, gate):

@@ -110,6 +110,19 @@ class TestAdmissibleUpTo:
     def test_smallest_case(self):
         assert admissible_up_to(2) == AdmissibleSet(limit=2, members=(2,), term_count=1)
 
+    def test_bases_are_a_read_only_int64_copy_of_members(self):
+        aset = admissible_up_to(5000)
+        assert aset.bases.dtype == np.int64
+        assert aset.bases.tolist() == list(aset.members)
+        assert all(type(r) is int for r in aset.members)
+        with pytest.raises(ValueError):
+            aset.bases[0] = 4
+        # A caller's writeable array is copied, not frozen in place.
+        given = np.array([2, 3])
+        built = AdmissibleSet(limit=3, members=given, term_count=2)
+        given[0] = 5
+        assert built == admissible_up_to(3)
+
     def test_members_strictly_ascending(self):
         members = admissible_up_to(5000).members
         assert all(a < b for a, b in zip(members, members[1:]))

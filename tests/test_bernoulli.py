@@ -95,3 +95,11 @@ class TestTableInterface:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(InputError):
             bernoulli_table(bad)
+
+    @pytest.mark.parametrize("maximum", [-1, 2.5, "x", True, None])
+    def test_rejects_bad_maximum(self, maximum):
+        with pytest.raises(InputError, match="maximum"):
+            bernoulli_table(2, maximum=maximum)
+
+    def test_tables_are_cached(self):
+        assert bernoulli_table(12) is bernoulli_table(np.int64(12))

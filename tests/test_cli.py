@@ -151,6 +151,22 @@ class TestConverge:
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "4", "6"]
 
+    def test_bernoulli_rows_equal_the_evaluator_exactly(self, capsys):
+        from zetasieve import zeta_bernoulli_partial
+
+        z = complex(0.5, 0.3)
+        code, out, _ = run(
+            capsys, "converge", "--rep", "bernoulli", "--z", "0.5,0.3",
+            "--n-max", "300", "--step", "23", "--order", "25",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 13
+        for line in rows:
+            n, re_s, im_s, _, _ = line.split(",")
+            want = zeta_bernoulli_partial(z, int(n), 25).value
+            assert complex(float(re_s), float(im_s)) == want
+
     def test_rejects_empty_schedules(self, capsys):
         code, _, err = run(
             capsys, "converge", "--rep", "direct", "--z", "2,0",

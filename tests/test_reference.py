@@ -92,7 +92,7 @@ class TestDomain:
             reference_zeta(z)
 
     @pytest.mark.parametrize(
-        "z", [float("nan"), complex(float("inf"), 0), [2], True]
+        "z", [float("nan"), complex(float("inf"), 0), [2], True, "2", "2+0j"]
     )
     def test_rejects_non_finite(self, z):
         with pytest.raises(InputError):

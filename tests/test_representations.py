@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zetasieve import representations
 from zetasieve import (
     ConvergenceDomainError,
     DomainError,
@@ -18,6 +19,7 @@ from zetasieve import (
     RepresentationKind,
     SingularPrefactorError,
     admissible_up_to,
+    bernoulli_table,
     derivative_partial,
     euler_even_zeta,
     make_target,
@@ -266,6 +268,20 @@ class TestBernoulliSeries:
         with pytest.raises(InputError):
             zeta_bernoulli_partial(0.5, 6, 2.5)
 
+    def test_coefficients_are_built_once_per_order(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bernoulli_table(*args, **kwargs)
+
+        monkeypatch.setattr(representations, "bernoulli_table", counted)
+        first = zeta_bernoulli_partial(0.5, 6, 23)
+        second = zeta_bernoulli_partial(complex(0.3, 0.1), 12, 23)
+        assert len(calls) <= 1
+        assert first == zeta_bernoulli_partial(0.5, 6, 23)
+        assert second == zeta_bernoulli_partial(complex(0.3, 0.1), 12, 23)
+
 
 class TestSpecialValues:
     def test_euler_closed_forms(self):
@@ -299,6 +315,14 @@ class TestSpecialValues:
             euler_even_zeta(0)
         with pytest.raises(InputError):
             euler_even_zeta(101)
+
+    @pytest.mark.parametrize("maximum", ["x", -1, 2.5, True, None])
+    def test_rejects_bad_maximum(self, maximum):
+        with pytest.raises(InputError, match="maximum"):
+            euler_even_zeta(1, maximum=maximum)
+
+    def test_maximum_lifts_the_cap(self):
+        assert euler_even_zeta(150, maximum=400) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestDerivative:
@@ -427,7 +451,9 @@ class TestAlternatingDomain:
 
 
 class TestInputChecking:
-    @pytest.mark.parametrize("bad", [float("nan"), complex(0, float("inf")), True, [1]])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), complex(0, float("inf")), True, [1], "2", "2+0j"]
+    )
     def test_rejects_non_numeric_points(self, bad):
         with pytest.raises(InputError):
             zeta_direct_partial(bad, 6)

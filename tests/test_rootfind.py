@@ -136,6 +136,11 @@ class TestNewtonRefine:
             {"max_iter": "5"},
             {"gate": float("nan")},
             {"gate": -1.0},
+            {"box": (float("nan"),) * 4},
+            {"box": (1, 2)},
+            {"box": (-5.0, 5.0, 10.0, -10.0)},
+            {"box": (-5.0, 5.0, "-10", 10.0)},
+            {"box": (-math.inf, math.inf, -math.inf, math.inf)},
         ]
         for kwargs in bad:
             with pytest.raises(InputError):
