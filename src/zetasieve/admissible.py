@@ -5,6 +5,8 @@ Every representation in this package sums over the bases r with
 remaining integers as powers of these bases is exactly what collapses the
 Dirichlet series into a finite sum of geometric-series tails, so the
 classification here must be exact; everything is integer arithmetic.
+The float arrays of log r and (-1)**(r-1) that the evaluators sum over are
+kept here too, in one store with the bases.
 """
 
 from __future__ import annotations
@@ -22,16 +24,18 @@ __all__ = [
     "AdmissibleSet",
     "decompose_power",
     "admissible_up_to",
+    "base_logs_and_signs",
 ]
 
 # Supported integer width for decompose_power; desk-scale truncations sit far
 # below this, but exactness must not silently degrade above it.
 MAX_VALUE = 2**64 - 1
 
-# The sieve keeps an O(n) bool array and the set an int64 array of 8 bytes
-# per base, about 0.9 GB together at this cap; evaluating there adds 16
-# bytes per base of logs and signs, and reading .members several GB of
-# Python ints.
+# The process keeps the base data once, at the largest n asked for: an int64
+# array of 8 bytes per base, plus 16 bytes per base of logs and signs once
+# something is evaluated there.  Growing to this cap also holds an O(n) bool
+# sieve until the bases are read off it, about 0.9 GB with the bases; reading
+# .members costs several GB of Python ints.
 MAX_LIMIT = 10**8
 
 
@@ -123,9 +127,8 @@ def decompose_power(m) -> PowerDecomposition:
     return PowerDecomposition(value=m, base=m, exponent=1)
 
 
-@lru_cache(maxsize=32)
 def _power_sieve(n: int) -> np.ndarray:
-    """Read-only bool array; index m is True iff m is a perfect power."""
+    """Bool array; index m is True iff m is a perfect power."""
     sieve = np.zeros(n + 1, dtype=bool)
     b = 2
     while b * b <= n:
@@ -134,15 +137,76 @@ def _power_sieve(n: int) -> np.ndarray:
             sieve[p] = True
             p *= b
         b += 1
-    sieve.setflags(write=False)
     return sieve
+
+
+class _PrefixStore:
+    """The admissible bases up to the largest n asked for so far, with the
+    log r and (-1)**(r-1) arrays every evaluator sums over.
+
+    Every smaller n reads read-only prefix views of these arrays, so the
+    process keeps one copy of the base data instead of one per n.  The
+    store only grows: a larger n rebuilds the bases at that n, dropping
+    the sieve once they are read off it, and the logs and signs are built
+    on first use.  Each state is swapped in as one tuple, so a reader never
+    sees arrays of two sizes.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        bases = np.empty(0, dtype=np.int64)
+        bases.setflags(write=False)
+        self._state = (1, bases, None)
+
+    def _covering(self, n: int):
+        """The state (limit, bases, logs and signs or None), grown to n."""
+        state = self._state
+        if n > state[0]:
+            bases = np.flatnonzero(~_power_sieve(n)[2:]).astype(np.int64, copy=False)
+            bases += 2
+            bases.setflags(write=False)
+            state = self._state = (n, bases, None)
+        return state
+
+    def admissible_up_to(self, n: int) -> AdmissibleSet:
+        _, bases, _ = self._covering(n)
+        count = int(np.searchsorted(bases, n, side="right"))
+        return AdmissibleSet(limit=n, members=bases[:count], term_count=count)
+
+    def logs_and_signs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        limit, bases, floats = self._covering(n)
+        if floats is None:
+            logs = np.log(bases)
+            # (-1)**(r-1): odd bases keep their sign, even bases flip.
+            signs = np.where(bases % 2 == 1, 1.0, -1.0)
+            logs.setflags(write=False)
+            signs.setflags(write=False)
+            floats = (logs, signs)
+            self._state = (limit, bases, floats)
+        count = int(np.searchsorted(bases, n, side="right"))
+        return floats[0][:count], floats[1][:count]
+
+
+_STORE = _PrefixStore()
 
 
 @lru_cache(maxsize=32)
 def admissible_up_to(n) -> AdmissibleSet:
-    """All admissible bases r with 2 <= r <= n, ascending, plus the count l."""
-    n = check_int(n, "n", 2, MAX_LIMIT)
-    bases = np.flatnonzero(~_power_sieve(n)[2:]).astype(np.int64, copy=False)
-    bases += 2
-    bases.setflags(write=False)
-    return AdmissibleSet(limit=n, members=bases, term_count=len(bases))
+    """All admissible bases r with 2 <= r <= n, ascending, plus the count l.
+
+    ``bases`` is a read-only prefix view of one store kept at the largest n
+    asked for so far, so a cached set holds no copy of its own.
+    """
+    return _STORE.admissible_up_to(check_int(n, "n", 2, MAX_LIMIT))
+
+
+def base_logs_and_signs(n) -> tuple[np.ndarray, np.ndarray]:
+    """log r and (-1)**(r-1) for the admissible bases r <= n, as read-only
+    float64 prefix views of the same store as ``admissible_up_to(n).bases``.
+
+    Callers take them per evaluation rather than keeping them, so a larger
+    n can free the smaller arrays.
+    """
+    return _STORE.logs_and_signs(check_int(n, "n", 2, MAX_LIMIT))

@@ -13,6 +13,7 @@ included), 3 mathematical domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -164,11 +165,8 @@ def _cmd_converge(args) -> str:
         reference = reference_zeta(args.z)
     except (DomainError, InputError):
         reference = None
-    if args.rep == "bernoulli":
-        rows = [zeta_bernoulli_partial(args.z, n, args.order) for n in ns]
-    else:
-        kind = RepresentationKind(args.rep)
-        rows = partial_sum_table(kind, args.z, n_max, ns)
+    kind = RepresentationKind(args.rep)
+    rows = partial_sum_table(kind, args.z, n_max, ns, args.order)
     lines = ["n,value_re,value_im,abs_error,tail_bound"]
     for row in rows:
         value = row.value
@@ -259,7 +257,9 @@ def _cmd_special(args) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main()."""
     parser = argparse.ArgumentParser(
         prog="zetasieve",
         description=(

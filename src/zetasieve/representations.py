@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .admissible import admissible_up_to
+from .admissible import MAX_LIMIT, admissible_up_to, base_logs_and_signs
 from .bernoulli import DEFAULT_MAX_INDEX, bernoulli_table
 from .errors import (
     ConvergenceDomainError,
@@ -97,17 +97,11 @@ class EvalResult:
     tail_bound: float | None
 
 
-@lru_cache(maxsize=32)
 def _base_data(n):
-    """(bases, logs, signs) for the set at n: the set's read-only int64
-    bases, and read-only float64 arrays of log r and (-1)**(r-1)."""
-    bases = admissible_up_to(n).bases
-    logs = np.log(bases)
-    # (-1)**(r-1): odd bases keep their sign, even bases flip.
-    signs = np.where(bases % 2 == 1, 1.0, -1.0)
-    for a in (logs, signs):
-        a.setflags(write=False)
-    return bases, logs, signs
+    """(bases, logs, signs) of the admissible set at n: read-only int64
+    bases and float64 log r and (-1)**(r-1), each a prefix view of the one
+    store kept at the largest n asked for."""
+    return (admissible_up_to(n).bases, *base_logs_and_signs(n))
 
 
 def nearest_pole(z, n) -> tuple[float, int, int]:
@@ -237,13 +231,19 @@ def _evaluate(kind, z, n, gate: float) -> EvalResult:
     return EvalResult(value, int(n), l, tail)
 
 
-def partial_sum_table(kind, z, n_max, ns) -> list[EvalResult]:
-    """A term-sum form at every truncation in ns, from one cumulative pass.
+def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
+    """A form at every truncation in ns, from one pass over the bases up to
+    n_max.  Every n in ns must lie in [2, n_max].
 
-    The checks and the pole gate run once, at n_max; each row then reads
-    its prefix of np.cumsum over the terms up to n_max.  Every n in ns
-    must lie in [2, n_max].
+    The term-sum forms run the checks and the pole gate once, at n_max;
+    each row then reads its prefix of np.cumsum over the terms up to n_max.
+    The Bernoulli form of order M runs its disk test and pole gate row by
+    row, as its evaluator would, and reads each row's power sums off rows
+    built once at n_max, so every row equals zeta_bernoulli_partial at its
+    n exactly.  M is read by the Bernoulli form only.
     """
+    if kind is RepresentationKind.BERNOULLI_SERIES:
+        return _bernoulli_table(z, n_max, ns, M)
     if kind not in _TERM_SUM_KINDS:
         raise InputError(f"no cumulative form for {kind!r}")
     z, bases, logs, signs, p = _prepare(kind, z, n_max, POLE_GATE)
@@ -255,6 +255,24 @@ def partial_sum_table(kind, z, n_max, ns) -> list[EvalResult]:
         tail = _tail_or_none(z, n, 1.0 / abs(p))
         rows.append(EvalResult(value, n, count, tail))
     return rows
+
+
+def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
+    z = check_point(z)
+    M = check_int(M, "M", 0)
+    bases, logs, _ = _base_data(n_max)
+    ns = [check_int(n, "truncation", 2, n_max) for n in ns]
+    counts = np.searchsorted(bases, ns, "right").tolist()
+    coeffs = ()  # stays empty only when there are no rows to sum
+    for n, count in zip(ns, counts):
+        _bernoulli_checks(z, n, bases[:count], logs[:count], POLE_GATE)
+        # Refuses an M out of range after the first row's checks, as the
+        # evaluator would; later rows read the cached coefficients.
+        coeffs = _laurent_coefficients(M)
+    return [
+        EvalResult(_bernoulli_value(z, poly), n, count, _tail_or_none(z, n))
+        for n, count, poly in zip(ns, counts, _power_sums(logs, counts, coeffs))
+    ]
 
 
 def zeta_direct_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
@@ -297,27 +315,26 @@ def zeta_bernoulli_partial(
     Valid on |z|*log(r_max) < 2*pi, the common convergence disk of the
     per-term Laurent expansions; outside it the series diverges and the
     call is rejected with the disk radius in the message.
+
+    The power sums depend on n alone, so the series is 1 + P_{-1}/z plus a
+    polynomial in z: its real coefficients are built once per (n, M) and
+    cached, and each call evaluates it by Horner's rule.
     """
     z = check_point(z)
     M = check_int(M, "M", 0)
+    n = check_int(n, "n", 2, MAX_LIMIT)
     bases, logs, _ = _base_data(n)
-    r_max = int(bases[-1])
+    _bernoulli_checks(z, n, bases, logs, gate)
+    value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
+    return EvalResult(value, n, len(logs), _tail_or_none(z, n))
+
+
+def _bernoulli_checks(z: complex, n: int, bases, logs, gate) -> None:
+    """The Bernoulli form's disk test, then its pole gate, at n."""
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
-        raise ConvergenceDomainError(z, TWO_PI / log_max, r_max)
+        raise ConvergenceDomainError(z, TWO_PI / log_max, int(bases[-1]))
     pole_gate(z, n, check_real(gate, "gate", 0.0))
-
-    coeffs = _laurent_coefficients(M)
-    x = z * logs  # |x| < 2*pi elementwise, so powers cannot overflow
-    powers = np.ones(len(logs), dtype=np.complex128)
-    acc = 0j
-    for m in range(M + 1):
-        if m > 0:
-            powers = powers * x
-        if coeffs[m] != 0.0:
-            acc += coeffs[m] * complex(powers.sum())
-    value = 1.0 + complex(np.sum(1.0 / logs)) / z + acc
-    return EvalResult(value, int(n), len(logs), _tail_or_none(z, int(n)))
 
 
 @lru_cache(maxsize=32)
@@ -327,6 +344,50 @@ def _laurent_coefficients(M: int) -> tuple[float, ...]:
     return tuple(
         float(table[m + 1] / math.factorial(m + 1)) for m in range(M + 1)
     )
+
+
+@lru_cache(maxsize=32)
+def _bernoulli_polynomial(n: int, M: int) -> tuple[float, ...]:
+    """(P_{-1}, c_0 P_0, ..., c_M P_M) at the checked n and M."""
+    _, logs, _ = _base_data(n)
+    return _power_sums(logs, [len(logs)], _laurent_coefficients(M))[0]
+
+
+def _power_sums(logs, counts, coeffs) -> list[tuple[float, ...]]:
+    """(P_{-1}, c_0 P_0, ..., c_M P_M) over the first `count` bases, for
+    each count in counts; c_m = coeffs[m] and P_0 = count.
+
+    Each P_m is one pairwise sum over a prefix slice of a row built
+    elementwise, and such a slice sums exactly as a fresh array of its
+    length would: a table row read at n equals the evaluator at n.
+    """
+    inverse = 1.0 / logs
+    columns = [
+        [float(inverse[:count].sum()) for count in counts],
+        [coeffs[0] * count for count in counts],
+    ]
+    power = logs
+    for m in range(1, len(coeffs)):
+        if m > 1:
+            power = power * logs  # at most log(MAX_LIMIT)**199 ~ 1e252
+        c = coeffs[m]
+        columns.append(
+            [c * float(power[:count].sum()) for count in counts]
+            if c != 0.0
+            else [0.0] * len(counts)
+        )
+    return list(zip(*columns))
+
+
+def _bernoulli_value(z: complex, poly) -> complex:
+    """1 + P_{-1}/z + sum_m a_m z**m by Horner, from poly = (P_{-1}, a_0, ...).
+
+    Real coefficients keep the value exactly conjugate-symmetric in z.
+    """
+    acc = 0j
+    for a in reversed(poly[1:]):
+        acc = acc * z + a
+    return 1.0 + poly[0] / z + acc
 
 
 def euler_even_zeta(m, *, maximum: int = DEFAULT_MAX_INDEX) -> float:

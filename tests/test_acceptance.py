@@ -28,7 +28,7 @@ from zetasieve import (
     zeta_coth_partial,
     zeta_direct_partial,
 )
-from zetasieve.admissible import _power_sieve
+from zetasieve.admissible import _STORE
 from zetasieve.cli import main
 
 DIRECT = RepresentationKind.DIRECT
@@ -61,7 +61,7 @@ def test_criterion_01_admissible_fixture(capsys):
     # Time the underlying operation cold (caches cleared), not a cached
     # second call.
     admissible_up_to.cache_clear()
-    _power_sieve.cache_clear()
+    _STORE.clear()
 
     def core():
         aset = admissible_up_to(12)

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from zetasieve.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -167,6 +173,37 @@ class TestConverge:
             want = zeta_bernoulli_partial(z, int(n), 25).value
             assert complex(float(re_s), float(im_s)) == want
 
+    def test_bernoulli_table_names_the_first_row_outside_the_disk(self, capsys):
+        # |z| = 1 leaves the disk once r_max > e**(2*pi) ~ 535: the row at
+        # n = 600 fails first, though the largest base at n-max is 999.
+        code, out, err = run(
+            capsys, "converge", "--rep", "bernoulli", "--z", "1,0",
+            "--n-max", "1000", "--step", "100",
+        )
+        assert (code, out) == (3, "")
+        assert "2*pi/log(600)" in err and "999" not in err
+
+    @pytest.mark.parametrize("z", ["1e-7,0", "0,-1e-7"])
+    def test_bernoulli_table_gates_the_pole_at_the_origin(self, capsys, z):
+        code, out, err = run(
+            capsys, "converge", "--rep", "bernoulli", "--z", z,
+            "--n-max", "300", "--step", "30",
+        )
+        assert (code, out) == (3, "")
+        assert "from the pole 2*pi*i*0/log(2)" in err
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [("-1", "M must be >= 0"), ("2.5", "--order"), ("500", "max_index")],
+    )
+    def test_bernoulli_table_rejects_bad_orders(self, capsys, order, message):
+        code, out, err = run(
+            capsys, "converge", "--rep", "bernoulli", "--z", "0.5,0",
+            "--n-max", "300", "--step", "30", "--order", order,
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_rejects_empty_schedules(self, capsys):
         code, _, err = run(
             capsys, "converge", "--rep", "direct", "--z", "2,0",
@@ -293,6 +330,28 @@ class TestSpecial:
 
 
 class TestExitCodes:
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys):
+        # main() builds its parser once per process; a usage error on the
+        # way must not change what the calls after it print.
+        calls = [
+            ["eval", "--rep", "direct", "--z", "2,-1", "--n", "30"],
+            ["eval", "--rep", "direct", "--n", "6"],
+            ["eval", "--rep", "alt", "--z", "1,0", "--n", "6"],
+            ["eval", "--rep", "direct", "--z", "2,-1", "--n", "30"],
+        ]
+        in_process = [run(capsys, *argv) for argv in calls]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        fresh = {}
+        for argv in map(tuple, calls):
+            if argv not in fresh:
+                done = subprocess.run(
+                    [sys.executable, "-m", "zetasieve", *argv],
+                    capture_output=True, text=True, env=env, check=False,
+                )
+                fresh[argv] = (done.returncode, done.stdout, done.stderr)
+        assert [code for code, _, _ in in_process] == [0, 2, 3, 0]
+        assert in_process == [fresh[tuple(argv)] for argv in calls]
+
     def test_usage_error_from_argparse(self, capsys):
         assert run(capsys, "eval", "--rep", "direct", "--n", "6")[0] == 2
 

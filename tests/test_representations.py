@@ -5,12 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetasieve import representations
+from zetasieve import admissible, representations
 from zetasieve import (
     ConvergenceDomainError,
     DomainError,
@@ -18,6 +19,7 @@ from zetasieve import (
     PoleProximityError,
     RepresentationKind,
     SingularPrefactorError,
+    ZetaSieveError,
     admissible_up_to,
     bernoulli_table,
     derivative_partial,
@@ -54,6 +56,13 @@ def alt_coth_constant_matches(n):
 
 
 VALID_ALT_N = [n for n in range(2, 201) if alt_coth_constant_matches(n)]
+
+EVALUATORS = {
+    "direct": zeta_direct_partial,
+    "coth": zeta_coth_partial,
+    "alt": zeta_alt_partial,
+    "alt-coth": zeta_alt_coth_partial,
+}
 
 
 class TestExactFixtures:
@@ -163,6 +172,32 @@ class TestConjugateSymmetry:
         for z in (complex(2.0, 1.3), complex(0.5, 2.0), complex(1.25, -0.75)):
             assert evaluate(z.conjugate()) == evaluate(z).conjugate()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        form=st.sampled_from(["direct", "coth", "alt", "alt-coth", "bernoulli"]),
+        re=st.floats(-3.0, 3.0),
+        im=st.floats(-40.0, 40.0),
+        n=st.integers(2, 3000),
+        M=st.integers(0, 60),
+    )
+    def test_every_evaluator_commutes_with_conjugation(self, form, re, im, n, M):
+        z = complex(re, im)
+        if form == "bernoulli":
+            # Pull z inside the convergence disk, keeping its direction.
+            radius = 2 * math.pi / math.log(admissible_up_to(n).members[-1])
+            if abs(z) >= radius:
+                z *= 0.99 * radius / abs(z)
+            evaluate = lambda w: zeta_bernoulli_partial(w, n, M)
+        else:
+            evaluate = lambda w: EVALUATORS[form](w, n)
+        try:
+            want = evaluate(z).value.conjugate()
+        except ZetaSieveError as exc:
+            with pytest.raises(type(exc)):
+                evaluate(z.conjugate())
+            return
+        assert evaluate(z.conjugate()).value == want
+
 
 class TestRemainderBound:
     def test_closed_form_values(self):
@@ -268,6 +303,51 @@ class TestBernoulliSeries:
         with pytest.raises(InputError):
             zeta_bernoulli_partial(0.5, 6, 2.5)
 
+    def test_matches_a_40_digit_laurent_series(self):
+        # The same truncated series, 1 + sum_{m=-1}^{M} z**m B_{m+1} P_m /
+        # (m+1)!, summed at 40 digits by mpmath over bases found here by
+        # brute force: nothing below comes from the package but the value.
+        def is_power(m):
+            return any(
+                c >= 2 and c**k == m
+                for k in range(2, m.bit_length() + 1)
+                for b in [round(m ** (1.0 / k))]
+                for c in (b - 1, b, b + 1)
+            )
+
+        with mpmath.workdps(40):
+            bases = [r for r in range(2, 601) if not is_power(r)]
+            sums = []  # sums[i][m + 1]: P_m over bases[: i + 1]
+            running = [mpmath.mpf(0)] * 62
+            for r in bases:
+                log_r = mpmath.log(r)
+                running = [p + log_r**m for p, m in zip(running, range(-1, 61))]
+                sums.append(running)
+            coeffs = [
+                mpmath.bernoulli(m + 1) / mpmath.factorial(m + 1) for m in range(61)
+            ]
+
+        rng = random.Random(2026)
+        errors = []
+        for _ in range(300):
+            n, M = rng.randrange(2, 601), rng.randrange(5, 61)
+            count = sum(1 for r in bases if r <= n)
+            radius = 2 * math.pi / math.log(bases[count - 1])
+            z = 0.95 * radius * math.sqrt(rng.random()) * cmath.exp(
+                1j * rng.uniform(0.0, 2 * math.pi)
+            )
+            if abs(z) < 1e-3:
+                continue
+            got = zeta_bernoulli_partial(z, n, M).value
+            with mpmath.workdps(40):
+                w, P = mpmath.mpc(z), sums[count - 1]
+                want = 1 + P[0] / w + mpmath.fsum(
+                    coeffs[m] * P[m + 1] * w**m for m in range(M + 1)
+                )
+                errors.append(float(abs(mpmath.mpc(got) - want) / abs(want)))
+        assert len(errors) > 250
+        assert max(errors) <= 1e-13
+
     def test_coefficients_are_built_once_per_order(self, monkeypatch):
         calls = []
 
@@ -281,6 +361,55 @@ class TestBernoulliSeries:
         assert len(calls) <= 1
         assert first == zeta_bernoulli_partial(0.5, 6, 23)
         assert second == zeta_bernoulli_partial(complex(0.3, 0.1), 12, 23)
+
+
+class TestPrefixStore:
+    """Base data for every n is a prefix of one store at the largest n asked
+    for, and reading it there gives the same bits as building it cold."""
+
+    LARGE = 250_000
+
+    @staticmethod
+    def forget():
+        admissible_up_to.cache_clear()
+        admissible._STORE.clear()
+        representations._bernoulli_polynomial.cache_clear()
+
+    @staticmethod
+    def outputs(n):
+        aset = admissible_up_to(n)
+        _, logs, signs = representations._base_data(n)
+        z = complex(0.7, 3.1)
+        inside = 0.5 * 2 * math.pi / math.log(aset.members[-1]) * cmath.exp(0.4j)
+        ns = list(range(2, n + 1, max(1, n // 17)))
+        values = [f(z, n) for f in EVALUATORS.values()]
+        values.append(zeta_bernoulli_partial(inside, n, 30))
+        values.append(derivative_partial(RepresentationKind.DIRECT, z, n))
+        values.append(nearest_pole(complex(1e-9, 7.0), n))
+        for kind in RepresentationKind:
+            w = inside if kind is RepresentationKind.BERNOULLI_SERIES else z
+            values.append(representations.partial_sum_table(kind, w, n, ns, 30))
+        return aset, logs.tobytes(), signs.tobytes(), repr(values)
+
+    @pytest.mark.parametrize("n", [2, 3, 97, 1000, 20_000])
+    def test_results_do_not_depend_on_what_was_built_before(self, n):
+        self.forget()
+        cold = self.outputs(n)
+        self.forget()
+        self.outputs(7)  # the store then grows past arrays it has built
+        self.outputs(self.LARGE)
+        assert self.outputs(n) == cold
+
+    def test_smaller_sets_are_views_of_the_largest(self):
+        self.forget()
+        large = representations._base_data(self.LARGE)
+        for n in (2, 97, 20_000, self.LARGE - 1):
+            small = representations._base_data(n)
+            assert admissible_up_to(n).bases is small[0]
+            for a, whole in zip(small, large):
+                assert np.shares_memory(a, whole)
+                assert not a.flags.writeable
+                assert len(a) == admissible_up_to(n).term_count
 
 
 class TestSpecialValues:
