@@ -108,6 +108,14 @@ def check_real(
     value, name: str, minimum: float | None = None, strict: bool = False
 ) -> float:
     """value as a finite float, >= minimum (> minimum when strict)."""
+    # Fast path for the common case, an exact float that passes; every
+    # other value takes the full checks below.
+    if (
+        type(value) is float
+        and math.isfinite(value)
+        and (minimum is None or (value > minimum if strict else value >= minimum))
+    ):
+        return value
     # float and int come first only because the ABC check alone is slow.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise InputError(f"{name} must be a real number, got {value!r}")

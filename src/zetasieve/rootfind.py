@@ -9,17 +9,22 @@ carries all the zeros.
 The pipeline is grid-seeded Newton refinement, deterministic deduplication,
 conjugate canonicalization, and an argument-principle verification on a
 pole-free circle around each candidate.  Seeds are refined in one loop,
-in seed order: the search is pure-Python cmath, bound by the interpreter
-lock, so find_zeros accepts a thread count but does not use threads.
+in seed order: Newton is scalar per seed, pure-Python cmath bound by the
+interpreter lock, so find_zeros accepts a thread count but does not use
+threads.  Newton evaluates f and f' once per iterate, and the pair of the
+last iterate carries into the polish steps and the reported residual.
 
-Target evaluation stays a scalar cmath loop over the member list that
-gives the value and the derivative from one exp per base: at the handful of
-terms a search uses, one point costs less than half of what the same sums
-cost in numpy.  The vectorized evaluators in the representations module are
-the tool for large n.  Everything about the pole lattice -- Newton's gate,
-the clearance of a verification circle, the radius it may take -- goes
-through the representations module (pole_gate, nearest_pole,
-pole_distance), so the lattice is written down once.
+Target evaluation at one point is a scalar cmath loop over the member list
+(value_at, and value_and_derivative_at, which gives the value and the
+derivative from one exp per base): at the handful of terms a search uses,
+one point costs less than half of what the same sums cost in numpy.  A
+verification contour is evaluated as one array (values_at), one base at a
+time in member order; it agrees with value_at to rounding, and only the
+winding count drawn from it is used.  The vectorized evaluators in the
+representations module are the tool for large n.  Everything about the
+pole lattice -- Newton's gate, the clearance of a verification circle, the
+radius it may take -- goes through the representations module (pole_gate,
+nearest_pole, pole_distance), so the lattice is written down once.
 """
 
 from __future__ import annotations
@@ -96,6 +101,21 @@ class Target:
 
     def value_at(self, z: complex) -> complex:
         return self.value_and_derivative_at(z)[0]
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        """value_at at each point of a complex array, equal to rounding.
+
+        The same sum, one numpy pass per base in member order.  Right of
+        Re z = 0 a term is s*w/(1 - w) with w = exp(-z*log r), left of it
+        s/(v - 1) with v = exp(z*log r), as in value_and_derivative_at.
+        """
+        right = points.real >= 0.0
+        u = np.where(right, -points, points)
+        value = np.full(points.shape, complex(self.constant))
+        for lg, s in zip(self.logs, self.signs):
+            e = np.exp(u * lg)
+            value += np.where(right, s * e, -s) / (1.0 - e)
+        return value
 
 
 def make_target(kind, n, constant: float = 1.0) -> Target:
@@ -222,6 +242,7 @@ def newton_refine(
     never cut, while unbounded drifts (targets with no zeros at all) are
     cut off quickly.
     """
+    target = _checked_target(target)
     z = check_point(seed)
     tol = check_real(tol, "tol", 0.0, strict=True)
     max_iter = check_int(max_iter, "max_iter", 1)
@@ -231,10 +252,13 @@ def newton_refine(
     else:
         box = _checked_bounds(box)
     iterations = 0
+    pair = None  # (f, f') at z, once evaluated
     while iterations < max_iter:
-        if _near_pole(target, z, gate):
-            return NewtonFailure("pole", z, iterations)
-        fz, dz = target.value_and_derivative_at(z)
+        if pair is None:
+            if _near_pole(target, z, gate):
+                return NewtonFailure("pole", z, iterations)
+            pair = target.value_and_derivative_at(z)
+        fz, dz = pair
         if abs(dz) < 1e-14:
             return NewtonFailure("stagnation", z, iterations)
         step = fz / dz
@@ -244,21 +268,44 @@ def newton_refine(
             box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
         ):
             return NewtonFailure("escape", z_next, iterations)
-        z = z_next
+        if z_next != z or not _identical(z_next, z):  # != alone is faster
+            z, pair = z_next, None
         if abs(step) < tol:
-            if _near_pole(target, z, gate):
-                return NewtonFailure("pole", z, iterations)
-            if abs(target.value_at(z)) <= tol:
-                z = _polish(target, z, box, gate)
+            if pair is None:
+                if _near_pole(target, z, gate):
+                    return NewtonFailure("pole", z, iterations)
+                pair = target.value_and_derivative_at(z)
+            if abs(pair[0]) <= tol:
+                z, fz = _polish(target, z, pair, box, gate)
                 return RootRecord(
                     location=z,
-                    residual=abs(target.value_at(z)),
+                    residual=abs(fz),
                     verified=False,
                     conjugate_of=None,
                 )
             # Tiny step at a large residual is a near-stationary point, not
-            # convergence; keep iterating until a definite outcome.
+            # convergence; keep iterating (from the pair already in hand)
+            # until a definite outcome.
     return NewtonFailure("max-iter", z, max_iter)
+
+
+def _identical(a: complex, b: complex) -> bool:
+    """Whether a and b are the same point bit for bit.
+
+    == alone would equate 0.0 with -0.0, and the sign of a zero part
+    survives into a RootRecord's location.
+    """
+    return (
+        a == b
+        and math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+        and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
+    )
+
+
+def _checked_target(target) -> Target:
+    if not isinstance(target, Target):
+        raise InputError(f"expected a Target (see make_target), got {target!r}")
+    return target
 
 
 def _near_pole(target, z, gate) -> bool:
@@ -270,24 +317,29 @@ def _near_pole(target, z, gate) -> bool:
     return False
 
 
-def _polish(target, z, box, gate):
-    """A couple of extra Newton steps to push the residual to rounding."""
+def _polish(target, z, pair, box, gate):
+    """A couple of extra Newton steps to push the residual to rounding.
+
+    pair is (f, f') at z.  Returns the final z and f(z).
+    """
+    fz, dz = pair
     for _ in range(2):
-        fz, dz = target.value_and_derivative_at(z)
         if abs(dz) < 1e-14:
             break
         z_next = z - fz / dz
+        if _identical(z_next, z):  # the step is below rounding: done
+            break
         if not (
             box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
         ):
             break
         if _near_pole(target, z_next, gate):
             break
-        if abs(target.value_at(z_next)) <= abs(fz):
-            z = z_next
-        else:
+        pair = target.value_and_derivative_at(z_next)
+        if not abs(pair[0]) <= abs(fz):
             break
-    return z
+        z, (fz, dz) = z_next, pair
+    return z, fz
 
 
 def winding_count(
@@ -306,6 +358,7 @@ def winding_count(
     decides both.  Phase steps above pi/2 are refused (ResolutionError)
     rather than unwrapped optimistically.
     """
+    target = _checked_target(target)
     center = check_point(center)
     radius = check_real(radius, "radius", 0.0, strict=True)
     samples = check_int(samples, "samples", 8)
@@ -322,7 +375,7 @@ def winding_count(
 
     theta = np.linspace(0.0, TWO_PI, samples + 1)
     pts = center + radius * np.exp(1j * theta)
-    values = np.array([target.value_at(complex(p)) for p in pts])
+    values = target.values_at(pts)
     if np.any(values == 0):
         raise ResolutionError("exact zero on the contour; perturb the radius")
     steps = np.angle(values[1:] / values[:-1])
@@ -406,6 +459,9 @@ def find_zeros(
     candidates are kept with verified=False rather than dropped.  threads
     (an integer >= 1) changes neither the result nor the speed.
     """
+    target = _checked_target(target)
+    if not isinstance(region, SearchRegion):
+        raise InputError(f"expected a SearchRegion, got {region!r}")
     tol = check_real(tol, "tol", 0.0, strict=True)
     check_int(threads, "threads", 1)
     gate = check_real(gate, "gate", 0.0)

@@ -1,8 +1,10 @@
 """Newton refinement, winding counts, and the region search."""
 
 import math
+import random
 
 import mpmath
+import numpy as np
 import pytest
 import roots_frozen as frozen
 
@@ -15,6 +17,7 @@ from zetasieve import (
     ResolutionError,
     RootRecord,
     SearchRegion,
+    Target,
     find_zeros,
     make_target,
     newton_refine,
@@ -30,6 +33,19 @@ LATTICE_2 = 2 * math.pi / math.log(2)
 
 def lattice_index(z):
     return round(z.imag / LATTICE_2)
+
+
+def bits(z):
+    """z's two floats exactly, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def fingerprint(roots):
+    """Everything find_zeros returns, floats exactly."""
+    return [
+        (*bits(r.location), r.residual.hex(), r.verified, r.conjugate_of, r.winding)
+        for r in roots
+    ]
 
 
 def assert_matches_frozen(roots, expected_pairs, reals=(), tol=1e-9):
@@ -69,6 +85,33 @@ class TestTarget:
         t = make_target(DIRECT, 6)
         for z in (2.0 + 0j, complex(0.5, 2), complex(-1.5, 1)):
             assert abs(t.value_at(z) - zeta_direct_partial(z, 6).value) <= 1e-14
+
+    def test_values_at_agrees_with_value_at(self):
+        # The contour path (values_at) sums the same terms in numpy, whose
+        # complex division rounds some quotients differently from CPython's:
+        # the values agree to rounding, not bit for bit.  Both sides of
+        # Re z = 0, the axes with either zero sign, and points far enough
+        # out for exp to underflow.
+        rng = random.Random(20)
+        edges = [
+            complex(1.5, 0.0),
+            complex(-1.5, -0.0),
+            complex(0.0, 2.0),
+            complex(-0.0, -2.0),
+            complex(800.0, 3.0),
+            complex(-800.0, -3.0),
+        ]
+        for kind in (DIRECT, ALT):
+            for n in (2, 3, 5, 12, 47, 150, 300):
+                t = make_target(kind, n, rng.choice((1.0, 0.5, 0.0)))
+                points = edges + [
+                    complex(rng.uniform(-4, 4), rng.uniform(-30, 30))
+                    for _ in range(120)
+                ]
+                batch = t.values_at(np.array(points))
+                scalar = np.array([t.value_at(z) for z in points])
+                scale = np.maximum(np.abs(scalar), 1.0)
+                assert np.all(np.abs(batch - scalar) <= 1e-13 * scale), (kind, n)
 
     def test_alternating_signs(self):
         t = make_target(ALT, 6)
@@ -145,6 +188,38 @@ class TestNewtonRefine:
         for kwargs in bad:
             with pytest.raises(InputError):
                 newton_refine(t, complex(0.1, 3.4), **kwargs)
+        for target in ("t", None, PRESETS):
+            with pytest.raises(InputError):
+                newton_refine(target, 0.5 + 1j)
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        seen = []
+        for name in ("value_at", "value_and_derivative_at"):
+            original = getattr(Target, name)
+
+            def counted(self, z, original=original):
+                seen.append(z)
+                return original(self, z)
+
+            monkeypatch.setattr(Target, name, counted)
+        # Seeds next to known roots.  Each Newton iterate is evaluated once
+        # and never twice in a row; only the two polish steps, which at
+        # rounding level can step back onto an earlier point, may repeat one.
+        cases = [
+            (PRESETS["paper-direct-6"], frozen.DIRECT_6),
+            (PRESETS["paper-alt-6"], [*frozen.ALT_6_PAIRS, frozen.ALT_6_REAL]),
+            (PRESETS["paper-direct-3"], [complex(0, frozen.DIRECT_3_IM)]),
+        ]
+        for t, roots in cases:
+            for root in roots:
+                for offset in (0.05, -0.03j, complex(0.1, 0.1), complex(-0.2, 0.05)):
+                    seen.clear()
+                    out = newton_refine(t, root + offset)
+                    assert isinstance(out, RootRecord), (t.describe(), root, offset)
+                    assert all(a != b for a, b in zip(seen, seen[1:])), seen
+                    assert len(seen) - len(set(seen)) <= 2, seen
+                    assert out.location in seen
+                    assert out.residual == abs(t.value_at(out.location))
 
 
 class TestWindingCount:
@@ -156,6 +231,35 @@ class TestWindingCount:
     def test_one_at_the_reported_center(self):
         t = make_target(DIRECT, 3)
         assert winding_count(t, complex(0.0, 3.50671), 0.2) == 1
+
+    def test_batched_contour_gives_the_scalar_outcomes(self, monkeypatch):
+        # Counts and refusals on seeded circles are the same whether the
+        # contour is one array or one value_at call per sample.
+        rng = random.Random(31)
+        cases = []
+        for i in range(150):
+            t = make_target((DIRECT, ALT)[i % 2], rng.randrange(2, 120))
+            center = complex(rng.uniform(-2, 2), rng.uniform(-20, 20))
+            radius = rng.choice((0.01, 0.1, 0.3, 1.0))
+            cases.append((t, center, radius, rng.choice((8, 64, 256))))
+
+        def outcomes():
+            out = []
+            for t, center, radius, samples in cases:
+                try:
+                    out.append(winding_count(t, center, radius, samples))
+                except (ContourError, ResolutionError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+            return out
+
+        batched = outcomes()
+        assert sum(isinstance(o, int) for o in batched) > 50
+
+        def scalar_values(self, points):
+            return np.array([self.value_at(complex(z)) for z in points])
+
+        monkeypatch.setattr(Target, "values_at", scalar_values)
+        assert outcomes() == batched
 
     def test_zero_on_a_zero_free_circle(self):
         t = make_target(DIRECT, 3)
@@ -198,6 +302,9 @@ class TestWindingCount:
         for gate in (float("nan"), -1.0):
             with pytest.raises(InputError):
                 winding_count(t, complex(0, 3.5), 0.2, gate=gate)
+        for target in (None, "t"):
+            with pytest.raises(InputError):
+                winding_count(target, 1 + 1j, 0.1)
 
 
 class TestSearchRegion:
@@ -336,6 +443,20 @@ class TestFindZeros:
         for kwargs in bad:
             with pytest.raises(InputError):
                 find_zeros(t, region, **kwargs)
+        for target, where in ((t, "x"), (t, (-1, 1, -1, 1)), (None, region)):
+            with pytest.raises(InputError):
+                find_zeros(target, where)
+
+    def test_batched_contours_leave_every_result_unchanged(self, monkeypatch):
+        region = SearchRegion(-2, 2, -6, 6)
+        targets = (PRESETS["paper-direct-6"], PRESETS["paper-alt-6"])
+        batched = [fingerprint(find_zeros(t, region)) for t in targets]
+
+        def scalar_values(self, points):
+            return np.array([self.value_at(complex(z)) for z in points])
+
+        monkeypatch.setattr(Target, "values_at", scalar_values)
+        assert [fingerprint(find_zeros(t, region)) for t in targets] == batched
 
 
 class TestAltThreeErratum:
