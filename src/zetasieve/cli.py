@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import admissible_up_to
+from .admissible import MAX_LIMIT, admissible_up_to
 from .errors import DomainError, InputError, check_int
 from .reference import reference_zeta
 from .representations import (
@@ -157,7 +157,7 @@ def _cmd_eval(args) -> str:
 
 def _cmd_converge(args) -> str:
     step = check_int(args.step, "step", 1)
-    n_max = check_int(args.n_max, "n-max", 2)
+    n_max = check_int(args.n_max, "n-max", 2, MAX_LIMIT)
     ns = [n for n in range(step, n_max + 1, step) if n >= 2]
     if not ns:
         raise InputError("no truncations >= 2 to report; raise n-max or step")

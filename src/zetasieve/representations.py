@@ -68,7 +68,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 # Evaluations closer than this to a term pole raise instead of returning a
-# huge value; root-finding contours use the same gate.
+# huge value; Newton, the verification contours and the sides of a search
+# rectangle use the same gate.
 POLE_GATE = 1e-6
 
 # The eta prefactor is treated as singular below this magnitude.
@@ -124,16 +125,16 @@ def pole_distance(z, n) -> float:
     return nearest_pole(z, n)[0]
 
 
-def pole_gate(z: complex, n, gate: float) -> None:
-    """Raise PoleProximityError when z lies within gate of a term pole.
+def pole_gate(z: complex, n) -> None:
+    """Raise PoleProximityError when z lies within POLE_GATE of a term pole.
 
-    Every pole lies on Re z = 0, so |Re z| > gate clears them all without
-    scanning the lattice; only points in the strip pay for the scan.
+    Every pole lies on Re z = 0, so |Re z| > POLE_GATE clears them all
+    without scanning the lattice; only points in the strip pay for the scan.
     """
-    if abs(z.real) > gate:
+    if abs(z.real) > POLE_GATE:
         return
     dist, base, k = nearest_pole(z, n)
-    if dist <= gate:
+    if dist <= POLE_GATE:
         raise PoleProximityError(z, base, k, dist)
 
 
@@ -194,12 +195,13 @@ def _eta_prefactor(z: complex) -> complex:
     return p
 
 
-def _prepare(kind, z, n, gate: float):
-    """Point, n, prefactor (1.0 for plain kinds) and gate, in that order."""
+def _prepare(kind, z, n):
+    """Check the point, n, the prefactor (1.0 for plain kinds) and the pole
+    gate, in that order; (z, bases, logs, signs, prefactor)."""
     z = check_point(z)
     bases, logs, signs = _base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
-    pole_gate(z, n, check_real(gate, "gate", 0.0))
+    pole_gate(z, n)
     return z, bases, logs, signs, p
 
 
@@ -222,9 +224,9 @@ def _tail_or_none(z: complex, n: int, scale: float = 1.0) -> float | None:
     return None
 
 
-def _evaluate(kind, z, n, gate: float) -> EvalResult:
+def _evaluate(kind, z, n) -> EvalResult:
     """A term-sum form at one truncation: checks, kernel, constant, tail."""
-    z, _, logs, signs, p = _prepare(kind, z, n, gate)
+    z, _, logs, signs, p = _prepare(kind, z, n)
     l = len(logs)
     value = _value(kind, complex(_terms(kind, z, logs, signs).sum()), l, p)
     tail = _tail_or_none(z, int(n), 1.0 / abs(p))
@@ -246,7 +248,7 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
         return _bernoulli_table(z, n_max, ns, M)
     if kind not in _TERM_SUM_KINDS:
         raise InputError(f"no cumulative form for {kind!r}")
-    z, bases, logs, signs, p = _prepare(kind, z, n_max, POLE_GATE)
+    z, bases, logs, signs, p = _prepare(kind, z, n_max)
     partial = np.cumsum(_terms(kind, z, logs, signs))
     ns = [check_int(n, "truncation", 2, n_max) for n in ns]
     rows = []
@@ -265,7 +267,7 @@ def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
     counts = np.searchsorted(bases, ns, "right").tolist()
     coeffs = ()  # stays empty only when there are no rows to sum
     for n, count in zip(ns, counts):
-        _bernoulli_checks(z, n, bases[:count], logs[:count], POLE_GATE)
+        _bernoulli_checks(z, n, bases[:count], logs[:count])
         # Refuses an M out of range after the first row's checks, as the
         # evaluator would; later rows read the cached coefficients.
         coeffs = _laurent_coefficients(M)
@@ -275,27 +277,27 @@ def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
     ]
 
 
-def zeta_direct_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
+def zeta_direct_partial(z, n) -> EvalResult:
     """1 + sum over admissible r <= n of 1/(r**z - 1)."""
-    return _evaluate(RepresentationKind.DIRECT, z, n, gate)
+    return _evaluate(RepresentationKind.DIRECT, z, n)
 
 
-def zeta_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
+def zeta_coth_partial(z, n) -> EvalResult:
     """(2-l)/2 + (1/2) sum coth(z*log(r)/2); identical to the direct form."""
-    return _evaluate(RepresentationKind.COTH, z, n, gate)
+    return _evaluate(RepresentationKind.COTH, z, n)
 
 
-def zeta_alt_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
+def zeta_alt_partial(z, n) -> EvalResult:
     """Eta-accelerated form: (1-2**(1-z))**(-1) (1 + sum (-1)**(r-1)/(r**z-1)).
 
     The tail bound carries the prefactor: the skipped eta terms all have
     index > n, so their sum is bounded by the same integral bound, divided
     by |1 - 2**(1-z)|.
     """
-    return _evaluate(RepresentationKind.ALTERNATING, z, n, gate)
+    return _evaluate(RepresentationKind.ALTERNATING, z, n)
 
 
-def zeta_alt_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
+def zeta_alt_coth_partial(z, n) -> EvalResult:
     """Alternating coth form with the printed branch constant.
 
     The constant is 1 when the term count l is even and 1/2 when l is odd.
@@ -303,12 +305,10 @@ def zeta_alt_coth_partial(z, n, *, gate: float = POLE_GATE) -> EvalResult:
     parity balance of the admissible set cooperates, which it does at every
     truncation this package pins in its fixtures; see the tests.)
     """
-    return _evaluate(RepresentationKind.ALTERNATING_COTH, z, n, gate)
+    return _evaluate(RepresentationKind.ALTERNATING_COTH, z, n)
 
 
-def zeta_bernoulli_partial(
-    z, n, M, *, gate: float = POLE_GATE
-) -> EvalResult:
+def zeta_bernoulli_partial(z, n, M) -> EvalResult:
     """Laurent/Bernoulli series: 1 + sum_{m=-1}^{M} z**m B_{m+1} P_m/(m+1)!.
 
     P_m = sum (log r)**m over the admissible bases (P_{-1} sums 1/log r).
@@ -324,17 +324,17 @@ def zeta_bernoulli_partial(
     M = check_int(M, "M", 0)
     n = check_int(n, "n", 2, MAX_LIMIT)
     bases, logs, _ = _base_data(n)
-    _bernoulli_checks(z, n, bases, logs, gate)
+    _bernoulli_checks(z, n, bases, logs)
     value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
     return EvalResult(value, n, len(logs), _tail_or_none(z, n))
 
 
-def _bernoulli_checks(z: complex, n: int, bases, logs, gate) -> None:
+def _bernoulli_checks(z: complex, n: int, bases, logs) -> None:
     """The Bernoulli form's disk test, then its pole gate, at n."""
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
         raise ConvergenceDomainError(z, TWO_PI / log_max, int(bases[-1]))
-    pole_gate(z, n, check_real(gate, "gate", 0.0))
+    pole_gate(z, n)
 
 
 @lru_cache(maxsize=32)
@@ -416,7 +416,7 @@ def special_value(kind, m, n) -> EvalResult:
     return zeta_direct_partial(complex(_SPECIAL_KINDS[kind](m)), n)
 
 
-def derivative_partial(kind, z, n, *, gate: float = POLE_GATE) -> complex:
+def derivative_partial(kind, z, n) -> complex:
     """d/dz of the direct partial sum or of the alternating numerator.
 
     Each term differentiates to -log(r) * r**z / (r**z - 1)**2, carrying
@@ -435,6 +435,6 @@ def derivative_partial(kind, z, n, *, gate: float = POLE_GATE) -> complex:
         )
     z = check_point(z)
     _, logs, signs = _base_data(n)
-    pole_gate(z, n, check_real(gate, "gate", 0.0))
+    pole_gate(z, n)
     weights = logs * signs if use_signs else logs
     return complex(-(weights * _kernel(z, logs, derivative=True)).sum())

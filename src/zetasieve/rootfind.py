@@ -23,8 +23,10 @@ time in member order; it agrees with value_at to rounding, and only the
 winding count drawn from it is used.  The vectorized evaluators in the
 representations module are the tool for large n.  Everything about the
 pole lattice -- Newton's gate, the clearance of a verification circle, the
-radius it may take -- goes through the representations module (pole_gate,
-nearest_pole, pole_distance), so the lattice is written down once.
+radius it may take, the sides of a search rectangle that a pole touches --
+goes through the representations module (pole_gate, nearest_pole,
+pole_distance), so the lattice is written down once, and one gate,
+POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -225,37 +227,38 @@ class NewtonFailure:
     iterations: int
 
 
+# Newton steps per seed before it is given up as "max-iter".
+_MAX_ITER = 60
+
+
 def newton_refine(
     target: Target,
     seed,
     tol: float = 1e-10,
-    max_iter: int = 60,
     *,
     box: tuple[float, float, float, float] | None = None,
-    gate: float = POLE_GATE,
 ):
     """Newton iteration from seed; RootRecord on success, NewtonFailure else.
 
-    Success requires both |f(z)| <= tol and the last step below tol.  The
-    box (re_min, re_max, im_min, im_max) is the escape fence; by default it
-    extends 25 units around the seed, wide enough that a genuine basin is
-    never cut, while unbounded drifts (targets with no zeros at all) are
-    cut off quickly.
+    Success requires both |f(z)| <= tol and the last step below tol, within
+    60 steps.  A point within POLE_GATE of a term pole ends the run as a
+    "pole" failure.  The box (re_min, re_max, im_min, im_max) is the escape
+    fence; by default it extends 25 units around the seed, wide enough that
+    a genuine basin is never cut, while unbounded drifts (targets with no
+    zeros at all) are cut off quickly.
     """
     target = _checked_target(target)
     z = check_point(seed)
     tol = check_real(tol, "tol", 0.0, strict=True)
-    max_iter = check_int(max_iter, "max_iter", 1)
-    gate = check_real(gate, "gate", 0.0)
     if box is None:
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
     else:
         box = _checked_bounds(box)
     iterations = 0
     pair = None  # (f, f') at z, once evaluated
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         if pair is None:
-            if _near_pole(target, z, gate):
+            if _near_pole(target, z):
                 return NewtonFailure("pole", z, iterations)
             pair = target.value_and_derivative_at(z)
         fz, dz = pair
@@ -272,11 +275,11 @@ def newton_refine(
             z, pair = z_next, None
         if abs(step) < tol:
             if pair is None:
-                if _near_pole(target, z, gate):
+                if _near_pole(target, z):
                     return NewtonFailure("pole", z, iterations)
                 pair = target.value_and_derivative_at(z)
             if abs(pair[0]) <= tol:
-                z, fz = _polish(target, z, pair, box, gate)
+                z, fz = _polish(target, z, pair, box)
                 return RootRecord(
                     location=z,
                     residual=abs(fz),
@@ -286,7 +289,7 @@ def newton_refine(
             # Tiny step at a large residual is a near-stationary point, not
             # convergence; keep iterating (from the pair already in hand)
             # until a definite outcome.
-    return NewtonFailure("max-iter", z, max_iter)
+    return NewtonFailure("max-iter", z, _MAX_ITER)
 
 
 def _identical(a: complex, b: complex) -> bool:
@@ -308,16 +311,16 @@ def _checked_target(target) -> Target:
     return target
 
 
-def _near_pole(target, z, gate) -> bool:
+def _near_pole(target, z) -> bool:
     """Whether the representations pole gate refuses z."""
     try:
-        pole_gate(z, target.n, gate)
+        pole_gate(z, target.n)
     except PoleProximityError:
         return True
     return False
 
 
-def _polish(target, z, pair, box, gate):
+def _polish(target, z, pair, box):
     """A couple of extra Newton steps to push the residual to rounding.
 
     pair is (f, f') at z.  Returns the final z and f(z).
@@ -333,7 +336,7 @@ def _polish(target, z, pair, box, gate):
             box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
         ):
             break
-        if _near_pole(target, z_next, gate):
+        if _near_pole(target, z_next):
             break
         pair = target.value_and_derivative_at(z_next)
         if not abs(pair[0]) <= abs(fz):
@@ -347,30 +350,28 @@ def winding_count(
     center,
     radius: float,
     samples: int = 256,
-    *,
-    gate: float = POLE_GATE,
 ) -> int:
     """Winding number of the target around 0 along a circle.
 
     Valid as a zero count only when the disc is pole-free.  A pole inside
-    the disc, or within gate of the circle anywhere along it (not only at
-    the samples), raises ContourError; one nearest_pole call on the center
-    decides both.  Phase steps above pi/2 are refused (ResolutionError)
-    rather than unwrapped optimistically.
+    the disc, or within POLE_GATE of the circle anywhere along it (not only
+    at the samples), raises ContourError; one nearest_pole call on the
+    center decides both.  Phase steps above pi/2 are refused
+    (ResolutionError) rather than unwrapped optimistically.
     """
     target = _checked_target(target)
     center = check_point(center)
     radius = check_real(radius, "radius", 0.0, strict=True)
     samples = check_int(samples, "samples", 8)
-    gate = check_real(gate, "gate", 0.0)
 
     # With no pole inside the disc, the pole nearest the center is also the
     # one nearest the circle, so this one test covers both refusals exactly.
     dist, base, k = nearest_pole(center, target.n)
-    if dist <= radius + gate:
+    if dist <= radius + POLE_GATE:
         raise ContourError(
             f"pole 2*pi*i*{k}/log({base}) lies {dist:.3e} from {center}:"
-            f" inside the contour of radius {radius} or within {gate:g} of it"
+            f" inside the contour of radius {radius} or within"
+            f" {POLE_GATE:g} of it"
         )
 
     theta = np.linspace(0.0, TWO_PI, samples + 1)
@@ -394,51 +395,35 @@ def winding_count(
     return int(count)
 
 
-def _boundary_distance(x: float, y: float, region: SearchRegion) -> tuple[float, str]:
-    """Distance from a point to the rectangle boundary, and the nearest side."""
-    inside_x = region.re_min <= x <= region.re_max
-    inside_y = region.im_min <= y <= region.im_max
-    gaps = (
-        (abs(x - region.re_min), "re_min"),
-        (abs(region.re_max - x), "re_max"),
-        (abs(y - region.im_min), "im_min"),
-        (abs(region.im_max - y), "im_max"),
-    )
-    if inside_x and inside_y:
-        return min(gaps)
-    dx = max(region.re_min - x, 0.0, x - region.re_max)
-    dy = max(region.im_min - y, 0.0, y - region.im_max)
-    side = min(
-        (g for g in gaps),
-        key=lambda g: g[0],
-    )[1]
-    return math.hypot(dx, dy), side
+def _nudged(region: SearchRegion, target: Target) -> SearchRegion:
+    """Shift the side nearest a term pole one grid cell outward while a pole
+    lies within POLE_GATE of a side, at most twice.
 
-
-def _nudged(region: SearchRegion, target: Target, gate: float) -> SearchRegion:
-    """Shift any rectangle side that a lattice pole touches, one cell outward."""
+    Every pole lies on Re z = 0.  A horizontal side is as far from the
+    poles as its point nearest the axis.  A vertical side at x = c spans
+    the heights within half its height h of its midpoint m, so it lies
+    hypot(c, max(0, d - h)) from them, with d the distance from i*m to the
+    nearest pole.  A tie goes to the side name first in alphabetical order.
+    """
     cell_re = (region.re_max - region.re_min) / (region.grid_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.grid_im - 1)
+    shift = {
+        "re_min": -cell_re, "re_max": cell_re, "im_min": -cell_im, "im_max": cell_im
+    }
     for _ in range(2):
-        worst: tuple[float, str] | None = None
-        for lg in target.logs:
-            spacing = TWO_PI / lg
-            k_lo = math.floor(region.im_min / spacing) - 1
-            k_hi = math.ceil(region.im_max / spacing) + 1
-            for k in range(k_lo, k_hi + 1):
-                d, side = _boundary_distance(0.0, k * spacing, region)
-                if d <= gate and (worst is None or d < worst[0]):
-                    worst = (d, side)
-        if worst is None:
-            return region
-        side = worst[1]
-        shift = {
-            "re_min": {"re_min": region.re_min - cell_re},
-            "re_max": {"re_max": region.re_max + cell_re},
-            "im_min": {"im_min": region.im_min - cell_im},
-            "im_max": {"im_max": region.im_max + cell_im},
-        }[side]
-        region = replace(region, **shift)
+        foot = min(max(0.0, region.re_min), region.re_max)
+        half = 0.5 * (region.im_max - region.im_min)
+        mid = 0.5 * (region.im_max + region.im_min)
+        gap = max(0.0, nearest_pole(complex(0.0, mid), target.n)[0] - half)
+        dist, side = min(
+            (nearest_pole(complex(foot, region.im_min), target.n)[0], "im_min"),
+            (nearest_pole(complex(foot, region.im_max), target.n)[0], "im_max"),
+            (math.hypot(region.re_min, gap), "re_min"),
+            (math.hypot(region.re_max, gap), "re_max"),
+        )
+        if dist > POLE_GATE:
+            break
+        region = replace(region, **{side: getattr(region, side) + shift[side]})
     return region
 
 
@@ -448,7 +433,6 @@ def find_zeros(
     tol: float = 1e-10,
     *,
     threads: int = 1,
-    gate: float = POLE_GATE,
 ) -> list[RootRecord]:
     """All roots of the target inside the region, verified and sorted.
 
@@ -458,14 +442,17 @@ def find_zeros(
     verified by a winding count on a pole-free circle.  Unverifiable
     candidates are kept with verified=False rather than dropped.  threads
     (an integer >= 1) changes neither the result nor the speed.
+
+    A side of the region that lies within POLE_GATE of a term pole is first
+    moved one grid cell outward (at most two sides), so the search, and
+    the roots it keeps, may cover one more cell on such a side.
     """
     target = _checked_target(target)
     if not isinstance(region, SearchRegion):
         raise InputError(f"expected a SearchRegion, got {region!r}")
     tol = check_real(tol, "tol", 0.0, strict=True)
     check_int(threads, "threads", 1)
-    gate = check_real(gate, "gate", 0.0)
-    region = _nudged(region, target, gate)
+    region = _nudged(region, target)
 
     res = np.linspace(region.re_min, region.re_max, region.grid_re)
     ims = np.linspace(region.im_min, region.im_max, region.grid_im)
@@ -478,10 +465,7 @@ def find_zeros(
         region.im_min - margin_im,
         region.im_max + margin_im,
     )
-    results = [
-        newton_refine(target, seed, tol=tol, max_iter=60, box=box, gate=gate)
-        for seed in seeds
-    ]
+    results = [newton_refine(target, seed, tol=tol, box=box) for seed in seeds]
 
     # Seed-order deduplication; keep the lowest residual per cluster.
     dedupe_radius = 10.0 * tol
@@ -516,7 +500,7 @@ def find_zeros(
                     rec.conjugate_of = j
                     break
 
-    _verify(target, roots, tol, gate)
+    _verify(target, roots, tol)
     return roots
 
 
@@ -545,7 +529,7 @@ def _canonicalize_conjugates(roots: list[RootRecord], radius: float) -> None:
             other.location = complex(re, -im)
 
 
-def _verify(target, roots, tol, gate) -> None:
+def _verify(target, roots, tol) -> None:
     locations = [r.location for r in roots]
     for i, rec in enumerate(roots):
         neighbor = min(
@@ -558,14 +542,12 @@ def _verify(target, roots, tol, gate) -> None:
         count = None
         for shrink in (1.0, 0.5, 0.25):
             radius = base_radius * shrink
-            if radius <= gate:
+            if radius <= POLE_GATE:
                 continue
             samples = 256
             while samples <= 4096 and count is None:
                 try:
-                    count = winding_count(
-                        target, rec.location, radius, samples, gate=gate
-                    )
+                    count = winding_count(target, rec.location, radius, samples)
                 except ResolutionError:
                     samples *= 2
                 except ContourError:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +96,24 @@ class TestConverge:
             if prev_err is not None:
                 assert err <= prev_err * 1.05 + 1e-12
             prev_err = err
+
+    def test_n_max_above_the_limit_is_refused_before_any_row(self):
+        # Rows for n-max 1e10 would fill the memory before the base data
+        # refused the n; the child's address space is capped so a
+        # regression fails fast instead.
+        cap = 512 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zetasieve", "converge", "--rep", "direct",
+             "--z", "2,0", "--n-max", "10000000000", "--step", "1"],
+            capture_output=True, text=True, check=False, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
+        )
+        assert done.returncode == 2
+        assert "n-max" in done.stderr
 
     def test_alternating_error_shrinks(self, capsys):
         code, out, _ = run(

@@ -100,6 +100,28 @@ def bool_checks(path: Path) -> list[str]:
     return found
 
 
+def two_pi_divisions(path: Path) -> list[str]:
+    """Expressions TWO_PI / x, bare or read off a module: lattice spacings."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            left = node.left
+            name = getattr(left, "id", None) or getattr(left, "attr", None)
+            if name == "TWO_PI":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "representations.py"],
+    ids=lambda p: p.name,
+)
+def test_only_representations_spaces_the_pole_lattice(path):
+    # The pole lattice 2*pi*i*k/log(r) is written down once, in
+    # representations; others ask it through nearest_pole and pole_gate.
+    assert two_pi_divisions(path) == []
+
+
 def test_reference_imports_only_errors():
     # The oracle audits the representations, so it must not be built on them.
     assert package_imports(PACKAGE / "reference.py") == {"errors"}
@@ -125,11 +147,15 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "isinstance(n, bool)\n"
         "isinstance(n, (int, bool))\n"
         "isinstance(n, int)\n"
+        "spacing = TWO_PI / lg\n"
+        "spacing = representations.TWO_PI / lg\n"
+        "turns = phase / TWO_PI\n"
     )
     assert package_imports(probe) == {
         "errors", "representations", "rootfind", "admissible", "bernoulli"
     }
     assert len(bool_checks(probe)) == 2
+    assert len(two_pi_divisions(probe)) == 2
 
 
 def traced_attributes() -> list[tuple[str, str]]:

@@ -524,22 +524,21 @@ class TestPoleLattice:
         n=st.integers(2, 60),
         pick=st.integers(0, 10**6),
         k=st.integers(-4, 4),
-        gate_exp=st.floats(-8.0, -2.0),
         edge=st.sampled_from(["inside", "below", "at", "above"]),
         re_scale=st.floats(-2.0, 2.0),
         im_scale=st.floats(-2.0, 2.0),
         side=st.sampled_from([1.0, -1.0]),
     )
-    @example(12, 0, 0, -6.0, "at", 0.0, 0.0, 1.0)
-    @example(12, 0, 0, -6.0, "below", 0.0, 0.0, -1.0)
-    @example(12, 0, 0, -6.0, "above", 0.0, 0.0, 1.0)
+    @example(12, 0, 0, "at", 0.0, 0.0, 1.0)
+    @example(12, 0, 0, "below", 0.0, 0.0, -1.0)
+    @example(12, 0, 0, "above", 0.0, 0.0, 1.0)
     def test_gate_raises_exactly_within_the_gate(
-        self, n, pick, k, gate_exp, edge, re_scale, im_scale, side
+        self, n, pick, k, edge, re_scale, im_scale, side
     ):
         # The gate skips the lattice scan when |Re z| > gate; it must still
         # raise exactly when the nearest pole is within the gate, including
         # for |Re z| one ulp either side of the gate.
-        gate = 10.0**gate_exp
+        gate = representations.POLE_GATE
         members = admissible_up_to(n).members
         r = members[pick % len(members)]
         re = {
@@ -551,17 +550,11 @@ class TestPoleLattice:
         z = complex(re, 2 * math.pi * k / math.log(r) + im_scale * gate)
         near = nearest_pole(z, n)[0] <= gate
         try:
-            zeta_direct_partial(z, n, gate=gate)
+            zeta_direct_partial(z, n)
         except PoleProximityError:
             assert near
         else:
             assert not near
-
-    def test_gate_width_is_configurable(self):
-        z = complex(1e-4, 0.0)
-        zeta_direct_partial(z, 6)  # outside the default gate
-        with pytest.raises(PoleProximityError):
-            zeta_direct_partial(z, 6, gate=1e-3)
 
 
 class TestAlternatingDomain:
@@ -586,22 +579,6 @@ class TestInputChecking:
     def test_rejects_non_numeric_points(self, bad):
         with pytest.raises(InputError):
             zeta_direct_partial(bad, 6)
-
-    @pytest.mark.parametrize("gate", [float("nan"), -1.0, float("inf"), "1e-6"])
-    def test_rejects_bad_gates(self, gate):
-        # nan and -1 would switch the pole gate off rather than fail.
-        z = complex(1e-9, 0.0)
-        calls = [
-            lambda: zeta_direct_partial(z, 6, gate=gate),
-            lambda: zeta_coth_partial(z, 6, gate=gate),
-            lambda: zeta_alt_partial(z, 6, gate=gate),
-            lambda: zeta_alt_coth_partial(z, 6, gate=gate),
-            lambda: zeta_bernoulli_partial(z, 6, 10, gate=gate),
-            lambda: derivative_partial(RepresentationKind.DIRECT, z, 6, gate=gate),
-        ]
-        for call in calls:
-            with pytest.raises(InputError):
-                call()
 
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)

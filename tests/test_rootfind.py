@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -175,10 +176,6 @@ class TestNewtonRefine:
             {"tol": 0.0},
             {"tol": float("nan")},
             {"tol": "1e-10"},
-            {"max_iter": 0},
-            {"max_iter": "5"},
-            {"gate": float("nan")},
-            {"gate": -1.0},
             {"box": (float("nan"),) * 4},
             {"box": (1, 2)},
             {"box": (-5.0, 5.0, 10.0, -10.0)},
@@ -299,9 +296,6 @@ class TestWindingCount:
                 winding_count(t, complex(0, 3.5), radius)
         with pytest.raises(InputError):
             winding_count(t, complex(0, 3.5), 0.2, samples=4)
-        for gate in (float("nan"), -1.0):
-            with pytest.raises(InputError):
-                winding_count(t, complex(0, 3.5), 0.2, gate=gate)
         for target in (None, "t"):
             with pytest.raises(InputError):
                 winding_count(target, 1 + 1j, 0.1)
@@ -328,12 +322,48 @@ class TestSearchRegion:
     def test_pole_on_the_boundary_is_nudged_outward(self):
         t = make_target(DIRECT, 2)
         region = SearchRegion(-1.0, 1.0, -LATTICE_2, LATTICE_2)
-        nudged = _nudged(region, t, 1e-6)
+        nudged = _nudged(region, t)
         assert nudged.im_min < -LATTICE_2
         assert nudged.im_max > LATTICE_2
         assert (nudged.re_min, nudged.re_max) == (-1.0, 1.0)
         # and the search itself completes on the original region
         assert find_zeros(t, region) == []
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_strip_moves_only_its_side_on_the_axis(self, n):
+        region = SearchRegion(0.0, 1.5, 5.0, 17.0)
+        for kind in (DIRECT, ALT):
+            nudged = _nudged(region, make_target(kind, n))
+            assert nudged == replace(region, re_min=-1.5 / 39)
+
+    def test_origin_at_a_corner_moves_im_min_then_re_min(self, monkeypatch):
+        moved = []
+
+        def recording(region, **change):
+            moved.extend(change)
+            return replace(region, **change)
+
+        monkeypatch.setattr("zetasieve.rootfind.replace", recording)
+        region = SearchRegion(0.0, 1.5, 0.0, 12.0)
+        nudged = _nudged(region, make_target(DIRECT, 2))
+        assert moved == ["im_min", "re_min"]
+        assert nudged == replace(region, re_min=-1.5 / 39, im_min=-12.0 / 39)
+
+    def test_pole_within_the_gate_of_im_max_moves_only_im_max(self):
+        # The pole 2*pi*i/log 2 sits 5e-7 above the top side.
+        region = SearchRegion(-1.0, 1.0, 1.0, LATTICE_2 - 5e-7)
+        nudged = _nudged(region, make_target(DIRECT, 2))
+        cell = (region.im_max - region.im_min) / 39
+        assert nudged == replace(region, im_max=region.im_max + cell)
+
+    def test_region_no_pole_touches_comes_back_unchanged(self):
+        t = make_target(ALT, 12)
+        for region in (
+            SearchRegion(0.5, 1.5, 1.0, 2.0),
+            SearchRegion(-1.0, 1.0, 0.5, 1.5),
+            SearchRegion(-2.0, -1e-3, -6.0, 6.0),
+        ):
+            assert _nudged(region, t) == region
 
 
 class TestFindZeros:
@@ -437,8 +467,6 @@ class TestFindZeros:
             {"tol": float("nan")},
             {"tol": "1e-10"},
             {"threads": 0},
-            {"gate": float("nan")},
-            {"gate": -1.0},
         ]
         for kwargs in bad:
             with pytest.raises(InputError):
