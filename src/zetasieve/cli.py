@@ -38,6 +38,9 @@ __all__ = ["main"]
 
 SCHEMA_VERSION = "1"
 
+# converge refuses tables longer than this before it builds any row.
+MAX_ROWS = 10**6
+
 _EVALUATORS = {
     "direct": zeta_direct_partial,
     "coth": zeta_coth_partial,
@@ -158,6 +161,12 @@ def _cmd_eval(args) -> str:
 def _cmd_converge(args) -> str:
     step = check_int(args.step, "step", 1)
     n_max = check_int(args.n_max, "n-max", 2, MAX_LIMIT)
+    row_count = n_max // step - (step == 1)  # every multiple of step but 1
+    if row_count > MAX_ROWS:
+        raise InputError(
+            f"--n-max {n_max} with --step {step} asks for {row_count} rows,"
+            f" more than {MAX_ROWS}; raise --step or lower --n-max"
+        )
     ns = [n for n in range(step, n_max + 1, step) if n >= 2]
     if not ns:
         raise InputError("no truncations >= 2 to report; raise n-max or step")

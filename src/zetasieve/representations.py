@@ -20,9 +20,15 @@ blow up, which is what the root finder relies on.
 
 Terms are evaluated overflow-safe on both half planes: for Re(z) >= 0 use
 w = r**(-z) (|w| <= 1) and 1/(r**z - 1) = w/(1 - w); for Re(z) < 0 use
-v = r**z directly.  Sums run vectorized over numpy arrays; numpy's pairwise
-reduction is deterministic and commutes with conjugation, which the
-conjugate-symmetry guarantee depends on.
+v = r**z directly.  Every sum over one truncation's bases runs in blocks
+of at most _LEAF terms, each computed by numpy ufuncs into a per-call
+buffer, so no temporary grows with n.  numpy's pairwise sum splits an array
+at a point that depends only on its length; _tree_sum walks the same tree
+down to the blocks and adds their np.sum on the way back up, so a blocked
+sum has the bits of np.sum over the whole array.  That sum is deterministic
+and commutes with conjugation, which the conjugate-symmetry guarantee
+depends on.  Prefix sums carry the running sum from block to block, as
+np.cumsum does over the whole array.
 """
 
 from __future__ import annotations
@@ -75,6 +81,45 @@ POLE_GATE = 1e-6
 # The eta prefactor is treated as singular below this magnitude.
 PREFACTOR_GATE = 1e-12
 
+# Sums over the bases run in blocks of at most this many terms; two complex
+# blocks take 512 KiB, which stays in a 2 MiB L2 cache.
+_LEAF = 2**14
+
+
+def _leaf_length(count: int, real: bool = False) -> int:
+    """The longest block _tree_sum hands a leaf over `count` elements.
+
+    numpy adds a range of up to 128 floats (64 complex) in one unrolled
+    loop without splitting it, so no leaf is cut shorter than that.
+    """
+    return min(count, max(_LEAF, 128 if real else 64))
+
+
+def _tree_sum(count: int, leaf, real: bool = False):
+    """np.sum of a complex (or, with real, float64) array of `count`
+    elements, from leaf(start, stop) = np.sum of the elements in
+    [start, stop).  A leaf may return an array of such sums, one per
+    array summed; they add elementwise.
+
+    numpy's pairwise sum splits a range at a point that depends only on its
+    length: c complex elements at (c - c % 8) // 2, c floats at h - h % 8
+    with h = c // 2.  This walks the same splits down to leaves of at most
+    _leaf_length elements and adds left + right on the way back up, so it
+    returns the bits of np.sum over the whole array.
+    """
+    longest = _leaf_length(count, real)
+
+    def walk(start: int, c: int):
+        if c <= longest:
+            return leaf(start, start + c)
+        if real:
+            split = c // 2 - c // 2 % 8
+        else:
+            split = (c - c % 8) // 2
+        return walk(start, split) + walk(start + split, c - split)
+
+    return walk(0, count)
+
 
 class RepresentationKind(Enum):
     DIRECT = "direct"
@@ -113,11 +158,21 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     """
     z = check_point(z)
     bases, logs, _ = _base_data(n)
-    spacing = TWO_PI / logs
-    k = np.rint(z.imag / spacing)
-    dist = np.hypot(z.real, z.imag - k * spacing)
-    i = int(np.argmin(dist))
-    return float(dist[i]), int(bases[i]), int(k[i])
+    length = _leaf_length(len(logs))
+    spacing, k, dist = (np.empty(length) for _ in range(3))
+    best = (math.inf, 0, 0)
+    for start in range(0, len(logs), length):
+        stop = min(start + length, len(logs))
+        s, kb, d = (a[: stop - start] for a in (spacing, k, dist))
+        np.divide(TWO_PI, logs[start:stop], out=s)
+        np.rint(np.divide(z.imag, s, out=kb), out=kb)
+        np.subtract(z.imag, np.multiply(kb, s, out=d), out=d)
+        np.hypot(z.real, d, out=d)
+        i = int(np.argmin(d))
+        # Strict <, so the first minimum wins, as np.argmin's does.
+        if d[i] < best[0]:
+            best = (float(d[i]), int(bases[start + i]), int(kb[i]))
+    return best
 
 
 def pole_distance(z, n) -> float:
@@ -138,16 +193,23 @@ def pole_gate(z: complex, n) -> None:
         raise PoleProximityError(z, base, k, dist)
 
 
-def _kernel(z: complex, logs: np.ndarray, derivative: bool = False):
-    """1/(r**z - 1), or with derivative r**z/(r**z - 1)**2, per base."""
+def _kernel(z: complex, logs, out, spare, squares=None):
+    """1/(r**z - 1) per base into out or, given a third buffer squares, the
+    derivative's r**z/(r**z - 1)**2; spare is a second buffer of the same
+    length."""
+    derivative = squares is not None
     if z.real >= 0.0:
-        num = np.exp(-z * logs)
-        den = 1.0 - num
+        num = np.exp(np.multiply(-z, logs, out=out), out=out)
+        den = np.subtract(1.0, num, out=spare)
     else:
-        v = np.exp(z * logs)
+        v = np.exp(np.multiply(z, logs, out=out), out=out)
         num = v if derivative else 1.0
-        den = v - 1.0
-    return num / den**2 if derivative else num / den
+        den = np.subtract(v, 1.0, out=spare)
+    if derivative:
+        # den**2 on an array; not in place, where one element rounds
+        # differently.
+        den = np.square(den, out=squares)
+    return np.divide(num, den, out=out)
 
 
 _ALTERNATING = (
@@ -158,13 +220,58 @@ _COTH = (RepresentationKind.COTH, RepresentationKind.ALTERNATING_COTH)
 _TERM_SUM_KINDS = (RepresentationKind.DIRECT, *_COTH, *_ALTERNATING)
 
 
-def _terms(kind, z: complex, logs: np.ndarray, signs: np.ndarray):
-    """The kind's per-base terms: s_r/(r**z - 1) or s_r*coth(z*log(r)/2)."""
+def _terms(kind, z: complex, logs, signs, out, spare):
+    """The kind's per-base terms, s_r/(r**z - 1) or s_r*coth(z*log(r)/2),
+    into out; spare is a second buffer of the same length."""
     if kind in _COTH:
-        t = 1.0 / np.tanh(0.5 * z * logs)
+        t = np.tanh(np.multiply(0.5 * z, logs, out=out), out=out)
+        np.divide(1.0, t, out=t)
     else:
-        t = _kernel(z, logs)
-    return t * signs if kind in _ALTERNATING else t
+        t = _kernel(z, logs, out, spare)
+    return np.multiply(t, signs, out=t) if kind in _ALTERNATING else t
+
+
+def _term_sum(kind, z: complex, logs, signs) -> complex:
+    """The sum of the kind's terms over the bases, block by block."""
+    out, spare = (np.empty(_leaf_length(len(logs)), complex) for _ in range(2))
+
+    def leaf(start, stop):
+        k = stop - start
+        return _terms(
+            kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
+        ).sum()
+
+    return complex(_tree_sum(len(logs), leaf))
+
+
+def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
+    """np.cumsum of the kind's terms read at count - 1, for each count.
+
+    Block by block: each block's first term takes the previous block's last
+    partial sum before the block's own np.cumsum, which is the running sum
+    np.cumsum takes over the whole array.  Blocks past the largest count
+    are never built.
+    """
+    ends = np.asarray(counts, dtype=np.int64) - 1
+    order = np.argsort(ends)
+    ends_sorted = ends[order]
+    values = np.empty(len(ends), complex)
+    total = int(ends_sorted[-1]) + 1 if len(ends) else 0
+    length = _leaf_length(total)
+    out, spare = (np.empty(length, complex) for _ in range(2))
+    for start in range(0, total, length):
+        stop = min(start + length, total)
+        k = stop - start
+        t = _terms(
+            kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
+        )
+        if start:
+            t[0] += carry
+        np.cumsum(t, out=t)
+        carry = t[-1]
+        lo, hi = np.searchsorted(ends_sorted, (start, stop)).tolist()
+        values[order[lo:hi]] = t[ends_sorted[lo:hi] - start]
+    return values.tolist()
 
 
 def _value(kind, acc: complex, l: int, p: complex) -> complex:
@@ -228,7 +335,7 @@ def _evaluate(kind, z, n) -> EvalResult:
     """A term-sum form at one truncation: checks, kernel, constant, tail."""
     z, _, logs, signs, p = _prepare(kind, z, n)
     l = len(logs)
-    value = _value(kind, complex(_terms(kind, z, logs, signs).sum()), l, p)
+    value = _value(kind, _term_sum(kind, z, logs, signs), l, p)
     tail = _tail_or_none(z, int(n), 1.0 / abs(p))
     return EvalResult(value, int(n), l, tail)
 
@@ -238,7 +345,8 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     n_max.  Every n in ns must lie in [2, n_max].
 
     The term-sum forms run the checks and the pole gate once, at n_max;
-    each row then reads its prefix of np.cumsum over the terms up to n_max.
+    each row then reads its prefix of np.cumsum over the terms, built block
+    by block up to the largest row.
     The Bernoulli form of order M runs its disk test and pole gate row by
     row, as its evaluator would, and reads each row's power sums off rows
     built once at n_max, so every row equals zeta_bernoulli_partial at its
@@ -249,11 +357,12 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     if kind not in _TERM_SUM_KINDS:
         raise InputError(f"no cumulative form for {kind!r}")
     z, bases, logs, signs, p = _prepare(kind, z, n_max)
-    partial = np.cumsum(_terms(kind, z, logs, signs))
     ns = [check_int(n, "truncation", 2, n_max) for n in ns]
+    counts = np.searchsorted(bases, ns, "right").tolist()
+    partial = _prefix_sums(kind, z, logs, signs, counts)
     rows = []
-    for n, count in zip(ns, np.searchsorted(bases, ns, "right").tolist()):
-        value = _value(kind, complex(partial[count - 1]), count, p)
+    for n, count, acc in zip(ns, counts, partial):
+        value = _value(kind, acc, count, p)
         tail = _tail_or_none(z, n, 1.0 / abs(p))
         rows.append(EvalResult(value, n, count, tail))
     return rows
@@ -348,9 +457,36 @@ def _laurent_coefficients(M: int) -> tuple[float, ...]:
 
 @lru_cache(maxsize=32)
 def _bernoulli_polynomial(n: int, M: int) -> tuple[float, ...]:
-    """(P_{-1}, c_0 P_0, ..., c_M P_M) at the checked n and M."""
+    """(P_{-1}, c_0 P_0, ..., c_M P_M) at the checked n and M.
+
+    One walk over the bases in blocks sums every order at once.  Each leaf
+    builds its block's powers as _power_sums builds them on the whole row,
+    so every P_m has the bits of _power_sums' pairwise sum.
+    """
     _, logs, _ = _base_data(n)
-    return _power_sums(logs, [len(logs)], _laurent_coefficients(M))[0]
+    coeffs = _laurent_coefficients(M)
+    length = _leaf_length(len(logs), real=True)
+    buffers = (np.empty(length), np.empty(length))
+
+    def leaf(start, stop):
+        block = logs[start:stop]
+        scratch = [b[: stop - start] for b in buffers]
+        sums = np.zeros(len(coeffs) + 1)  # sums[m + 1] is P_m; P_0 unused
+        sums[0] = np.divide(1.0, block, out=scratch[0]).sum()
+        power = block
+        for m in range(1, len(coeffs)):
+            if m > 1:  # never in place: each product into the other buffer
+                power = np.multiply(power, block, out=scratch[m % 2])
+            if coeffs[m] != 0.0:
+                sums[m + 1] = power.sum()
+        return sums
+
+    sums = _tree_sum(len(logs), leaf, real=True).tolist()
+    return (
+        sums[0],
+        coeffs[0] * len(logs),
+        *(c * s if c != 0.0 else 0.0 for c, s in zip(coeffs[1:], sums[2:])),
+    )
 
 
 def _power_sums(logs, counts, coeffs) -> list[tuple[float, ...]]:
@@ -436,5 +572,16 @@ def derivative_partial(kind, z, n) -> complex:
     z = check_point(z)
     _, logs, signs = _base_data(n)
     pole_gate(z, n)
-    weights = logs * signs if use_signs else logs
-    return complex(-(weights * _kernel(z, logs, derivative=True)).sum())
+    length = _leaf_length(len(logs))
+    out, spare, squares = (np.empty(length, complex) for _ in range(3))
+    weights = np.empty(length) if use_signs else None
+
+    def leaf(start, stop):
+        k = stop - start
+        block = logs[start:stop]
+        terms = _kernel(z, block, out[:k], spare[:k], squares[:k])
+        if use_signs:
+            block = np.multiply(block, signs[start:stop], out=weights[:k])
+        return np.multiply(block, terms, out=terms).sum()
+
+    return complex(-_tree_sum(len(logs), leaf))

@@ -115,6 +115,32 @@ class TestConverge:
         assert done.returncode == 2
         assert "n-max" in done.stderr
 
+    def test_too_many_rows_are_refused_before_any_row(self):
+        # 1e8 rows would need tens of GB; capped at 1 GiB, the child must
+        # still exit 2 at once rather than run out of memory.
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zetasieve", "converge", "--rep", "direct",
+             "--z", "2,0", "--n-max", "100000000", "--step", "1"],
+            capture_output=True, text=True, check=False, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
+        )
+        assert done.returncode == 2
+        assert "--step" in done.stderr and "--n-max" in done.stderr
+
+    def test_row_cap_counts_the_rows_printed(self, capsys):
+        # Step 2 up to 2e6 + 2 prints 1e6 + 1 rows, one over the cap.
+        code, _, err = run(
+            capsys, "converge", "--rep", "direct", "--z", "2,0",
+            "--n-max", str(2 * 10**6 + 2), "--step", "2",
+        )
+        assert code == 2
+        assert "1000001 rows" in err
+
     def test_alternating_error_shrinks(self, capsys):
         code, out, _ = run(
             capsys, "converge", "--rep", "alt", "--z", "2,0",

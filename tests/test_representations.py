@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -585,3 +586,202 @@ class TestInputChecking:
         assert r.truncation == 20
         assert r.term_count == 15
         assert isinstance(r.value, complex)
+
+
+TERM_KINDS = [
+    RepresentationKind.DIRECT,
+    RepresentationKind.COTH,
+    RepresentationKind.ALTERNATING,
+    RepresentationKind.ALTERNATING_COTH,
+]
+COTH_KINDS = TERM_KINDS[1::2]
+ALT_KINDS = TERM_KINDS[2:]
+
+
+# One-shot forms of the blocked sums: whole-array terms, then one .sum(),
+# np.cumsum or np.argmin, as the package computed them before it summed in
+# blocks.  The blocked sums must keep every bit of these.
+def one_shot_terms(kind, z, logs, signs):
+    if kind in COTH_KINDS:
+        t = 1.0 / np.tanh(0.5 * z * logs)
+    elif z.real >= 0.0:
+        num = np.exp(-z * logs)
+        t = num / (1.0 - num)
+    else:
+        t = 1.0 / (np.exp(z * logs) - 1.0)
+    return t * signs if kind in ALT_KINDS else t
+
+
+def one_shot_value(kind, z, acc, count):
+    p = representations._eta_prefactor(z) if kind in ALT_KINDS else 1.0
+    return representations._value(kind, complex(acc), count, p)
+
+
+def one_shot_derivative(kind, z, logs, signs):
+    if z.real >= 0.0:
+        num = np.exp(-z * logs)
+        den = 1.0 - num
+    else:
+        num = np.exp(z * logs)
+        den = num - 1.0
+    weights = logs * signs if kind is RepresentationKind.ALTERNATING else logs
+    return complex(-(weights * (num / den**2)).sum())
+
+
+def one_shot_nearest_pole(z, bases, logs):
+    spacing = 2 * math.pi / logs
+    k = np.rint(z.imag / spacing)
+    dist = np.hypot(z.real, z.imag - k * spacing)
+    i = int(np.argmin(dist))
+    return float(dist[i]), int(bases[i]), int(k[i])
+
+
+def one_shot_bernoulli(logs, M):
+    coeffs = representations._laurent_coefficients(M)
+    sums = [float((1.0 / logs).sum()), coeffs[0] * len(logs)]
+    power = logs
+    for m in range(1, M + 1):
+        if m > 1:
+            power = power * logs
+        sums.append(coeffs[m] * float(power.sum()) if coeffs[m] != 0.0 else 0.0)
+    return tuple(sums)
+
+
+def bits(values):
+    return np.array(values, dtype=complex).tobytes()
+
+
+class TestBlockedSums:
+    """Sums taken block by block keep the bits of the one-shot sums."""
+
+    POINTS = [
+        complex(2.0, 1.0),
+        complex(0.3, 14.1),
+        complex(0.5, -40.0),
+        complex(-0.7, 3.3),
+        complex(-1.5, -0.2),
+    ]
+
+    def check_all(self, n):
+        bases, logs, signs = representations._base_data(n)
+        l = len(logs)
+        for z in self.POINTS:
+            for kind in TERM_KINDS:
+                if z.real <= 0.0 and kind in ALT_KINDS:
+                    continue
+                got = representations._evaluate(kind, z, n).value
+                terms = one_shot_terms(kind, z, logs, signs)
+                want = one_shot_value(kind, z, terms.sum(), l)
+                assert bits(got) == bits(want), (kind, z, n)
+                # Unsorted and repeated truncations.
+                ns = [n, 2, n // 3 + 1, 2, n, 17 if n >= 17 else 2, n // 2 + 5]
+                ns = [max(2, min(m, n)) for m in ns]
+                partial = np.cumsum(terms)
+                counts = np.searchsorted(bases, ns, "right")
+                rows = representations.partial_sum_table(kind, z, n, ns)
+                want_rows = [
+                    one_shot_value(kind, z, partial[c - 1], c) for c in counts
+                ]
+                assert bits([r.value for r in rows]) == bits(want_rows), (kind, z)
+            for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
+                got = derivative_partial(kind, z, n)
+                assert bits(got) == bits(one_shot_derivative(kind, z, logs, signs))
+            strip = complex(1e-4, z.imag)
+            assert nearest_pole(strip, n) == one_shot_nearest_pole(strip, bases, logs)
+        # Every base ties at k = 0 below the first pole off the axis; the
+        # first one wins, across every leaf.
+        tie = complex(0.3, 1e-3)
+        assert nearest_pole(tie, n) == one_shot_nearest_pole(tie, bases, logs)
+        assert nearest_pole(tie, n)[1:] == (2, 0)
+        for M in (0, 7, 40):
+            representations._bernoulli_polynomial.cache_clear()
+            got = representations._bernoulli_polynomial(n, M)
+            want = one_shot_bernoulli(logs, M)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("leaf", [8, 64, 1000])
+    @pytest.mark.parametrize("n", [2, 150, 4_321, 50_000])
+    def test_small_leaves(self, monkeypatch, leaf, n):
+        monkeypatch.setattr(representations, "_LEAF", leaf)
+        self.check_all(n)
+
+    def test_default_leaf_with_several_leaves(self):
+        n = 50_000
+        assert len(representations._base_data(n)[1]) > 2 * representations._LEAF
+        self.check_all(n)
+
+    def test_second_leaf_holds_the_nearest_pole(self, monkeypatch):
+        monkeypatch.setattr(representations, "_LEAF", 64)
+        bases, logs, _ = representations._base_data(5_000)
+        r = int(bases[300])
+        z = complex(1e-7, 2 * math.pi / math.log(r) + 1e-7)
+        assert nearest_pole(z, 5_000) == one_shot_nearest_pole(z, bases, logs)
+        assert nearest_pole(z, 5_000)[1:] == (r, 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        leaf=st.sampled_from([8, 64, 1000, 2**14]),
+        boundary=st.sampled_from([0, 8, 64, 128, 1, 2, 3]),
+        offset=st.integers(-9, 9),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tree_sum_is_np_sum(self, leaf, boundary, offset, real, seed):
+        # Lengths just either side of 8, 64 and 128 elements and of one,
+        # two and three leaves.
+        count = max(0, (boundary if boundary >= 8 else boundary * leaf) + offset)
+        rng = np.random.default_rng(seed)
+        def draw():
+            return rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)
+
+        a = draw() if real else draw() + 1j * draw()
+        old, representations._LEAF = representations._LEAF, leaf
+        try:
+            got = representations._tree_sum(count, lambda i, j: a[i:j].sum(), real)
+        finally:
+            representations._LEAF = old
+        assert np.array(got).tobytes() == np.array(a.sum()).tobytes()
+
+
+class TestMemoryBound:
+    """No call's temporaries grow with n: at n = 3e5 each one peaks far
+    below the 4.8 MB of a single complex array over its bases."""
+
+    N = 300_000
+    LIMIT = 2 << 20
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: zeta_direct_partial(complex(2.0, 1.0), n),
+            lambda n: zeta_coth_partial(complex(0.5, 14.0), n),
+            lambda n: zeta_alt_partial(complex(0.5, 14.0), n),
+            lambda n: zeta_alt_coth_partial(complex(2.0, 1.0), n),
+            lambda n: zeta_direct_partial(complex(-0.5, 3.0), n),
+            lambda n: derivative_partial(RepresentationKind.DIRECT, 0.5 + 14j, n),
+            lambda n: derivative_partial(RepresentationKind.ALTERNATING, 2 + 1j, n),
+            lambda n: nearest_pole(complex(1e-7, 14.0), n),
+            lambda n: representations.partial_sum_table(
+                RepresentationKind.COTH, complex(2.0, 1.0), n, range(600, n + 1, 600)
+            ),
+            lambda n: zeta_bernoulli_partial(complex(0.25, 0.1), n, 40),
+        ],
+        ids=[
+            "direct", "coth", "alt", "alt-coth", "direct-left", "derivative",
+            "derivative-alt", "nearest-pole", "table-500-rows", "bernoulli-first",
+        ],
+    )
+    def test_peak_traced_memory(self, call):
+        representations._base_data(self.N)  # the store is the caller's
+        zeta_bernoulli_partial(0.1, 6, 40)  # warms the Laurent coefficients
+        representations._bernoulli_polynomial.cache_clear()
+        assert self.peak(lambda: call(self.N)) < self.LIMIT
