@@ -168,6 +168,9 @@ class _PrefixStore:
             bases += 2
             bases.setflags(write=False)
             state = self._state = (n, bases, None)
+            # The cached sets view the arrays just replaced; dropping them
+            # lets those arrays be freed.
+            admissible_up_to.cache_clear()
         return state
 
     def admissible_up_to(self, n: int) -> AdmissibleSet:

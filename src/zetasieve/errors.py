@@ -131,6 +131,10 @@ def check_real(
 def check_point(z) -> complex:
     """z as a finite complex; InputError for bools, strings, non-numbers,
     inf and nan."""
+    # Fast path for the common case, an exact finite complex; every other
+    # value takes the full checks below.
+    if type(z) is complex and math.isfinite(z.real) and math.isfinite(z.imag):
+        return z
     # complex() would parse "2" or "2+0j"; a point must be a number.
     if isinstance(z, (bool, str)):
         raise InputError(f"expected a number, got {z!r}")

@@ -27,13 +27,22 @@ at a point that depends only on its length; _tree_sum walks the same tree
 down to the blocks and adds their np.sum on the way back up, so a blocked
 sum has the bits of np.sum over the whole array.  That sum is deterministic
 and commutes with conjugation, which the conjugate-symmetry guarantee
-depends on.  Prefix sums carry the running sum from block to block, as
-np.cumsum does over the whole array.
+depends on.  Above one block, a complex sum's caller walks the left half
+of numpy's top split while one helper thread walks the right half, each
+with buffers of its own; numpy's loops release the interpreter lock, so
+the halves run on two cores, and the sum is still left + right.  Prefix
+sums carry the running sum from block to block, as np.cumsum does over the
+whole array, and stay on the caller's thread, since each block needs the
+one before; so do the Bernoulli power sums, whose many short float
+products ran slower in two halves than in one.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -95,6 +104,44 @@ def _leaf_length(count: int, real: bool = False) -> int:
     return min(count, max(_LEAF, 128 if real else 64))
 
 
+def _split(count: int, real: bool) -> int:
+    """Where numpy's pairwise sum splits `count` complex (or, with real,
+    float64) elements: c complex at (c - c % 8) // 2, c floats at h - h % 8
+    with h = c // 2."""
+    if real:
+        return count // 2 - count // 2 % 8
+    return (count - count % 8) // 2
+
+
+def _new_helper() -> None:
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zetasieve")
+
+
+# The one helper thread that takes the right half of every sum longer than
+# a leaf.  The executor starts its thread on the first submit, so importing
+# starts none.  It only ever runs a serial walk and never submits work, so
+# it cannot wait on itself; callers on many threads queue on it.  A forked
+# child inherits an executor whose thread does not exist there, so the
+# child builds its own.
+_new_helper()
+os.register_at_fork(after_in_child=_new_helper)
+
+
+def _in_halves(left, right):
+    """(left(), right()), right() running on the helper thread meanwhile,
+    in a copy of the caller's context (so np.errstate reaches it)."""
+    try:
+        future = _HELPER.submit(contextvars.copy_context().run, right)
+    except RuntimeError:  # the interpreter is exiting and starts no thread
+        return left(), right()
+    try:
+        done = left()
+    finally:
+        other = future.result()
+    return done, other
+
+
 def _tree_sum(count: int, leaf, real: bool = False):
     """np.sum of a complex (or, with real, float64) array of `count`
     elements, from leaf(start, stop) = np.sum of the elements in
@@ -102,8 +149,7 @@ def _tree_sum(count: int, leaf, real: bool = False):
     array summed; they add elementwise.
 
     numpy's pairwise sum splits a range at a point that depends only on its
-    length: c complex elements at (c - c % 8) // 2, c floats at h - h % 8
-    with h = c // 2.  This walks the same splits down to leaves of at most
+    length (_split).  This walks the same splits down to leaves of at most
     _leaf_length elements and adds left + right on the way back up, so it
     returns the bits of np.sum over the whole array.
     """
@@ -112,13 +158,30 @@ def _tree_sum(count: int, leaf, real: bool = False):
     def walk(start: int, c: int):
         if c <= longest:
             return leaf(start, start + c)
-        if real:
-            split = c // 2 - c // 2 % 8
-        else:
-            split = (c - c % 8) // 2
+        split = _split(c, real)
         return walk(start, split) + walk(start + split, c - split)
 
     return walk(0, count)
+
+
+def _tree_sum_in_halves(count: int, make_leaf):
+    """_tree_sum of a complex array, with the two halves of the top split
+    walked at once, the right one on the helper thread.  make_leaf()
+    returns a fresh leaf, with buffers of its own, for each half.
+
+    The right half's subtree is numpy's tree over its own length, so each
+    half is a _tree_sum and the total is still left + right.
+    """
+    if count <= _leaf_length(count):
+        return _tree_sum(count, make_leaf())
+    split = _split(count, real=False)
+
+    def walk_right():
+        leaf = make_leaf()
+        return _tree_sum(count - split, lambda i, j: leaf(split + i, split + j))
+
+    left, right = _in_halves(lambda: _tree_sum(split, make_leaf()), walk_right)
+    return left + right
 
 
 class RepresentationKind(Enum):
@@ -158,21 +221,31 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     """
     z = check_point(z)
     bases, logs, _ = _base_data(n)
-    length = _leaf_length(len(logs))
-    spacing, k, dist = (np.empty(length) for _ in range(3))
-    best = (math.inf, 0, 0)
-    for start in range(0, len(logs), length):
-        stop = min(start + length, len(logs))
-        s, kb, d = (a[: stop - start] for a in (spacing, k, dist))
-        np.divide(TWO_PI, logs[start:stop], out=s)
-        np.rint(np.divide(z.imag, s, out=kb), out=kb)
-        np.subtract(z.imag, np.multiply(kb, s, out=d), out=d)
-        np.hypot(z.real, d, out=d)
-        i = int(np.argmin(d))
-        # Strict <, so the first minimum wins, as np.argmin's does.
-        if d[i] < best[0]:
-            best = (float(d[i]), int(bases[start + i]), int(kb[i]))
-    return best
+    count = len(logs)
+    length = _leaf_length(count)
+
+    def scan(start: int, stop: int) -> tuple[float, int, int]:
+        spacing, k, dist = (np.empty(length) for _ in range(3))
+        best = (math.inf, 0, 0)
+        for lo in range(start, stop, length):
+            hi = min(lo + length, stop)
+            s, kb, d = (a[: hi - lo] for a in (spacing, k, dist))
+            np.divide(TWO_PI, logs[lo:hi], out=s)
+            np.rint(np.divide(z.imag, s, out=kb), out=kb)
+            np.subtract(z.imag, np.multiply(kb, s, out=d), out=d)
+            np.hypot(z.real, d, out=d)
+            i = int(np.argmin(d))
+            # Strict <, so the first minimum wins, as np.argmin's does.
+            if d[i] < best[0]:
+                best = (float(d[i]), int(bases[lo + i]), int(kb[i]))
+        return best
+
+    if count <= length:
+        return scan(0, count)
+    split = _split(count, real=False)
+    left, right = _in_halves(lambda: scan(0, split), lambda: scan(split, count))
+    # The left half wins ties, as above.
+    return right if right[0] < left[0] else left
 
 
 def pole_distance(z, n) -> float:
@@ -233,15 +306,20 @@ def _terms(kind, z: complex, logs, signs, out, spare):
 
 def _term_sum(kind, z: complex, logs, signs) -> complex:
     """The sum of the kind's terms over the bases, block by block."""
-    out, spare = (np.empty(_leaf_length(len(logs)), complex) for _ in range(2))
 
-    def leaf(start, stop):
-        k = stop - start
-        return _terms(
-            kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
-        ).sum()
+    def make_leaf():
+        length = _leaf_length(len(logs))
+        out, spare = (np.empty(length, complex) for _ in range(2))
 
-    return complex(_tree_sum(len(logs), leaf))
+        def leaf(start, stop):
+            k = stop - start
+            return _terms(
+                kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
+            ).sum()
+
+        return leaf
+
+    return complex(_tree_sum_in_halves(len(logs), make_leaf))
 
 
 def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
@@ -572,16 +650,20 @@ def derivative_partial(kind, z, n) -> complex:
     z = check_point(z)
     _, logs, signs = _base_data(n)
     pole_gate(z, n)
-    length = _leaf_length(len(logs))
-    out, spare, squares = (np.empty(length, complex) for _ in range(3))
-    weights = np.empty(length) if use_signs else None
 
-    def leaf(start, stop):
-        k = stop - start
-        block = logs[start:stop]
-        terms = _kernel(z, block, out[:k], spare[:k], squares[:k])
-        if use_signs:
-            block = np.multiply(block, signs[start:stop], out=weights[:k])
-        return np.multiply(block, terms, out=terms).sum()
+    def make_leaf():
+        length = _leaf_length(len(logs))
+        out, spare, squares = (np.empty(length, complex) for _ in range(3))
 
-    return complex(-_tree_sum(len(logs), leaf))
+        def leaf(start, stop):
+            k = stop - start
+            block = logs[start:stop]
+            terms = _kernel(z, block, out[:k], spare[:k], squares[:k])
+            if use_signs:
+                # spare is free once _kernel has squared into squares.
+                block = np.multiply(block, signs[start:stop], out=spare[:k].real)
+            return np.multiply(block, terms, out=terms).sum()
+
+        return leaf
+
+    return complex(-_tree_sum_in_halves(len(logs), make_leaf))

@@ -5,11 +5,16 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetasieve.errors import InputError, check_real
+from zetasieve.errors import InputError, check_point, check_real
 
 
 class _Float(float):
     """A float that check_real's fast path, for exact floats, does not take."""
+
+
+class _Complex(complex):
+    """A complex that check_point's fast path, for exact complexes, does not
+    take."""
 
 
 def _outcome(value, minimum, strict):
@@ -33,3 +38,22 @@ def _outcome(value, minimum, strict):
 @example(-1e-300, 0.0, False)
 def test_fast_path_accepts_and_refuses_what_the_full_checks_do(value, minimum, strict):
     assert _outcome(value, minimum, strict) == _outcome(_Float(value), minimum, strict)
+
+
+def _point_outcome(z):
+    try:
+        got = check_point(z)
+    except InputError as exc:
+        return "refused", str(exc)
+    return "accepted", type(got), got.real.hex(), got.imag.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.complex_numbers(allow_nan=True, allow_infinity=True))
+@example(complex(0.0, -0.0))
+@example(complex(-0.0, 0.0))
+@example(complex(math.inf, 0.0))
+@example(complex(0.0, math.nan))
+@example(complex(-math.inf, math.nan))
+def test_point_fast_path_accepts_and_refuses_what_the_full_checks_do(z):
+    assert _point_outcome(z) == _point_outcome(_Complex(z))

@@ -1,10 +1,19 @@
 """Representation evaluators: exact fixtures, identities, and bounds."""
 
 import cmath
+import gc
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -19,12 +28,14 @@ from zetasieve import (
     InputError,
     PoleProximityError,
     RepresentationKind,
+    SearchRegion,
     SingularPrefactorError,
     ZetaSieveError,
     admissible_up_to,
     bernoulli_table,
     derivative_partial,
     euler_even_zeta,
+    find_zeros,
     make_target,
     nearest_pole,
     pole_distance,
@@ -39,6 +50,7 @@ from zetasieve import (
 )
 
 ZETA_2 = math.pi**2 / 6.0
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def alt_coth_constant_matches(n):
@@ -377,6 +389,12 @@ class TestPrefixStore:
         representations._bernoulli_polynomial.cache_clear()
 
     @staticmethod
+    def store_array():
+        """The array that owns the memory of the store's bases."""
+        bases = admissible._STORE._state[1]
+        return bases if bases.base is None else bases.base
+
+    @staticmethod
     def outputs(n):
         aset = admissible_up_to(n)
         _, logs, signs = representations._base_data(n)
@@ -411,6 +429,18 @@ class TestPrefixStore:
                 assert np.shares_memory(a, whole)
                 assert not a.flags.writeable
                 assert len(a) == admissible_up_to(n).term_count
+
+    def test_growth_drops_sets_that_view_the_old_arrays(self):
+        self.forget()
+        small = [2, 97, 20_000]
+        for n in small:
+            admissible_up_to(n)
+        old = weakref.ref(self.store_array())
+        admissible_up_to(self.LARGE)
+        gc.collect()
+        assert old() is None
+        for n in (*small, self.LARGE):
+            assert admissible_up_to(n).bases.base is self.store_array()
 
 
 class TestSpecialValues:
@@ -718,6 +748,24 @@ class TestBlockedSums:
         assert nearest_pole(z, 5_000) == one_shot_nearest_pole(z, bases, logs)
         assert nearest_pole(z, 5_000)[1:] == (r, 1)
 
+    def test_tie_across_the_split_goes_to_the_left_half(self, monkeypatch):
+        monkeypatch.setattr(representations, "_LEAF", 64)
+        n = 1_000
+        bases, logs, _ = representations._base_data(n)
+        split = representations._split(len(logs), real=False)
+        # Halfway between the k = 1 poles of the bases either side of the
+        # split, with a real part so large that hypot rounds the offsets of
+        # the poles near there away: a run of bases from the left half into
+        # the right one ties at exactly Re z.
+        a, b = (math.pi / math.log(r) for r in bases[split - 1 : split + 1])
+        z = complex(1e6, a + b)
+        spacing = 2 * math.pi / logs
+        dist = np.hypot(z.real, z.imag - np.rint(z.imag / spacing) * spacing)
+        ties = np.flatnonzero(dist == dist.min())
+        assert ties[0] < split <= ties[-1]
+        assert nearest_pole(z, n) == one_shot_nearest_pole(z, bases, logs)
+        assert nearest_pole(z, n)[1] == bases[ties[0]]
+
     @settings(max_examples=120, deadline=None)
     @given(
         leaf=st.sampled_from([8, 64, 1000, 2**14]),
@@ -735,12 +783,162 @@ class TestBlockedSums:
             return rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)
 
         a = draw() if real else draw() + 1j * draw()
+        want = np.array(a.sum()).tobytes()
+        spans = []
+
+        def make_leaf():
+            def leaf(i, j):
+                spans.append((i, j))
+                return a[i:j].sum()
+
+            return leaf
+
         old, representations._LEAF = representations._LEAF, leaf
         try:
-            got = representations._tree_sum(count, lambda i, j: a[i:j].sum(), real)
+            got = representations._tree_sum(count, make_leaf(), real)
+            if not real:
+                halves = representations._tree_sum_in_halves(count, make_leaf)
         finally:
             representations._LEAF = old
-        assert np.array(got).tobytes() == np.array(a.sum()).tobytes()
+        assert np.array(got).tobytes() == want
+        if not real:
+            assert np.array(halves).tobytes() == want
+            # The same leaves, whichever thread took each half.
+            half = len(spans) // 2
+            assert sorted(spans[:half]) == sorted(spans[half:])
+
+
+class TestHelperThread:
+    """Above one leaf the right half of a sum runs on one helper thread; the
+    results keep the bits of a serial run."""
+
+    N = 50_000  # more than two default leaves of bases
+    TIMEOUT = 60.0
+
+    @staticmethod
+    def outputs(n):
+        z, w = complex(0.5, 14.0), complex(0.05, 0.02)
+        values = [f(z, n).value for f in EVALUATORS.values()]
+        representations._bernoulli_polynomial.cache_clear()
+        values.append(zeta_bernoulli_partial(w, n, 40).value)
+        for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
+            values.append(derivative_partial(kind, z, n))
+        return bits(values), nearest_pole(complex(1e-7, 14.0), n)
+
+    def test_large_sums_use_the_helper_and_small_ones_do_not(self, monkeypatch):
+        n = self.N
+        assert len(representations._base_data(n)[1]) > 2 * representations._LEAF
+        z = complex(0.5, 14.0)
+        large = [lambda f=f: f(z, n) for f in EVALUATORS.values()] + [
+            lambda: derivative_partial(RepresentationKind.DIRECT, z, n),
+            lambda: derivative_partial(RepresentationKind.ALTERNATING, z, n),
+            lambda: nearest_pole(complex(1e-7, 14.0), n),
+        ]
+        serial = self.outputs(n)
+        monkeypatch.setattr(representations, "_HELPER", None)
+        for call in large:
+            with pytest.raises(AttributeError):
+                call()
+        # One leaf, the Bernoulli and prefix sums and a zero search never
+        # touch it.
+        self.outputs(1_000)
+        representations._bernoulli_polynomial.cache_clear()
+        zeta_bernoulli_partial(complex(0.05, 0.02), n, 40)
+        for kind in RepresentationKind:
+            w = 0.05 + 0.02j if kind is RepresentationKind.BERNOULLI_SERIES else 2 + 2j
+            representations.partial_sum_table(kind, w, n, [2, n], 40)
+        target = make_target(RepresentationKind.DIRECT, 8)
+        assert find_zeros(target, SearchRegion(0.0, 1.5, 0.0, 12.0, 8, 8))
+        monkeypatch.undo()
+        assert self.outputs(n) == serial
+
+    def test_concurrent_callers_get_the_serial_bits(self):
+        serial = self.outputs(self.N)
+        results, errors = [], []
+
+        def run():
+            try:
+                for _ in range(3):
+                    results.append(self.outputs(self.N))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + self.TIMEOUT
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [serial] * 12
+        helpers = [t for t in threading.enumerate() if t.name.startswith("zetasieve")]
+        assert len(helpers) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_a_helper_of_its_own(self):
+        serial = self.outputs(self.N)  # the parent's helper thread is running
+        pid = os.fork()
+        if pid == 0:  # the child: report by exit code only
+            try:
+                os._exit(0 if self.outputs(self.N) == serial else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + self.TIMEOUT
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done, "the child hung on the helper it inherited"
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_sums_still_run_at_interpreter_exit(self):
+        # At exit the helper refuses new work; an atexit handler's sums run
+        # both halves on its own thread instead.
+        code = (
+            "import atexit, zetasieve\n"
+            "def value():\n"
+            f"    v = zetasieve.zeta_direct_partial(0.5 + 14j, {self.N}).value\n"
+            "    print(v.real.hex(), v.imag.hex())\n"
+            "atexit.register(value)\n"
+            "value()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=self.TIMEOUT,
+        )
+        assert done.returncode == 0, done.stderr
+        first, second = done.stdout.splitlines()
+        assert first == second
+
+    def test_both_halves_see_the_callers_errstate(self):
+        seen = []
+
+        def make_leaf():
+            def leaf(start, stop):
+                seen.append((threading.get_ident(), np.geterr()))
+                return np.complex128(stop - start)
+
+            return leaf
+
+        count = 3 * representations._LEAF
+        with np.errstate(over="raise", under="warn", invalid="ignore"):
+            want = np.geterr()
+            total = representations._tree_sum_in_halves(count, make_leaf)
+        assert total == count
+        assert len({ident for ident, _ in seen}) == 2
+        assert all(state == want for _, state in seen)
+        assert np.geterr() != want
 
 
 class TestMemoryBound:
