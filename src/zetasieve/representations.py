@@ -21,26 +21,29 @@ blow up, which is what the root finder relies on.
 Terms are evaluated overflow-safe on both half planes: for Re(z) >= 0 use
 w = r**(-z) (|w| <= 1) and 1/(r**z - 1) = w/(1 - w); for Re(z) < 0 use
 v = r**z directly.  Every sum over one truncation's bases runs in blocks
-of at most _LEAF terms, each computed by numpy ufuncs into a per-call
-buffer, so no temporary grows with n.  numpy's pairwise sum splits an array
-at a point that depends only on its length; _tree_sum walks the same tree
-down to the blocks and adds their np.sum on the way back up, so a blocked
-sum has the bits of np.sum over the whole array.  That sum is deterministic
-and commutes with conjugation, which the conjugate-symmetry guarantee
-depends on.  Above one block, a complex sum's caller walks the left half
-of numpy's top split while one helper thread walks the right half, each
-with buffers of its own; numpy's loops release the interpreter lock, so
-the halves run on two cores, and the sum is still left + right.  Prefix
-sums carry the running sum from block to block, as np.cumsum does over the
-whole array, and stay on the caller's thread, since each block needs the
-one before; so do the Bernoulli power sums, whose many short float
-products ran slower in two halves than in one.
+of at most _LEAF terms, each computed by numpy ufuncs into buffers that a
+leaf factory makes per call and that are freed on return, so no temporary
+grows with n.  numpy's pairwise sum splits an array at a point that depends
+only on its length; _tree_sum, the one walker over the bases, walks the
+same tree down to the blocks and adds their np.sum on the way back up (the
+nearest pole takes the first minimum instead), so a blocked sum has the
+bits of np.sum over the whole array.  That sum is deterministic and
+commutes with conjugation, which the conjugate-symmetry guarantee depends
+on.  Above one block, a complex sum's caller walks the left half of numpy's
+top split while one helper thread walks the right half, each with a leaf of
+its own; numpy's loops release the interpreter lock, so the halves run on
+two cores, and the sum is still left + right.  The Bernoulli power sums,
+whose many short float products ran slower in two halves than in one,
+walk on the caller's thread; so do the prefix sums, which carry the
+running sum from block to block, as np.cumsum does over the whole array,
+since each block needs the one before.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -142,46 +145,40 @@ def _in_halves(left, right):
     return done, other
 
 
-def _tree_sum(count: int, leaf, real: bool = False):
+def _tree_sum(count: int, make_leaf, real: bool = False, combine=operator.add):
     """np.sum of a complex (or, with real, float64) array of `count`
-    elements, from leaf(start, stop) = np.sum of the elements in
-    [start, stop).  A leaf may return an array of such sums, one per
-    array summed; they add elementwise.
+    elements, from leaves: make_leaf(length) returns a leaf with buffers of
+    its own for blocks of up to `length` elements, and leaf(start, stop)
+    returns np.sum of [start, stop), or an array of such sums that add
+    elementwise.  combine, if given, merges leaf results in place of +.
 
     numpy's pairwise sum splits a range at a point that depends only on its
     length (_split).  This walks the same splits down to leaves of at most
-    _leaf_length elements and adds left + right on the way back up, so it
-    returns the bits of np.sum over the whole array.
+    _leaf_length elements and combines left and right on the way back up,
+    so it returns the bits of np.sum over the whole array.  Above one leaf,
+    the helper thread walks the right half of a complex sum's top split;
+    that subtree is numpy's tree over its own length.  Each leaf is passed
+    down, not captured by the recursive walk, so no reference cycle keeps
+    its buffers after the call.
     """
     longest = _leaf_length(count, real)
 
-    def walk(start: int, c: int):
+    def walk(leaf, start: int, c: int):
         if c <= longest:
             return leaf(start, start + c)
         split = _split(c, real)
-        return walk(start, split) + walk(start + split, c - split)
+        return combine(
+            walk(leaf, start, split), walk(leaf, start + split, c - split)
+        )
 
-    return walk(0, count)
-
-
-def _tree_sum_in_halves(count: int, make_leaf):
-    """_tree_sum of a complex array, with the two halves of the top split
-    walked at once, the right one on the helper thread.  make_leaf()
-    returns a fresh leaf, with buffers of its own, for each half.
-
-    The right half's subtree is numpy's tree over its own length, so each
-    half is a _tree_sum and the total is still left + right.
-    """
-    if count <= _leaf_length(count):
-        return _tree_sum(count, make_leaf())
-    split = _split(count, real=False)
-
-    def walk_right():
-        leaf = make_leaf()
-        return _tree_sum(count - split, lambda i, j: leaf(split + i, split + j))
-
-    left, right = _in_halves(lambda: _tree_sum(split, make_leaf()), walk_right)
-    return left + right
+    if real or count <= longest:
+        return walk(make_leaf(longest), 0, count)
+    split = _split(count, real)
+    left, right = _in_halves(
+        lambda: walk(make_leaf(longest), 0, split),
+        lambda: walk(make_leaf(longest), split, count - split),
+    )
+    return combine(left, right)
 
 
 class RepresentationKind(Enum):
@@ -221,31 +218,26 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     """
     z = check_point(z)
     bases, logs, _ = _base_data(n)
-    count = len(logs)
-    length = _leaf_length(count)
 
-    def scan(start: int, stop: int) -> tuple[float, int, int]:
+    def make_leaf(length):
         spacing, k, dist = (np.empty(length) for _ in range(3))
-        best = (math.inf, 0, 0)
-        for lo in range(start, stop, length):
-            hi = min(lo + length, stop)
-            s, kb, d = (a[: hi - lo] for a in (spacing, k, dist))
-            np.divide(TWO_PI, logs[lo:hi], out=s)
+
+        def leaf(start: int, stop: int) -> tuple[float, int, int]:
+            s, kb, d = (a[: stop - start] for a in (spacing, k, dist))
+            np.divide(TWO_PI, logs[start:stop], out=s)
             np.rint(np.divide(z.imag, s, out=kb), out=kb)
             np.subtract(z.imag, np.multiply(kb, s, out=d), out=d)
             np.hypot(z.real, d, out=d)
             i = int(np.argmin(d))
-            # Strict <, so the first minimum wins, as np.argmin's does.
-            if d[i] < best[0]:
-                best = (float(d[i]), int(bases[lo + i]), int(kb[i]))
-        return best
+            if not d[i] < math.inf:  # Im z / s overflowed: no finite k
+                return math.inf, 0, 0
+            return float(d[i]), int(bases[start + i]), int(kb[i])
 
-    if count <= length:
-        return scan(0, count)
-    split = _split(count, real=False)
-    left, right = _in_halves(lambda: scan(0, split), lambda: scan(split, count))
-    # The left half wins ties, as above.
-    return right if right[0] < left[0] else left
+        return leaf
+
+    # The left side wins ties, as the first minimum does in np.argmin.
+    nearer = lambda a, b: b if b[0] < a[0] else a
+    return _tree_sum(len(logs), make_leaf, combine=nearer)
 
 
 def pole_distance(z, n) -> float:
@@ -293,33 +285,37 @@ _COTH = (RepresentationKind.COTH, RepresentationKind.ALTERNATING_COTH)
 _TERM_SUM_KINDS = (RepresentationKind.DIRECT, *_COTH, *_ALTERNATING)
 
 
-def _terms(kind, z: complex, logs, signs, out, spare):
+def _terms(kind, z: complex, logs, signs, out, spare, squares=None):
     """The kind's per-base terms, s_r/(r**z - 1) or s_r*coth(z*log(r)/2),
-    into out; spare is a second buffer of the same length."""
+    into out or, given a third buffer squares, the derivative's
+    s_r*log(r)*r**z/(r**z - 1)**2; spare is a second buffer of the same
+    length."""
     if kind in _COTH:
         t = np.tanh(np.multiply(0.5 * z, logs, out=out), out=out)
         np.divide(1.0, t, out=t)
     else:
-        t = _kernel(z, logs, out, spare)
-    return np.multiply(t, signs, out=t) if kind in _ALTERNATING else t
+        t = _kernel(z, logs, out, spare, squares)
+    if squares is None:
+        return np.multiply(t, signs, out=t) if kind in _ALTERNATING else t
+    if kind in _ALTERNATING:  # spare is free once _kernel squared into squares
+        logs = np.multiply(logs, signs, out=spare.real)
+    return np.multiply(logs, t, out=t)
 
 
-def _term_sum(kind, z: complex, logs, signs) -> complex:
-    """The sum of the kind's terms over the bases, block by block."""
+def _term_sum(kind, z: complex, logs, signs, derivative=False) -> complex:
+    """The sum of the kind's terms, or of their derivative's, over the
+    bases, block by block."""
 
-    def make_leaf():
-        length = _leaf_length(len(logs))
-        out, spare = (np.empty(length, complex) for _ in range(2))
+    def make_leaf(length):
+        buffers = [np.empty(length, complex) for _ in range(2 + derivative)]
 
-        def leaf(start, stop):
-            k = stop - start
-            return _terms(
-                kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
-            ).sum()
+        def leaf(i, j):
+            views = (b[: j - i] for b in buffers)
+            return _terms(kind, z, logs[i:j], signs[i:j], *views).sum()
 
         return leaf
 
-    return complex(_tree_sum_in_halves(len(logs), make_leaf))
+    return complex(_tree_sum(len(logs), make_leaf))
 
 
 def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
@@ -427,8 +423,9 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     by block up to the largest row.
     The Bernoulli form of order M runs its disk test and pole gate row by
     row, as its evaluator would, and reads each row's power sums off rows
-    built once at n_max, so every row equals zeta_bernoulli_partial at its
-    n exactly.  M is read by the Bernoulli form only.
+    built once up to the largest row, so every row equals
+    zeta_bernoulli_partial at its n exactly.  M is read by the Bernoulli
+    form only.
     """
     if kind is RepresentationKind.BERNOULLI_SERIES:
         return _bernoulli_table(z, n_max, ns, M)
@@ -458,9 +455,11 @@ def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
         # Refuses an M out of range after the first row's checks, as the
         # evaluator would; later rows read the cached coefficients.
         coeffs = _laurent_coefficients(M)
+    top = max(counts, default=0)
+    sums = _power_sums(logs[:top], counts, coeffs, np.empty((2, top)))
     return [
         EvalResult(_bernoulli_value(z, poly), n, count, _tail_or_none(z, n))
-        for n, count, poly in zip(ns, counts, _power_sums(logs, counts, coeffs))
+        for n, count, poly in zip(ns, counts, _polynomials(sums, counts, coeffs))
     ]
 
 
@@ -537,60 +536,51 @@ def _laurent_coefficients(M: int) -> tuple[float, ...]:
 def _bernoulli_polynomial(n: int, M: int) -> tuple[float, ...]:
     """(P_{-1}, c_0 P_0, ..., c_M P_M) at the checked n and M.
 
-    One walk over the bases in blocks sums every order at once.  Each leaf
-    builds its block's powers as _power_sums builds them on the whole row,
-    so every P_m has the bits of _power_sums' pairwise sum.
+    One walk over the bases in blocks sums every order at once; each leaf
+    is one block's _power_sums, so every P_m has the bits of the pairwise
+    sum over the whole row.
     """
     _, logs, _ = _base_data(n)
     coeffs = _laurent_coefficients(M)
-    length = _leaf_length(len(logs), real=True)
-    buffers = (np.empty(length), np.empty(length))
 
-    def leaf(start, stop):
-        block = logs[start:stop]
-        scratch = [b[: stop - start] for b in buffers]
-        sums = np.zeros(len(coeffs) + 1)  # sums[m + 1] is P_m; P_0 unused
-        sums[0] = np.divide(1.0, block, out=scratch[0]).sum()
-        power = block
-        for m in range(1, len(coeffs)):
-            if m > 1:  # never in place: each product into the other buffer
-                power = np.multiply(power, block, out=scratch[m % 2])
-            if coeffs[m] != 0.0:
-                sums[m + 1] = power.sum()
-        return sums
+    def make_leaf(length):
+        buffers = np.empty((2, length))
+        return lambda i, j: _power_sums(logs[i:j], [j - i], coeffs, buffers)
 
-    sums = _tree_sum(len(logs), leaf, real=True).tolist()
-    return (
-        sums[0],
-        coeffs[0] * len(logs),
-        *(c * s if c != 0.0 else 0.0 for c, s in zip(coeffs[1:], sums[2:])),
-    )
+    sums = _tree_sum(len(logs), make_leaf, real=True)
+    return _polynomials(sums, [len(logs)], coeffs)[0]
 
 
-def _power_sums(logs, counts, coeffs) -> list[tuple[float, ...]]:
-    """(P_{-1}, c_0 P_0, ..., c_M P_M) over the first `count` bases, for
-    each count in counts; c_m = coeffs[m] and P_0 = count.
+def _power_sums(logs, prefixes, coeffs, buffers):
+    """P_m over logs[:p] for each prefix length p: row m + 1, column i holds
+    P_m over the first prefixes[i] elements, for m = -1 and each m >= 1
+    with coeffs[m] != 0; the other rows stay zero.
 
-    Each P_m is one pairwise sum over a prefix slice of a row built
-    elementwise, and such a slice sums exactly as a fresh array of its
-    length would: a table row read at n equals the evaluator at n.
+    The powers of log r are built elementwise in the two rows of buffers,
+    each product into the other row, never in place.  A prefix slice sums
+    exactly as a fresh array of its length would, so a table row read at n
+    equals the evaluator at n.
     """
-    inverse = 1.0 / logs
-    columns = [
-        [float(inverse[:count].sum()) for count in counts],
-        [coeffs[0] * count for count in counts],
-    ]
+    sums = np.zeros((len(coeffs) + 1, len(prefixes)))
+    power = np.divide(1.0, logs, out=buffers[0, : len(logs)])
+    sums[0] = [power[:p].sum() for p in prefixes]
     power = logs
     for m in range(1, len(coeffs)):
-        if m > 1:
-            power = power * logs  # at most log(MAX_LIMIT)**199 ~ 1e252
-        c = coeffs[m]
-        columns.append(
-            [c * float(power[:count].sum()) for count in counts]
-            if c != 0.0
-            else [0.0] * len(counts)
-        )
-    return list(zip(*columns))
+        if m > 1:  # at most log(MAX_LIMIT)**199 ~ 1e252
+            power = np.multiply(power, logs, out=buffers[m % 2, : len(logs)])
+        if coeffs[m] != 0.0:
+            sums[m + 1] = [power[:p].sum() for p in prefixes]
+    return sums
+
+
+def _polynomials(sums, counts, coeffs) -> list[tuple[float, ...]]:
+    """(P_{-1}, c_0 P_0, ..., c_M P_M) for each column of _power_sums' sums
+    and its count, with c_m = coeffs[m] and P_0 = count."""
+    return [
+        (s[0], coeffs[0] * count)
+        + tuple(c * p if c != 0.0 else 0.0 for c, p in zip(coeffs[1:], s[2:]))
+        for s, count in zip(sums.T.tolist(), counts)
+    ]
 
 
 def _bernoulli_value(z: complex, poly) -> complex:
@@ -638,11 +628,7 @@ def derivative_partial(kind, z, n) -> complex:
     numerator only (the constant-plus-sum part, without the eta prefactor),
     which is the function whose zeros the root finder hunts.
     """
-    if kind is RepresentationKind.DIRECT:
-        use_signs = False
-    elif kind is RepresentationKind.ALTERNATING:
-        use_signs = True
-    else:
+    if kind not in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
         raise InputError(
             "derivative_partial supports DIRECT and ALTERNATING kinds,"
             f" got {kind!r}"
@@ -650,20 +636,4 @@ def derivative_partial(kind, z, n) -> complex:
     z = check_point(z)
     _, logs, signs = _base_data(n)
     pole_gate(z, n)
-
-    def make_leaf():
-        length = _leaf_length(len(logs))
-        out, spare, squares = (np.empty(length, complex) for _ in range(3))
-
-        def leaf(start, stop):
-            k = stop - start
-            block = logs[start:stop]
-            terms = _kernel(z, block, out[:k], spare[:k], squares[:k])
-            if use_signs:
-                # spare is free once _kernel has squared into squares.
-                block = np.multiply(block, signs[start:stop], out=spare[:k].real)
-            return np.multiply(block, terms, out=terms).sum()
-
-        return leaf
-
-    return complex(-_tree_sum_in_halves(len(logs), make_leaf))
+    return -_term_sum(kind, z, logs, signs, derivative=True)

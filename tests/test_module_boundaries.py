@@ -112,6 +112,35 @@ def two_pi_divisions(path: Path) -> list[str]:
     return found
 
 
+WALKER = ("_split", "_in_halves")
+
+
+def walker_calls(path: Path) -> list[str]:
+    """Calls of _split or _in_halves, bare or read off a module, outside
+    the body of a function named _tree_sum."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {
+        id(node)
+        for walker in ast.walk(tree)
+        if isinstance(walker, ast.FunctionDef) and walker.name == "_tree_sum"
+        for node in ast.walk(walker)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in WALKER:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_tree_sum_walks_the_pairwise_tree(path):
+    # One walker over the bases: every other sum hands _tree_sum a leaf.
+    assert walker_calls(path) == []
+
+
 @pytest.mark.parametrize(
     "path", [p for p in MODULES if p.name != "representations.py"],
     ids=lambda p: p.name,
@@ -150,12 +179,22 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "spacing = TWO_PI / lg\n"
         "spacing = representations.TWO_PI / lg\n"
         "turns = phase / TWO_PI\n"
+        "def _tree_sum(count):\n"
+        "    def walk(c):\n"
+        "        return _split(c, False)\n"
+        "    return _in_halves(walk, walk)\n"
+        "def nearest_pole(z, n):\n"
+        "    split = _split(n, real=False)\n"
+        "    return representations._in_halves(f, g)\n"
+        "_split(7, True)\n"
+        "_tree_sum(7, make_leaf)\n"
     )
     assert package_imports(probe) == {
         "errors", "representations", "rootfind", "admissible", "bernoulli"
     }
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
+    assert len(walker_calls(probe)) == 3
 
 
 def traced_attributes() -> list[tuple[str, str]]:

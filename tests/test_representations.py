@@ -766,6 +766,43 @@ class TestBlockedSums:
         assert nearest_pole(z, n) == one_shot_nearest_pole(z, bases, logs)
         assert nearest_pole(z, n)[1] == bases[ties[0]]
 
+    @pytest.mark.parametrize("half", ["left", "right"])
+    def test_tie_across_a_lower_node_goes_to_its_left_side(
+        self, monkeypatch, half
+    ):
+        monkeypatch.setattr(representations, "_LEAF", 64)
+        n = 1_000
+        bases, logs, _ = representations._base_data(n)
+        split = representations._split(len(logs), real=False)
+        if half == "left":
+            lo, hi = 0, split
+        else:
+            lo, hi = split, len(logs)
+        node = lo + representations._split(hi - lo, real=False)
+        # As above, at the node where that half splits next.
+        a, b = (math.pi / math.log(r) for r in bases[node - 1 : node + 1])
+        z = complex(1e6, a + b)
+        spacing = 2 * math.pi / logs
+        dist = np.hypot(z.real, z.imag - np.rint(z.imag / spacing) * spacing)
+        ties = np.flatnonzero(dist == dist.min())
+        assert lo <= ties[0] < node <= ties[-1] < hi
+        assert nearest_pole(z, n) == one_shot_nearest_pole(z, bases, logs)
+        assert nearest_pole(z, n)[1] == bases[ties[0]]
+
+    @pytest.mark.parametrize("im", [1.7e308, -1.7e308])
+    def test_leaves_whose_lattice_index_overflows_lose(self, monkeypatch, im):
+        # Im z / spacing overflows to inf for every base above about 765,
+        # so each leaf up there has no finite distance; the nearest pole is
+        # still the first minimum among the bases below.
+        monkeypatch.setattr(representations, "_LEAF", 64)
+        n = 5_000
+        bases, logs, _ = representations._base_data(n)
+        z = complex(1e-7, im)
+        with np.errstate(over="ignore"):
+            assert np.isinf(z.imag / (2 * math.pi / logs[-2 * 64 :])).all()
+            want = one_shot_nearest_pole(z, bases, logs)
+            assert nearest_pole(z, n) == want
+
     @settings(max_examples=120, deadline=None)
     @given(
         leaf=st.sampled_from([8, 64, 1000, 2**14]),
@@ -786,26 +823,27 @@ class TestBlockedSums:
         want = np.array(a.sum()).tobytes()
         spans = []
 
-        def make_leaf():
+        def make_leaf(length):
             def leaf(i, j):
-                spans.append((i, j))
+                assert j - i <= length
+                spans.append((i, j, threading.get_ident()))
                 return a[i:j].sum()
 
             return leaf
 
         old, representations._LEAF = representations._LEAF, leaf
         try:
-            got = representations._tree_sum(count, make_leaf(), real)
-            if not real:
-                halves = representations._tree_sum_in_halves(count, make_leaf)
+            got = representations._tree_sum(count, make_leaf, real)
+            halves = not real and count > representations._leaf_length(count)
         finally:
             representations._LEAF = old
         assert np.array(got).tobytes() == want
-        if not real:
-            assert np.array(halves).tobytes() == want
-            # The same leaves, whichever thread took each half.
-            half = len(spans) // 2
-            assert sorted(spans[:half]) == sorted(spans[half:])
+        # The leaves tile [0, count), and above one leaf the helper thread
+        # takes the right half of a complex sum.
+        spans.sort()
+        assert [i for i, _, _ in spans] == [0] + [j for _, j, _ in spans[:-1]]
+        assert spans[-1][1] == count
+        assert len({ident for _, _, ident in spans}) == 1 + halves
 
 
 class TestHelperThread:
@@ -924,7 +962,7 @@ class TestHelperThread:
     def test_both_halves_see_the_callers_errstate(self):
         seen = []
 
-        def make_leaf():
+        def make_leaf(length):
             def leaf(start, stop):
                 seen.append((threading.get_ident(), np.geterr()))
                 return np.complex128(stop - start)
@@ -934,7 +972,7 @@ class TestHelperThread:
         count = 3 * representations._LEAF
         with np.errstate(over="raise", under="warn", invalid="ignore"):
             want = np.geterr()
-            total = representations._tree_sum_in_halves(count, make_leaf)
+            total = representations._tree_sum(count, make_leaf)
         assert total == count
         assert len({ident for ident, _ in seen}) == 2
         assert all(state == want for _, state in seen)
@@ -983,3 +1021,27 @@ class TestMemoryBound:
         zeta_bernoulli_partial(0.1, 6, 40)  # warms the Laurent coefficients
         representations._bernoulli_polynomial.cache_clear()
         assert self.peak(lambda: call(self.N)) < self.LIMIT
+
+    def test_large_sums_leave_no_buffers_behind(self):
+        # With the cycle collector off, buffers held by a reference cycle
+        # would stay allocated after each call returns.
+        n = 200_000
+        calls = [
+            lambda: zeta_direct_partial(complex(0.5, 14.0), n),
+            lambda: derivative_partial(RepresentationKind.ALTERNATING, 2 + 1j, n),
+            lambda: nearest_pole(complex(1e-7, 14.0), n),
+        ]
+        for call in calls:  # the store and the helper thread are the caller's
+            call()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                for call in calls:
+                    call()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 1 << 20
