@@ -178,11 +178,16 @@ def _cmd_converge(args) -> str:
     rows = partial_sum_table(kind, args.z, n_max, ns, args.order)
     lines = ["n,value_re,value_im,abs_error,tail_bound"]
     for row in rows:
-        value = row.value
-        err = "" if reference is None else _g(abs(value - reference))
-        bound = "" if row.tail_bound is None else _g(row.tail_bound)
+        value, bound = row.value, row.tail_bound
         lines.append(
-            f"{row.truncation},{_g(value.real)},{_g(value.imag)},{err},{bound}"
+            "%d,%.17g,%.17g,%s,%s"  # each float as _g writes it
+            % (
+                row.truncation,
+                value.real,
+                value.imag,
+                "" if reference is None else "%.17g" % abs(value - reference),
+                "" if bound is None else "%.17g" % bound,
+            )
         )
     return "\n".join(lines)
 

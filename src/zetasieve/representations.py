@@ -29,14 +29,17 @@ same tree down to the blocks and adds their np.sum on the way back up (the
 nearest pole takes the first minimum instead), so a blocked sum has the
 bits of np.sum over the whole array.  That sum is deterministic and
 commutes with conjugation, which the conjugate-symmetry guarantee depends
-on.  Above one block, a complex sum's caller walks the left half of numpy's
-top split while one helper thread walks the right half, each with a leaf of
-its own; numpy's loops release the interpreter lock, so the halves run on
-two cores, and the sum is still left + right.  The Bernoulli power sums,
-whose many short float products ran slower in two halves than in one,
-walk on the caller's thread; so do the prefix sums, which carry the
-running sum from block to block, as np.cumsum does over the whole array,
-since each block needs the one before.
+on.  Work above one block is shared with one helper thread through
+_in_order: the caller takes the first job and any other job nobody has
+started, so it waits only for a job the helper is running, never for the
+helper to wake.  A complex sum hands it the two halves of numpy's top
+split, each walked with a leaf of its own, and the sum is still
+left + right.  The prefix sums, np.cumsum over the whole array taken
+block by block, hand it the terms of successive blocks, which need no
+running sum, and the caller alone carries the running sum through them in
+block order.  numpy's loops release the interpreter lock, so both run on
+two cores.  The Bernoulli power sums, whose many short float products ran
+slower in two halves than in one, stay on the caller's thread.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ import contextvars
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -97,6 +101,10 @@ PREFACTOR_GATE = 1e-12
 # blocks take 512 KiB, which stays in a 2 MiB L2 cache.
 _LEAF = 2**14
 
+# _in_order starts no job this many places or more past the one its caller
+# waits for, so the prefix sums' blocks need only this many buffer pairs.
+_AHEAD = 3
+
 
 def _leaf_length(count: int, real: bool = False) -> int:
     """The longest block _tree_sum hands a leaf over `count` elements.
@@ -116,33 +124,143 @@ def _split(count: int, real: bool) -> int:
     return (count - count % 8) // 2
 
 
+class _Jobs:
+    """Jobs 0..k-1 shared by their caller and the helper thread.
+
+    Whoever is free claims the next job nobody has started (the caller
+    starts with job 0); the helper runs its jobs in a copy of the caller's
+    context and leaves each result, or the exception it raised, in done.
+    No job is claimed _AHEAD or more places past the one the caller is
+    waiting for, so a caller that reuses _AHEAD sets of buffers, job j
+    using set j % _AHEAD, never has two running jobs on one set.
+    """
+
+    def __init__(self, jobs):
+        self.jobs = jobs
+        self.context = contextvars.copy_context()
+        self.lock = threading.Lock()
+        self.done = [None] * len(jobs)  # (raised, value) of a job run ahead
+        self.running = [None] * len(jobs)  # locked while the helper runs it
+        self.next = 1
+        self.wanted = 0
+        self.parked = False  # the helper left at the window; offer it again
+
+    def claim(self, helper: bool):
+        """(j, job) for the next job nobody has started, or None."""
+        with self.lock:
+            j = self.next
+            if j >= len(self.jobs) or j >= self.wanted + _AHEAD:
+                if helper:
+                    self.parked = j < len(self.jobs)
+                return None
+            self.next = j + 1
+            if helper:
+                self.running[j] = threading.Lock()
+                self.running[j].acquire()
+            return j, self.jobs[j]
+
+    def help(self) -> None:
+        """The helper's side: run jobs until none is left to start."""
+        while (claimed := self.claim(helper=True)) is not None:
+            j, job = claimed
+            try:
+                self.done[j] = False, self.context.run(job)
+            except BaseException as exc:  # raised again on the caller
+                self.done[j] = True, exc
+            self.running[j].release()
+
+    def result(self, i: int):
+        """Job i's result, to the caller that took every job before it."""
+        with self.lock:
+            self.wanted = i
+            parked, self.parked = self.parked, False
+        if parked:
+            _HELPER.offer(self)
+        # Run jobs nobody has started until job i is done or running on the
+        # helper and the window holds no other.
+        while self.done[i] is None and (claimed := self.claim(helper=False)):
+            j, job = claimed
+            if j == i:
+                return job()
+            try:
+                self.done[j] = False, job()
+            except Exception as exc:  # raised in its turn
+                self.done[j] = True, exc
+        if self.running[i] is not None:
+            with self.running[i]:  # wait for the helper to finish job i
+                pass
+        (raised, value), self.done[i] = self.done[i], None
+        if raised:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Start no more jobs and drop them."""
+        with self.lock:
+            self.jobs = ()
+
+
+class _Helper:
+    """The one helper thread, which runs the jobs offered to it.  Its
+    daemon thread starts on the first offer, so importing starts none; it
+    never offers work itself, so it cannot wait on itself."""
+
+    def __init__(self):
+        self.offers = SimpleQueue()
+        self.lock = threading.Lock()
+        self.thread = None
+
+    def offer(self, jobs: _Jobs) -> None:
+        if self.thread is None:
+            with self.lock:
+                if self.thread is None:
+                    thread = threading.Thread(
+                        target=self.serve, name="zetasieve-helper", daemon=True
+                    )
+                    try:
+                        thread.start()
+                    except RuntimeError:  # at interpreter exit: no helper
+                        return
+                    self.thread = thread
+        self.offers.put(jobs)
+
+    def serve(self) -> None:
+        while True:
+            self.offers.get().help()
+
+
 def _new_helper() -> None:
     global _HELPER
-    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="zetasieve")
+    _HELPER = _Helper()
 
 
-# The one helper thread that takes the right half of every sum longer than
-# a leaf.  The executor starts its thread on the first submit, so importing
-# starts none.  It only ever runs a serial walk and never submits work, so
-# it cannot wait on itself; callers on many threads queue on it.  A forked
-# child inherits an executor whose thread does not exist there, so the
-# child builds its own.
+# A forked child inherits a helper whose thread does not exist there, so
+# the child builds its own.
 _new_helper()
 os.register_at_fork(after_in_child=_new_helper)
 
 
-def _in_halves(left, right):
-    """(left(), right()), right() running on the helper thread meanwhile,
-    in a copy of the caller's context (so np.errstate reaches it)."""
+def _in_order(jobs):
+    """Yield job() for each of jobs, in order, on the caller's thread.
+
+    Meanwhile the helper thread runs jobs nobody has started, in a copy of
+    the caller's context (so np.errstate reaches it).  The caller runs any
+    job it needs that nobody has started, so it waits only for a job the
+    helper is running: a helper that is busy with another caller, slow to
+    wake or gone at interpreter exit holds nobody up.  A job that raises
+    raises on the caller in its turn.
+    """
+    if len(jobs) < 2:
+        yield from (job() for job in jobs)
+        return
+    shared = _Jobs(jobs)
+    _HELPER.offer(shared)
     try:
-        future = _HELPER.submit(contextvars.copy_context().run, right)
-    except RuntimeError:  # the interpreter is exiting and starts no thread
-        return left(), right()
-    try:
-        done = left()
+        yield jobs[0]()
+        for i in range(1, len(jobs)):
+            yield shared.result(i)
     finally:
-        other = future.result()
-    return done, other
+        shared.close()
 
 
 def _tree_sum(count: int, make_leaf, real: bool = False, combine=operator.add):
@@ -156,8 +274,9 @@ def _tree_sum(count: int, make_leaf, real: bool = False, combine=operator.add):
     length (_split).  This walks the same splits down to leaves of at most
     _leaf_length elements and combines left and right on the way back up,
     so it returns the bits of np.sum over the whole array.  Above one leaf,
-    the helper thread walks the right half of a complex sum's top split;
-    that subtree is numpy's tree over its own length.  Each leaf is passed
+    the two halves of a complex sum's top split go to _in_order, so the
+    helper thread may walk the right half; that subtree is numpy's tree
+    over its own length.  Each leaf is passed
     down, not captured by the recursive walk, so no reference cycle keeps
     its buffers after the call.
     """
@@ -174,9 +293,11 @@ def _tree_sum(count: int, make_leaf, real: bool = False, combine=operator.add):
     if real or count <= longest:
         return walk(make_leaf(longest), 0, count)
     split = _split(count, real)
-    left, right = _in_halves(
-        lambda: walk(make_leaf(longest), 0, split),
-        lambda: walk(make_leaf(longest), split, count - split),
+    left, right = _in_order(
+        (
+            lambda: walk(make_leaf(longest), 0, split),
+            lambda: walk(make_leaf(longest), split, count - split),
+        )
     )
     return combine(left, right)
 
@@ -323,8 +444,11 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
 
     Block by block: each block's first term takes the previous block's last
     partial sum before the block's own np.cumsum, which is the running sum
-    np.cumsum takes over the whole array.  Blocks past the largest count
-    are never built.
+    np.cumsum takes over the whole array.  Only that carry needs the block
+    before, so the caller and the helper compute the terms of successive
+    blocks, each into one of _AHEAD buffer pairs, while the caller alone
+    carries the running sum through them in order.  Blocks past the
+    largest count are never built.
     """
     ends = np.asarray(counts, dtype=np.int64) - 1
     order = np.argsort(ends)
@@ -332,18 +456,20 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
     values = np.empty(len(ends), complex)
     total = int(ends_sorted[-1]) + 1 if len(ends) else 0
     length = _leaf_length(total)
-    out, spare = (np.empty(length, complex) for _ in range(2))
-    for start in range(0, total, length):
+    starts = range(0, total, length)
+    pairs = [[np.empty(length, complex) for _ in range(2)] for _ in starts[:_AHEAD]]
+
+    def block(start: int):
         stop = min(start + length, total)
-        k = stop - start
-        t = _terms(
-            kind, z, logs[start:stop], signs[start:stop], out[:k], spare[:k]
-        )
+        out, spare = (b[: stop - start] for b in pairs[start // length % _AHEAD])
+        return _terms(kind, z, logs[start:stop], signs[start:stop], out, spare)
+
+    for start, t in zip(starts, _in_order([partial(block, s) for s in starts])):
         if start:
             t[0] += carry
         np.cumsum(t, out=t)
         carry = t[-1]
-        lo, hi = np.searchsorted(ends_sorted, (start, stop)).tolist()
+        lo, hi = np.searchsorted(ends_sorted, (start, start + len(t))).tolist()
         values[order[lo:hi]] = t[ends_sorted[lo:hi] - start]
     return values.tolist()
 
@@ -435,11 +561,13 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     ns = [check_int(n, "truncation", 2, n_max) for n in ns]
     counts = np.searchsorted(bases, ns, "right").tolist()
     partial = _prefix_sums(kind, z, logs, signs, counts)
+    sigma, scale = z.real, 1.0 / abs(p)
     rows = []
     for n, count, acc in zip(ns, counts, partial):
-        value = _value(kind, acc, count, p)
-        tail = _tail_or_none(z, n, 1.0 / abs(p))
-        rows.append(EvalResult(value, n, count, tail))
+        tail = None
+        if sigma > 1.0:  # remainder_bound(n, sigma) * scale, checked above
+            tail = float(n) ** (1.0 - sigma) / (sigma - 1.0) * scale
+        rows.append(EvalResult(_value(kind, acc, count, p), n, count, tail))
     return rows
 
 
@@ -554,23 +682,22 @@ def _bernoulli_polynomial(n: int, M: int) -> tuple[float, ...]:
 def _power_sums(logs, prefixes, coeffs, buffers):
     """P_m over logs[:p] for each prefix length p: row m + 1, column i holds
     P_m over the first prefixes[i] elements, for m = -1 and each m >= 1
-    with coeffs[m] != 0; the other rows stay zero.
+    with coeffs[m] != 0; the other rows are zero.
 
     The powers of log r are built elementwise in the two rows of buffers,
     each product into the other row, never in place.  A prefix slice sums
     exactly as a fresh array of its length would, so a table row read at n
     equals the evaluator at n.
     """
-    sums = np.zeros((len(coeffs) + 1, len(prefixes)))
+    zeros = [0.0] * len(prefixes)
     power = np.divide(1.0, logs, out=buffers[0, : len(logs)])
-    sums[0] = [power[:p].sum() for p in prefixes]
+    sums = [power[:p].sum() for p in prefixes] + zeros
     power = logs
     for m in range(1, len(coeffs)):
         if m > 1:  # at most log(MAX_LIMIT)**199 ~ 1e252
             power = np.multiply(power, logs, out=buffers[m % 2, : len(logs)])
-        if coeffs[m] != 0.0:
-            sums[m + 1] = [power[:p].sum() for p in prefixes]
-    return sums
+        sums += [power[:p].sum() for p in prefixes] if coeffs[m] != 0.0 else zeros
+    return np.array(sums).reshape(len(coeffs) + 1, len(prefixes))
 
 
 def _polynomials(sums, counts, coeffs) -> list[tuple[float, ...]]:

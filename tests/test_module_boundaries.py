@@ -112,32 +112,33 @@ def two_pi_divisions(path: Path) -> list[str]:
     return found
 
 
-WALKER = ("_split", "_in_halves")
+# Each walker over the bases, and the functions that alone may call it.
+WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
 def walker_calls(path: Path) -> list[str]:
-    """Calls of _split or _in_halves, bare or read off a module, outside
-    the body of a function named _tree_sum."""
+    """Calls of a name in WALKERS, bare or read off a module, outside the
+    bodies of the functions it allows."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    inside = {
-        id(node)
-        for walker in ast.walk(tree)
-        if isinstance(walker, ast.FunctionDef) and walker.name == "_tree_sum"
-        for node in ast.walk(walker)
-    }
+    inside = {}
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                inside.setdefault(id(node), set()).add(function.name)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and id(node) not in inside:
+        if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in WALKER:
+            if name in WALKERS and not WALKERS[name] & inside.get(id(node), set()):
                 found.append(f"{path.name}:{node.lineno}")
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_tree_sum_walks_the_pairwise_tree(path):
-    # One walker over the bases: every other sum hands _tree_sum a leaf.
+    # One walker over the bases: every other sum hands _tree_sum a leaf,
+    # and only it and the prefix sums hand work to the helper thread.
     assert walker_calls(path) == []
 
 
@@ -182,11 +183,15 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "def _tree_sum(count):\n"
         "    def walk(c):\n"
         "        return _split(c, False)\n"
-        "    return _in_halves(walk, walk)\n"
+        "    return _in_order((walk, walk))\n"
         "def nearest_pole(z, n):\n"
         "    split = _split(n, real=False)\n"
-        "    return representations._in_halves(f, g)\n"
+        "    return representations._in_order((f, g))\n"
+        "def _prefix_sums(jobs):\n"
+        "    for t in _in_order(jobs):\n"
+        "        _split(7, False)\n"
         "_split(7, True)\n"
+        "_in_order(jobs)\n"
         "_tree_sum(7, make_leaf)\n"
     )
     assert package_imports(probe) == {
@@ -194,7 +199,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     }
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
-    assert len(walker_calls(probe)) == 3
+    assert len(walker_calls(probe)) == 5
 
 
 def traced_attributes() -> list[tuple[str, str]]:

@@ -681,6 +681,17 @@ def bits(values):
     return np.array(values, dtype=complex).tobytes()
 
 
+def table_and_cumsum_bits(kind, z, n, ns):
+    """partial_sum_table's values, and the rows of np.cumsum over the
+    whole array of terms, as bytes."""
+    bases, logs, signs = representations._base_data(n)
+    rows = representations.partial_sum_table(kind, z, n, ns)
+    partial = np.cumsum(one_shot_terms(kind, z, logs, signs))
+    counts = np.searchsorted(bases, ns, "right")
+    want = [one_shot_value(kind, z, partial[c - 1], c) for c in counts]
+    return bits([r.value for r in rows]), bits(want)
+
+
 class TestBlockedSums:
     """Sums taken block by block keep the bits of the one-shot sums."""
 
@@ -706,13 +717,8 @@ class TestBlockedSums:
                 # Unsorted and repeated truncations.
                 ns = [n, 2, n // 3 + 1, 2, n, 17 if n >= 17 else 2, n // 2 + 5]
                 ns = [max(2, min(m, n)) for m in ns]
-                partial = np.cumsum(terms)
-                counts = np.searchsorted(bases, ns, "right")
-                rows = representations.partial_sum_table(kind, z, n, ns)
-                want_rows = [
-                    one_shot_value(kind, z, partial[c - 1], c) for c in counts
-                ]
-                assert bits([r.value for r in rows]) == bits(want_rows), (kind, z)
+                rows, want_rows = table_and_cumsum_bits(kind, z, n, ns)
+                assert rows == want_rows, (kind, z)
             for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
                 got = derivative_partial(kind, z, n)
                 assert bits(got) == bits(one_shot_derivative(kind, z, logs, signs))
@@ -838,17 +844,44 @@ class TestBlockedSums:
         finally:
             representations._LEAF = old
         assert np.array(got).tobytes() == want
-        # The leaves tile [0, count), and above one leaf the helper thread
-        # takes the right half of a complex sum.
+        # The leaves tile [0, count); the caller takes the first, and above
+        # one leaf the helper thread may take the right half of a complex
+        # sum.
+        assert not spans or spans[0][2] == threading.get_ident()
         spans.sort()
         assert [i for i, _, _ in spans] == [0] + [j for _, j, _ in spans[:-1]]
         assert spans[-1][1] == count
-        assert len({ident for _, _, ident in spans}) == 1 + halves
+        assert len({ident for _, _, ident in spans}) <= 1 + halves
+
+    def test_a_helper_that_starts_first_takes_the_right_half(self):
+        # The caller's first leaf waits until a leaf has started on another
+        # thread, which can then only be the helper on the right half.
+        count = 3 * representations._LEAF
+        split = representations._split(count, real=False)
+        caller, started, spans = threading.get_ident(), threading.Event(), []
+
+        def make_leaf(length):
+            def leaf(i, j):
+                if threading.get_ident() != caller:
+                    started.set()
+                elif i == 0:
+                    started.wait(TestHelperThread.TIMEOUT)
+                spans.append((i, threading.current_thread().name))
+                return np.complex128(j - i)
+
+            return leaf
+
+        assert representations._tree_sum(count, make_leaf) == count
+        assert {name for i, name in spans if i < split} == {
+            threading.current_thread().name
+        }
+        assert {name for i, name in spans if i >= split} == {"zetasieve-helper"}
 
 
 class TestHelperThread:
-    """Above one leaf the right half of a sum runs on one helper thread; the
-    results keep the bits of a serial run."""
+    """Above one leaf the right half of a sum, and blocks of a table's
+    terms, may run on one helper thread; the results keep the bits of a
+    serial run."""
 
     N = 50_000  # more than two default leaves of bases
     TIMEOUT = 60.0
@@ -857,6 +890,10 @@ class TestHelperThread:
     def outputs(n):
         z, w = complex(0.5, 14.0), complex(0.05, 0.02)
         values = [f(z, n).value for f in EVALUATORS.values()]
+        table = representations.partial_sum_table(
+            RepresentationKind.COTH, z, n, [n, 2, n // 3, n // 2]
+        )
+        values += [r.value for r in table]
         representations._bernoulli_polynomial.cache_clear()
         values.append(zeta_bernoulli_partial(w, n, 40).value)
         for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
@@ -872,19 +909,25 @@ class TestHelperThread:
             lambda: derivative_partial(RepresentationKind.ALTERNATING, z, n),
             lambda: nearest_pole(complex(1e-7, 14.0), n),
         ]
+        large += [
+            lambda k=kind: representations.partial_sum_table(k, 2 + 2j, n, [2, n])
+            for kind in TERM_KINDS
+        ]
         serial = self.outputs(n)
         monkeypatch.setattr(representations, "_HELPER", None)
         for call in large:
             with pytest.raises(AttributeError):
                 call()
-        # One leaf, the Bernoulli and prefix sums and a zero search never
+        # One leaf or block, the Bernoulli sums and a zero search never
         # touch it.
         self.outputs(1_000)
         representations._bernoulli_polynomial.cache_clear()
         zeta_bernoulli_partial(complex(0.05, 0.02), n, 40)
-        for kind in RepresentationKind:
-            w = 0.05 + 0.02j if kind is RepresentationKind.BERNOULLI_SERIES else 2 + 2j
-            representations.partial_sum_table(kind, w, n, [2, n], 40)
+        representations.partial_sum_table(
+            RepresentationKind.BERNOULLI_SERIES, 0.05 + 0.02j, n, [2, n], 40
+        )
+        for kind in TERM_KINDS:
+            representations.partial_sum_table(kind, 2 + 2j, n, [2, 1_000])
         target = make_target(RepresentationKind.DIRECT, 8)
         assert find_zeros(target, SearchRegion(0.0, 1.5, 0.0, 12.0, 8, 8))
         monkeypatch.undo()
@@ -960,10 +1003,15 @@ class TestHelperThread:
         assert first == second
 
     def test_both_halves_see_the_callers_errstate(self):
-        seen = []
+        # As above, the caller's first leaf waits for the helper to start.
+        caller, started, seen = threading.get_ident(), threading.Event(), []
 
         def make_leaf(length):
             def leaf(start, stop):
+                if threading.get_ident() != caller:
+                    started.set()
+                elif start == 0:
+                    started.wait(self.TIMEOUT)
                 seen.append((threading.get_ident(), np.geterr()))
                 return np.complex128(stop - start)
 
@@ -977,6 +1025,134 @@ class TestHelperThread:
         assert len({ident for ident, _ in seen}) == 2
         assert all(state == want for _, state in seen)
         assert np.geterr() != want
+
+    @staticmethod
+    def take_turns(monkeypatch, n):
+        """Make the terms of each block of a table at n wait until the next
+        block has started, so the caller and the helper take turns; returns
+        the (block, thread name, raised) log and the events to set after."""
+        logs = representations._base_data(n)[1]
+        blocks = -(-len(logs) // representations._LEAF)
+        started = [threading.Event() for _ in range(blocks + 1)]
+        started[blocks].set()
+        log, terms = [], representations._terms
+
+        def turn(kind, z, block_logs, *rest):
+            b = (block_logs.ctypes.data - logs.ctypes.data) // 8
+            b //= representations._LEAF
+            started[b].set()
+            started[b + 1].wait(TestHelperThread.TIMEOUT)
+            name = threading.current_thread().name
+            try:
+                t = terms(kind, z, block_logs, *rest)
+            except FloatingPointError:
+                log.append((b, name, True))
+                raise
+            log.append((b, name, False))
+            return t
+
+        monkeypatch.setattr(representations, "_terms", turn)
+        return log, started
+
+    @pytest.mark.parametrize("kind", TERM_KINDS)
+    def test_blocks_taken_in_turns_keep_the_bits(self, monkeypatch, kind):
+        n = 120_000  # eight blocks
+        ns = [n, 2, 16_391, 16_392, 50_000, n - 1, 2, 77_777]
+        log, started = self.take_turns(monkeypatch, n)
+        try:
+            got, want = table_and_cumsum_bits(kind, complex(1.5, 14.0), n, ns)
+        finally:
+            for event in started:
+                event.set()
+        assert got == want
+        helper = [b for b, name, _ in log if name == "zetasieve-helper"]
+        assert sorted(b for b, _, _ in log) == list(range(8))
+        assert sorted(helper) == [1, 3, 5, 7]
+
+    def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch):
+        # exp first underflows in block 9 of 19, which the helper takes.
+        n, z = 300_000, complex(59.0, 0.0)
+        ns = list(range(600, n + 1, 600))
+        kind = RepresentationKind.DIRECT
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError) as free:
+                representations.partial_sum_table(kind, z, n, ns)
+            log, started = self.take_turns(monkeypatch, n)
+            try:
+                with pytest.raises(FloatingPointError) as turns:
+                    representations.partial_sum_table(kind, z, n, ns)
+            finally:
+                for event in started:
+                    event.set()
+        assert str(turns.value) == str(free.value) == "underflow encountered in exp"
+        first = min((b, name) for b, name, raised in log if raised)
+        assert first == (9, "zetasieve-helper")
+        assert all(not raised for b, _, raised in log if b < 9)
+
+    def test_no_job_starts_three_past_the_one_the_caller_holds(self):
+        # The prefix sums reuse three buffer pairs, job j the pair j % 3.
+        started, third = [], threading.Event()
+
+        def job(i):
+            started.append(i)
+            if i == 2:
+                third.set()
+            return i
+
+        results = representations._in_order([lambda i=i: job(i) for i in range(8)])
+        assert next(results) == 0
+        assert third.wait(self.TIMEOUT)  # only the helper can have started it
+        time.sleep(0.2)
+        assert sorted(started) == [0, 1, 2]
+        assert list(results) == list(range(1, 8))
+
+    def test_a_stalled_helper_holds_no_table_up(self):
+        held, release = threading.Event(), threading.Event()
+
+        def stall():  # the helper's job: the holder thread waits in hold
+            held.set()
+            release.wait(self.TIMEOUT)
+
+        def hold():
+            held.wait(self.TIMEOUT)
+
+        holder = threading.Thread(
+            target=lambda: list(representations._in_order([hold, stall]))
+        )
+        result = []
+        table = threading.Thread(
+            target=lambda: result.append(
+                table_and_cumsum_bits(
+                    RepresentationKind.ALTERNATING, 2 + 1j, 120_000, [2, 120_000]
+                )
+            )
+        )
+        holder.start()
+        try:
+            assert held.wait(self.TIMEOUT)
+            table.start()
+            table.join(self.TIMEOUT)
+            assert not table.is_alive()
+        finally:
+            release.set()
+            holder.join(self.TIMEOUT)
+        assert not holder.is_alive()
+        [(got, want)] = result
+        assert got == want
+
+    def test_importing_starts_no_thread_and_no_executor(self):
+        code = (
+            "import sys, threading, zetasieve\n"
+            "print(threading.active_count(),"
+            " sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=self.TIMEOUT,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "[]"]
 
 
 class TestMemoryBound:
