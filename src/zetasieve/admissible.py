@@ -5,8 +5,10 @@ Every representation in this package sums over the bases r with
 remaining integers as powers of these bases is exactly what collapses the
 Dirichlet series into a finite sum of geometric-series tails, so the
 classification here must be exact; everything is integer arithmetic.
-The float arrays of log r and (-1)**(r-1) that the evaluators sum over are
-kept here too, in one store with the bases.
+The arrays of log r and (-1)**(r-1) that the evaluators sum over are kept
+here too, in one store.  The store holds the bases themselves only as the
+perfect powers they skip, about sqrt(n) of them: the count of bases up to
+n is n - 1 less the powers up to n, and each base follows from its index.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +34,16 @@ __all__ = [
 # below this, but exactness must not silently degrade above it.
 MAX_VALUE = 2**64 - 1
 
-# The process keeps the base data once, at the largest n asked for: an int64
-# array of 8 bytes per base, plus 16 bytes per base of logs and signs once
-# something is evaluated there.  Growing to this cap also holds an O(n) bool
-# sieve until the bases are read off it, about 0.9 GB with the bases; reading
-# .members costs several GB of Python ints.
+# The process keeps the base data once, at the largest n asked for: the
+# perfect powers up to n (about sqrt(n) of them), and once something is
+# evaluated there, 9 bytes per base of float64 logs and int8 signs, about
+# 0.9 GB at this cap.  Arrays are built a block of integers at a time, with
+# no sieve or other transient that grows with n.  Reading .bases adds 8
+# bytes per base, and .members several GB of Python ints.
 MAX_LIMIT = 10**8
+
+# The bases are built this many integers at a time.
+_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -53,28 +60,52 @@ class PowerDecomposition:
     exponent: int
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class AdmissibleSet:
     """Ascending admissible bases r <= limit and their count l.
 
-    ``bases`` holds the bases as a read-only int64 array, which is what the
-    evaluators sum over; ``members`` gives them as a tuple of Python ints,
-    built on first read.  ``members`` may be given as any sequence of
-    integers; a caller's writeable array is copied, never frozen in place.
+    ``bases`` holds the bases as a read-only int64 array; ``members`` gives
+    them as a tuple of Python ints.  ``powers`` holds the perfect powers up
+    to ``limit`` as a read-only int64 array, from which the count and every
+    base follow.  A set from ``admissible_up_to`` builds its bases only when
+    they are read, as a prefix view of one array kept at the largest limit
+    asked for.  ``members`` may be given as any sequence of integers; a
+    caller's writeable array is copied, never frozen in place.
     """
 
     limit: int
-    bases: np.ndarray
     term_count: int
 
     def __init__(self, limit: int, members, term_count: int):
         bases = np.asarray(members, dtype=np.int64)
         if bases.flags.writeable:
-            bases = bases.copy() if bases is members else bases
-            bases.setflags(write=False)
+            bases = _frozen(bases.copy() if bases is members else bases)
         object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "term_count", term_count)
+        self.__dict__["bases"] = bases
+
+    @classmethod
+    def _in_store(cls, limit: int, powers: np.ndarray) -> AdmissibleSet:
+        """The set up to limit, with powers, the store's perfect powers up
+        to limit; its bases are read off the store when first read."""
+        aset = cls.__new__(cls)
+        object.__setattr__(aset, "limit", limit)
+        object.__setattr__(aset, "term_count", limit - 1 - len(powers))
+        aset.__dict__["powers"] = powers
+        return aset
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        return _STORE.bases(self.limit)
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        return _frozen(_perfect_powers(self.limit))
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -127,28 +158,51 @@ def decompose_power(m) -> PowerDecomposition:
     return PowerDecomposition(value=m, base=m, exponent=1)
 
 
-def _power_sieve(n: int) -> np.ndarray:
-    """Bool array; index m is True iff m is a perfect power."""
-    sieve = np.zeros(n + 1, dtype=bool)
-    b = 2
-    while b * b <= n:
-        p = b * b
-        while p <= n:
-            sieve[p] = True
-            p *= b
-        b += 1
-    return sieve
+def _perfect_powers(n: int) -> np.ndarray:
+    """The perfect powers b**k <= n with b, k >= 2, ascending, each once.
+
+    A set of Python ints, about sqrt(n) of them: np.unique would import
+    numpy.ma, which costs every process half a MiB.
+    """
+    powers = set()
+    for k in range(2, n.bit_length()):  # 2**k <= n
+        powers.update(b**k for b in range(2, _int_kth_root(n, k) + 1))
+    return np.array(sorted(powers), dtype=np.int64)
+
+
+def _base_blocks(powers: np.ndarray, n: int):
+    """(i, r) for each block of _BLOCK integers up to n: r holds the
+    admissible bases in the block as int64, and i is the index of r[0]
+    among all the bases."""
+    below = 0  # the powers below the block
+    for a in range(2, n + 1, _BLOCK):
+        b = min(a + _BLOCK, n + 1)
+        above = int(np.searchsorted(powers, b))
+        keep = np.ones(b - a, dtype=bool)
+        keep[powers[below:above] - a] = False
+        r = np.flatnonzero(keep)
+        r += a
+        yield a - 2 - below, r
+        below = above
+
+
+class _State(NamedTuple):
+    limit: int
+    powers: np.ndarray  # the perfect powers up to limit
+    floats: tuple[np.ndarray, np.ndarray] | None  # logs and signs, once built
+    bases: np.ndarray | None  # once read
 
 
 class _PrefixStore:
-    """The admissible bases up to the largest n asked for so far, with the
-    log r and (-1)**(r-1) arrays every evaluator sums over.
+    """The perfect powers up to the largest n asked for so far, with the
+    log r and (-1)**(r-1) arrays every evaluator sums over and, once read,
+    the bases.
 
     Every smaller n reads read-only prefix views of these arrays, so the
     process keeps one copy of the base data instead of one per n.  The
-    store only grows: a larger n rebuilds the bases at that n, dropping
-    the sieve once they are read off it, and the logs and signs are built
-    on first use.  Each state is swapped in as one tuple, so a reader never
+    store only grows: a larger n drops the arrays built at the smaller one,
+    and the logs and signs and the bases are each built on first use, a
+    block at a time.  Each state is swapped in whole, so a reader never
     sees arrays of two sizes.
     """
 
@@ -156,40 +210,56 @@ class _PrefixStore:
         self.clear()
 
     def clear(self) -> None:
-        bases = np.empty(0, dtype=np.int64)
-        bases.setflags(write=False)
-        self._state = (1, bases, None)
+        self._state = _State(1, _frozen(np.empty(0, dtype=np.int64)), None, None)
 
-    def _covering(self, n: int):
-        """The state (limit, bases, logs and signs or None), grown to n."""
+    def _covering(self, n: int) -> _State:
+        """The state, grown to n."""
         state = self._state
-        if n > state[0]:
-            bases = np.flatnonzero(~_power_sieve(n)[2:]).astype(np.int64, copy=False)
-            bases += 2
-            bases.setflags(write=False)
-            state = self._state = (n, bases, None)
+        if n > state.limit:
+            state = self._state = _State(n, _frozen(_perfect_powers(n)), None, None)
             # The cached sets view the arrays just replaced; dropping them
             # lets those arrays be freed.
             admissible_up_to.cache_clear()
         return state
 
+    @staticmethod
+    def _count(state: _State, n: int) -> int:
+        """The number of admissible bases up to n <= state.limit."""
+        return n - 1 - int(np.searchsorted(state.powers, n, side="right"))
+
     def admissible_up_to(self, n: int) -> AdmissibleSet:
-        _, bases, _ = self._covering(n)
-        count = int(np.searchsorted(bases, n, side="right"))
-        return AdmissibleSet(limit=n, members=bases[:count], term_count=count)
+        powers = self._covering(n).powers
+        return AdmissibleSet._in_store(n, powers[: np.searchsorted(powers, n, "right")])
 
     def logs_and_signs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        limit, bases, floats = self._covering(n)
-        if floats is None:
-            logs = np.log(bases)
-            # (-1)**(r-1): odd bases keep their sign, even bases flip.
-            signs = np.where(bases % 2 == 1, 1.0, -1.0)
-            logs.setflags(write=False)
-            signs.setflags(write=False)
-            floats = (logs, signs)
-            self._state = (limit, bases, floats)
-        count = int(np.searchsorted(bases, n, side="right"))
-        return floats[0][:count], floats[1][:count]
+        state = self._covering(n)
+        if state.floats is None:
+            count = self._count(state, state.limit)
+            logs = np.empty(count)
+            signs = np.empty(count, dtype=np.int8)
+            for i, r in _base_blocks(state.powers, state.limit):
+                # Each step is in place or a plain cast, which takes no
+                # buffer of its own.
+                block = logs[i : i + len(r)]
+                block[:] = r
+                np.log(block, out=block)
+                # (-1)**(r-1): 1 for odd bases, -1 for even ones.
+                r &= 1
+                r *= 2
+                r -= 1
+                signs[i : i + len(r)] = r
+            state = self._state = state._replace(floats=(_frozen(logs), _frozen(signs)))
+        count = self._count(state, n)
+        return state.floats[0][:count], state.floats[1][:count]
+
+    def bases(self, n: int) -> np.ndarray:
+        state = self._covering(n)
+        if state.bases is None:
+            bases = np.empty(self._count(state, state.limit), dtype=np.int64)
+            for i, r in _base_blocks(state.powers, state.limit):
+                bases[i : i + len(r)] = r
+            state = self._state = state._replace(bases=_frozen(bases))
+        return state.bases[: self._count(state, n)]
 
 
 _STORE = _PrefixStore()
@@ -199,15 +269,16 @@ _STORE = _PrefixStore()
 def admissible_up_to(n) -> AdmissibleSet:
     """All admissible bases r with 2 <= r <= n, ascending, plus the count l.
 
-    ``bases`` is a read-only prefix view of one store kept at the largest n
-    asked for so far, so a cached set holds no copy of its own.
+    The set holds a read-only prefix view of the perfect powers kept at the
+    largest n asked for so far, so it is cheap to make; its ``bases`` are
+    built only when read, as a prefix view of one array at that n.
     """
     return _STORE.admissible_up_to(check_int(n, "n", 2, MAX_LIMIT))
 
 
 def base_logs_and_signs(n) -> tuple[np.ndarray, np.ndarray]:
-    """log r and (-1)**(r-1) for the admissible bases r <= n, as read-only
-    float64 prefix views of the same store as ``admissible_up_to(n).bases``.
+    """log r as float64 and (-1)**(r-1) as int8 for the admissible bases
+    r <= n, as read-only prefix views of the one store.
 
     Callers take them per evaluation rather than keeping them, so a larger
     n can free the smaller arrays.

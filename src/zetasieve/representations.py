@@ -325,10 +325,30 @@ class EvalResult:
 
 
 def _base_data(n):
-    """(bases, logs, signs) of the admissible set at n: read-only int64
-    bases and float64 log r and (-1)**(r-1), each a prefix view of the one
-    store kept at the largest n asked for."""
-    return (admissible_up_to(n).bases, *base_logs_and_signs(n))
+    """(powers, logs, signs) at n: the perfect powers up to n as int64,
+    from which the count and every base follow (_counts, _base_at), and the
+    float64 log r and int8 (-1)**(r-1) of the admissible bases r <= n, each
+    a read-only prefix view of the one store kept at the largest n asked
+    for.  The int64 bases themselves are never built here."""
+    return (admissible_up_to(n).powers, *base_logs_and_signs(n))
+
+
+def _counts(powers, ns) -> list[int]:
+    """The number of admissible bases up to each n in ns, from the perfect
+    powers up to the largest of them."""
+    ns = np.asarray(ns, dtype=np.int64)
+    return (ns - 1 - np.searchsorted(powers, ns, "right")).tolist()
+
+
+def _base_at(powers, i: int) -> int:
+    """The admissible base at index i, from the perfect powers up to it.
+
+    The j-th power lies below the base exactly when the powers[j] - 2 - j
+    bases below that power number at most i, so the base is i + 2 plus
+    the count of j with powers[j] - j <= i + 2.
+    """
+    shifted = powers - np.arange(len(powers))
+    return i + 2 + int(np.searchsorted(shifted, i + 2, "right"))
 
 
 def nearest_pole(z, n) -> tuple[float, int, int]:
@@ -338,12 +358,14 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     k; k = 0 is the pole at the origin shared by every term.
     """
     z = check_point(z)
-    bases, logs, _ = _base_data(n)
+    powers, logs, _ = _base_data(n)
 
     def make_leaf(length):
         spacing, k, dist = (np.empty(length) for _ in range(3))
 
-        def leaf(start: int, stop: int) -> tuple[float, int, int]:
+        def leaf(start: int, stop: int) -> tuple[float, int | None, int]:
+            """(distance, base index, lattice index) of the block's nearest
+            pole."""
             s, kb, d = (a[: stop - start] for a in (spacing, k, dist))
             np.divide(TWO_PI, logs[start:stop], out=s)
             np.rint(np.divide(z.imag, s, out=kb), out=kb)
@@ -351,14 +373,15 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
             np.hypot(z.real, d, out=d)
             i = int(np.argmin(d))
             if not d[i] < math.inf:  # Im z / s overflowed: no finite k
-                return math.inf, 0, 0
-            return float(d[i]), int(bases[start + i]), int(kb[i])
+                return math.inf, None, 0
+            return float(d[i]), start + i, int(kb[i])
 
         return leaf
 
     # The left side wins ties, as the first minimum does in np.argmin.
     nearer = lambda a, b: b if b[0] < a[0] else a
-    return _tree_sum(len(logs), make_leaf, combine=nearer)
+    dist, i, k = _tree_sum(len(logs), make_leaf, combine=nearer)
+    return dist, 0 if i is None else _base_at(powers, i), k
 
 
 def pole_distance(z, n) -> float:
@@ -406,11 +429,20 @@ _COTH = (RepresentationKind.COTH, RepresentationKind.ALTERNATING_COTH)
 _TERM_SUM_KINDS = (RepresentationKind.DIRECT, *_COTH, *_ALTERNATING)
 
 
-def _terms(kind, z: complex, logs, signs, out, spare, squares=None):
+def _buffers(kind, length: int, derivative: bool = False) -> list[np.ndarray]:
+    """_terms' buffers for blocks of up to `length` bases: out, then spare
+    unless the kind is a coth kind, which writes none, then squares for a
+    derivative."""
+    count = 1 if kind in _COTH else 2 + derivative
+    return [np.empty(length, complex) for _ in range(count)]
+
+
+def _terms(kind, z: complex, logs, signs, out, spare=None, squares=None):
     """The kind's per-base terms, s_r/(r**z - 1) or s_r*coth(z*log(r)/2),
     into out or, given a third buffer squares, the derivative's
     s_r*log(r)*r**z/(r**z - 1)**2; spare is a second buffer of the same
-    length."""
+    length, which the coth kinds do not use.  The int8 signs enter each
+    product as exactly +-1."""
     if kind in _COTH:
         t = np.tanh(np.multiply(0.5 * z, logs, out=out), out=out)
         np.divide(1.0, t, out=t)
@@ -428,7 +460,7 @@ def _term_sum(kind, z: complex, logs, signs, derivative=False) -> complex:
     bases, block by block."""
 
     def make_leaf(length):
-        buffers = [np.empty(length, complex) for _ in range(2 + derivative)]
+        buffers = _buffers(kind, length, derivative)
 
         def leaf(i, j):
             views = (b[: j - i] for b in buffers)
@@ -446,7 +478,7 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
     partial sum before the block's own np.cumsum, which is the running sum
     np.cumsum takes over the whole array.  Only that carry needs the block
     before, so the caller and the helper compute the terms of successive
-    blocks, each into one of _AHEAD buffer pairs, while the caller alone
+    blocks, each into one of _AHEAD sets of buffers, while the caller alone
     carries the running sum through them in order.  Blocks past the
     largest count are never built.
     """
@@ -457,12 +489,12 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
     total = int(ends_sorted[-1]) + 1 if len(ends) else 0
     length = _leaf_length(total)
     starts = range(0, total, length)
-    pairs = [[np.empty(length, complex) for _ in range(2)] for _ in starts[:_AHEAD]]
+    sets = [_buffers(kind, length) for _ in starts[:_AHEAD]]
 
     def block(start: int):
         stop = min(start + length, total)
-        out, spare = (b[: stop - start] for b in pairs[start // length % _AHEAD])
-        return _terms(kind, z, logs[start:stop], signs[start:stop], out, spare)
+        views = (b[: stop - start] for b in sets[start // length % _AHEAD])
+        return _terms(kind, z, logs[start:stop], signs[start:stop], *views)
 
     for start, t in zip(starts, _in_order([partial(block, s) for s in starts])):
         if start:
@@ -504,12 +536,12 @@ def _eta_prefactor(z: complex) -> complex:
 
 def _prepare(kind, z, n):
     """Check the point, n, the prefactor (1.0 for plain kinds) and the pole
-    gate, in that order; (z, bases, logs, signs, prefactor)."""
+    gate, in that order; (z, powers, logs, signs, prefactor)."""
     z = check_point(z)
-    bases, logs, signs = _base_data(n)
+    powers, logs, signs = _base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
     pole_gate(z, n)
-    return z, bases, logs, signs, p
+    return z, powers, logs, signs, p
 
 
 def remainder_bound(n, sigma) -> float:
@@ -557,9 +589,9 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
         return _bernoulli_table(z, n_max, ns, M)
     if kind not in _TERM_SUM_KINDS:
         raise InputError(f"no cumulative form for {kind!r}")
-    z, bases, logs, signs, p = _prepare(kind, z, n_max)
+    z, powers, logs, signs, p = _prepare(kind, z, n_max)
     ns = [check_int(n, "truncation", 2, n_max) for n in ns]
-    counts = np.searchsorted(bases, ns, "right").tolist()
+    counts = _counts(powers, ns)
     partial = _prefix_sums(kind, z, logs, signs, counts)
     sigma, scale = z.real, 1.0 / abs(p)
     rows = []
@@ -574,12 +606,12 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
 def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
     z = check_point(z)
     M = check_int(M, "M", 0)
-    bases, logs, _ = _base_data(n_max)
+    powers, logs, _ = _base_data(n_max)
     ns = [check_int(n, "truncation", 2, n_max) for n in ns]
-    counts = np.searchsorted(bases, ns, "right").tolist()
+    counts = _counts(powers, ns)
     coeffs = ()  # stays empty only when there are no rows to sum
     for n, count in zip(ns, counts):
-        _bernoulli_checks(z, n, bases[:count], logs[:count])
+        _bernoulli_checks(z, n, powers, logs[:count])
         # Refuses an M out of range after the first row's checks, as the
         # evaluator would; later rows read the cached coefficients.
         coeffs = _laurent_coefficients(M)
@@ -637,17 +669,20 @@ def zeta_bernoulli_partial(z, n, M) -> EvalResult:
     z = check_point(z)
     M = check_int(M, "M", 0)
     n = check_int(n, "n", 2, MAX_LIMIT)
-    bases, logs, _ = _base_data(n)
-    _bernoulli_checks(z, n, bases, logs)
+    powers, logs, _ = _base_data(n)
+    _bernoulli_checks(z, n, powers, logs)
     value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
     return EvalResult(value, n, len(logs), _tail_or_none(z, n))
 
 
-def _bernoulli_checks(z: complex, n: int, bases, logs) -> None:
-    """The Bernoulli form's disk test, then its pole gate, at n."""
+def _bernoulli_checks(z: complex, n: int, powers, logs) -> None:
+    """The Bernoulli form's disk test, then its pole gate, at n, where logs
+    are the bases' up to n and powers the perfect powers up to n or
+    beyond."""
     log_max = float(logs[-1])
     if abs(z) * log_max >= TWO_PI:
-        raise ConvergenceDomainError(z, TWO_PI / log_max, int(bases[-1]))
+        base = _base_at(powers, len(logs) - 1)
+        raise ConvergenceDomainError(z, TWO_PI / log_max, base)
     pole_gate(z, n)
 
 

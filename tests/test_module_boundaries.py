@@ -135,6 +135,37 @@ def walker_calls(path: Path) -> list[str]:
     return found
 
 
+# The int64 bases of an admissible set, built only when one of these is read.
+BASE_ATTRIBUTES = {"bases", "members"}
+
+
+def base_reads(path: Path) -> list[str]:
+    """Reads of an attribute in BASE_ATTRIBUTES, as x.bases or as
+    getattr(x, "bases")."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            name = node.args[1].value
+        else:
+            continue
+        if name in BASE_ATTRIBUTES:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_evaluator_builds_the_bases():
+    # The evaluators take counts and bases from the perfect powers, so no
+    # evaluator path builds the 8-byte-per-base int64 array.
+    assert base_reads(PACKAGE / "representations.py") == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_tree_sum_walks_the_pairwise_tree(path):
     # One walker over the bases: every other sum hands _tree_sum a leaf,
@@ -193,6 +224,10 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "_split(7, True)\n"
         "_in_order(jobs)\n"
         "_tree_sum(7, make_leaf)\n"
+        "top = admissible_up_to(9).bases[-1]\n"
+        "first = aset.members[0]\n"
+        "bases = getattr(aset, 'bases')\n"
+        "powers, count = aset.powers, aset.term_count\n"
     )
     assert package_imports(probe) == {
         "errors", "representations", "rootfind", "admissible", "bernoulli"
@@ -200,6 +235,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
+    assert len(base_reads(probe)) == 3
 
 
 def traced_attributes() -> list[tuple[str, str]]:

@@ -33,6 +33,7 @@ from zetasieve import (
     ZetaSieveError,
     admissible_up_to,
     bernoulli_table,
+    decompose_power,
     derivative_partial,
     euler_even_zeta,
     find_zeros,
@@ -389,15 +390,16 @@ class TestPrefixStore:
         representations._bernoulli_polynomial.cache_clear()
 
     @staticmethod
-    def store_array():
-        """The array that owns the memory of the store's bases."""
-        bases = admissible._STORE._state[1]
-        return bases if bases.base is None else bases.base
+    def store_array(name="bases"):
+        """The array that owns the memory of the store's bases (or of its
+        perfect powers)."""
+        array = getattr(admissible._STORE._state, name)
+        return array if array.base is None else array.base
 
     @staticmethod
     def outputs(n):
         aset = admissible_up_to(n)
-        _, logs, signs = representations._base_data(n)
+        logs, signs = admissible.base_logs_and_signs(n)
         z = complex(0.7, 3.1)
         inside = 0.5 * 2 * math.pi / math.log(aset.members[-1]) * cmath.exp(0.4j)
         ns = list(range(2, n + 1, max(1, n // 17)))
@@ -421,26 +423,174 @@ class TestPrefixStore:
 
     def test_smaller_sets_are_views_of_the_largest(self):
         self.forget()
-        large = representations._base_data(self.LARGE)
+        large = base_data(self.LARGE)
+        large_powers = admissible_up_to(self.LARGE).powers
         for n in (2, 97, 20_000, self.LARGE - 1):
-            small = representations._base_data(n)
+            small = base_data(n)
             assert admissible_up_to(n).bases is small[0]
             for a, whole in zip(small, large):
                 assert np.shares_memory(a, whole)
                 assert not a.flags.writeable
                 assert len(a) == admissible_up_to(n).term_count
+            powers = admissible_up_to(n).powers
+            assert np.shares_memory(powers, large_powers) or not len(powers)
+            assert not powers.flags.writeable
+            assert len(powers) == n - 1 - admissible_up_to(n).term_count
 
     def test_growth_drops_sets_that_view_the_old_arrays(self):
         self.forget()
         small = [2, 97, 20_000]
         for n in small:
-            admissible_up_to(n)
-        old = weakref.ref(self.store_array())
+            admissible_up_to(n).bases
+        old = [weakref.ref(self.store_array(a)) for a in ("bases", "powers")]
         admissible_up_to(self.LARGE)
         gc.collect()
-        assert old() is None
+        assert [ref() for ref in old] == [None, None]
         for n in (*small, self.LARGE):
             assert admissible_up_to(n).bases.base is self.store_array()
+            assert admissible_up_to(n).powers.base is self.store_array("powers")
+
+
+class TestStore:
+    """The store keeps 9 bytes per base, builds every array a block of
+    integers at a time, and builds the int64 bases only when they are
+    read."""
+
+    N = 300_000
+    BLOCK = admissible._BLOCK
+
+    @staticmethod
+    def all_paths(n):
+        """Every evaluator path at n, the pole gate and a disk refusal
+        included."""
+        z, w = complex(0.5, 14.0), complex(0.05, 0.02)
+        for f in EVALUATORS.values():
+            f(z, n)
+        zeta_direct_partial(complex(-0.5, 3.0), n)
+        zeta_bernoulli_partial(w, n, 30)
+        with pytest.raises(ConvergenceDomainError):
+            zeta_bernoulli_partial(5.0, n, 30)
+        for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
+            derivative_partial(kind, z, n)
+        nearest_pole(complex(1e-7, 14.0), n)
+        with pytest.raises(PoleProximityError):
+            zeta_direct_partial(complex(0.0, 2 * math.pi / math.log(6)), n)
+        for kind in RepresentationKind:
+            u = w if kind is RepresentationKind.BERNOULLI_SERIES else z
+            representations.partial_sum_table(kind, u, n, [2, n // 3, n], 30)
+
+    def test_an_evaluation_keeps_nine_bytes_per_base_and_no_bases(self):
+        TestPrefixStore.forget()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            zeta_direct_partial(complex(0.5, 14.0), self.N)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        aset = admissible_up_to(self.N)
+        # A few KiB of Python objects (the cached set, the lru_cache entry)
+        # on top of the arrays.
+        assert held <= 9 * aset.term_count + aset.powers.nbytes + (16 << 10)
+        assert admissible._STORE._state.bases is None
+        self.all_paths(self.N)
+        self.all_paths(1_000)
+        assert admissible._STORE._state.bases is None
+
+    @pytest.mark.parametrize(
+        "read",
+        [admissible.base_logs_and_signs, lambda n: admissible_up_to(n).bases],
+        ids=["logs-and-signs", "bases"],
+    )
+    def test_growth_takes_no_temporary_above_a_block(self, read):
+        TestPrefixStore.forget()
+        read(20_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read(self.N)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Each block of integers takes a bool mask and an int64 array of
+        # its bases; the next block's are made before the last one's go.
+        assert peak - kept <= 2 * 9 * self.BLOCK
+
+    @pytest.mark.parametrize(
+        "n",
+        [2, 3, 4, 5, 4_097, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 2, 1_000_001],
+        ids=lambda n: f"n={n}",
+    )
+    @pytest.mark.parametrize("grown", [False, True], ids=["at-n", "prefix"])
+    def test_logs_and_signs_are_those_of_the_bases(self, n, grown):
+        # Block edges fall after BLOCK + 1 and 2 * BLOCK + 1; 4 097,
+        # BLOCK + 1 and 1 000 001 lie just above a perfect power.
+        TestPrefixStore.forget()
+        if grown:
+            admissible.base_logs_and_signs(n + 3 * self.BLOCK)
+        logs, signs = admissible.base_logs_and_signs(n)
+        aset = admissible_up_to(n)
+        powers = set()
+        for b in range(2, math.isqrt(n) + 1):
+            power = b * b
+            while power <= n:
+                powers.add(power)
+                power *= b
+        want = np.setdiff1d(np.arange(2, n + 1), sorted(powers))
+        assert aset.bases.tolist() == want.tolist()
+        assert aset.powers.tolist() == sorted(powers)
+        assert aset.term_count == len(logs) == len(signs) == len(want)
+        assert logs.tobytes() == np.log(aset.bases).tobytes()
+        assert signs.dtype == np.int8
+        assert signs.tolist() == np.where(want % 2 == 1, 1, -1).tolist()
+
+    @pytest.mark.parametrize("n", [1_000, 50_000])
+    def test_int8_signs_give_the_bits_of_float_signs(self, monkeypatch, n):
+        logs, signs = admissible.base_logs_and_signs(n)
+        assert signs.dtype == np.int8
+        floats = signs.astype(float)
+        floats.setflags(write=False)
+        points = [
+            complex(2.0, 1.0),
+            complex(0.5, -14.0),
+            complex(-0.7, 3.3),
+            complex(2.0, 0.0),
+            complex(0.5, -0.0),
+            complex(-1.5, 0.0),
+        ]
+        ns = [2, n // 3, n // 3 + 1, n]
+
+        def outputs():
+            values = []
+            for z in points:
+                for kind in TERM_KINDS:
+                    if z.real <= 0.0 and kind in ALT_KINDS:
+                        continue
+                    values.append(representations._evaluate(kind, z, n).value)
+                    rows = representations.partial_sum_table(kind, z, n, ns)
+                    values += [r.value for r in rows]
+                for kind in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
+                    values.append(derivative_partial(kind, z, n))
+            return bits(values)
+
+        with_int8 = outputs()
+        monkeypatch.setattr(
+            representations, "base_logs_and_signs", lambda m: (logs, floats)
+        )
+        assert outputs() == with_int8
+
+    @pytest.mark.parametrize("n", [9, 1_024, 1_025, 2 * BLOCK])
+    def test_disk_refusals_name_the_largest_base(self, n):
+        r_max = max(m for m in range(n - 3, n + 1) if decompose_power(m).exponent == 1)
+        with pytest.raises(ConvergenceDomainError) as info:
+            zeta_bernoulli_partial(5.0, n, 10)
+        assert info.value.r_max == r_max
+        with pytest.raises(ConvergenceDomainError) as info:
+            representations.partial_sum_table(
+                RepresentationKind.BERNOULLI_SERIES, 5.0, n + 100, [n], 10
+            )
+        assert info.value.r_max == r_max
 
 
 class TestSpecialValues:
@@ -628,6 +778,12 @@ COTH_KINDS = TERM_KINDS[1::2]
 ALT_KINDS = TERM_KINDS[2:]
 
 
+def base_data(n):
+    """(bases, logs, signs) at n: the int64 bases, which the evaluators
+    never read, and the logs and signs they sum over."""
+    return (admissible_up_to(n).bases, *admissible.base_logs_and_signs(n))
+
+
 # One-shot forms of the blocked sums: whole-array terms, then one .sum(),
 # np.cumsum or np.argmin, as the package computed them before it summed in
 # blocks.  The blocked sums must keep every bit of these.
@@ -684,7 +840,7 @@ def bits(values):
 def table_and_cumsum_bits(kind, z, n, ns):
     """partial_sum_table's values, and the rows of np.cumsum over the
     whole array of terms, as bytes."""
-    bases, logs, signs = representations._base_data(n)
+    bases, logs, signs = base_data(n)
     rows = representations.partial_sum_table(kind, z, n, ns)
     partial = np.cumsum(one_shot_terms(kind, z, logs, signs))
     counts = np.searchsorted(bases, ns, "right")
@@ -704,7 +860,7 @@ class TestBlockedSums:
     ]
 
     def check_all(self, n):
-        bases, logs, signs = representations._base_data(n)
+        bases, logs, signs = base_data(n)
         l = len(logs)
         for z in self.POINTS:
             for kind in TERM_KINDS:
@@ -748,7 +904,7 @@ class TestBlockedSums:
 
     def test_second_leaf_holds_the_nearest_pole(self, monkeypatch):
         monkeypatch.setattr(representations, "_LEAF", 64)
-        bases, logs, _ = representations._base_data(5_000)
+        bases, logs, _ = base_data(5_000)
         r = int(bases[300])
         z = complex(1e-7, 2 * math.pi / math.log(r) + 1e-7)
         assert nearest_pole(z, 5_000) == one_shot_nearest_pole(z, bases, logs)
@@ -757,7 +913,7 @@ class TestBlockedSums:
     def test_tie_across_the_split_goes_to_the_left_half(self, monkeypatch):
         monkeypatch.setattr(representations, "_LEAF", 64)
         n = 1_000
-        bases, logs, _ = representations._base_data(n)
+        bases, logs, _ = base_data(n)
         split = representations._split(len(logs), real=False)
         # Halfway between the k = 1 poles of the bases either side of the
         # split, with a real part so large that hypot rounds the offsets of
@@ -778,7 +934,7 @@ class TestBlockedSums:
     ):
         monkeypatch.setattr(representations, "_LEAF", 64)
         n = 1_000
-        bases, logs, _ = representations._base_data(n)
+        bases, logs, _ = base_data(n)
         split = representations._split(len(logs), real=False)
         if half == "left":
             lo, hi = 0, split
@@ -802,7 +958,7 @@ class TestBlockedSums:
         # still the first minimum among the bases below.
         monkeypatch.setattr(representations, "_LEAF", 64)
         n = 5_000
-        bases, logs, _ = representations._base_data(n)
+        bases, logs, _ = base_data(n)
         z = complex(1e-7, im)
         with np.errstate(over="ignore"):
             assert np.isinf(z.imag / (2 * math.pi / logs[-2 * 64 :])).all()
@@ -1197,6 +1353,17 @@ class TestMemoryBound:
         zeta_bernoulli_partial(0.1, 6, 40)  # warms the Laurent coefficients
         representations._bernoulli_polynomial.cache_clear()
         assert self.peak(lambda: call(self.N)) < self.LIMIT
+
+    @pytest.mark.parametrize("kind", COTH_KINDS)
+    def test_coth_tables_take_one_buffer_per_block(self, kind):
+        # Three blocks in flight, each with one buffer: the coth kinds
+        # write no spare.  Half a MiB covers the rows and their results.
+        n = self.N
+        admissible.base_logs_and_signs(n)  # the store is the caller's
+        call = lambda: representations.partial_sum_table(
+            kind, complex(2.0, 1.0), n, range(600, n + 1, 600)
+        )
+        assert self.peak(call) < 3 * 16 * representations._LEAF + (1 << 19)
 
     def test_large_sums_leave_no_buffers_behind(self):
         # With the cycle collector off, buffers held by a reference cycle
