@@ -14,6 +14,7 @@ n is n - 1 less the powers up to n, and each base follows from its index.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -38,8 +39,8 @@ MAX_VALUE = 2**64 - 1
 # perfect powers up to n (about sqrt(n) of them), and once something is
 # evaluated there, 9 bytes per base of float64 logs and int8 signs, about
 # 0.9 GB at this cap.  Arrays are built a block of integers at a time, with
-# no sieve or other transient that grows with n.  Reading .bases adds 8
-# bytes per base, and .members several GB of Python ints.
+# no sieve or other transient that grows with n.  Reading a set's .bases
+# adds 8 bytes per base of that set, and .members several GB of Python ints.
 MAX_LIMIT = 10**8
 
 # The bases are built this many integers at a time.
@@ -71,15 +72,18 @@ class AdmissibleSet:
 
     ``bases`` holds the bases as a read-only int64 array; ``members`` gives
     them as a tuple of Python ints.  ``powers`` holds the perfect powers up
-    to ``limit`` as a read-only int64 array, from which the count and every
-    base follow.  A set from ``admissible_up_to`` builds its bases only when
-    they are read, as a prefix view of one array kept at the largest limit
-    asked for.  ``members`` may be given as any sequence of integers; a
-    caller's writeable array is copied, never frozen in place.
+    to ``limit`` as a read-only int64 array: the bases are the integers in
+    [2, limit] that are not among them.  A set holds one of the two arrays
+    and builds the other on first read: a set from ``admissible_up_to``
+    holds a view of the store's powers, and builds its own bases, a block
+    at a time; a set made here holds the ``members`` it is given, as any
+    sequence of integers (a caller's writeable array is copied, never
+    frozen in place).
     """
 
     limit: int
     term_count: int
+    _from_store = False
 
     def __init__(self, limit: int, members, term_count: int):
         bases = np.asarray(members, dtype=np.int64)
@@ -92,20 +96,29 @@ class AdmissibleSet:
     @classmethod
     def _in_store(cls, limit: int, powers: np.ndarray) -> AdmissibleSet:
         """The set up to limit, with powers, the store's perfect powers up
-        to limit; its bases are read off the store when first read."""
+        to limit."""
         aset = cls.__new__(cls)
         object.__setattr__(aset, "limit", limit)
         object.__setattr__(aset, "term_count", limit - 1 - len(powers))
+        object.__setattr__(aset, "_from_store", True)
         aset.__dict__["powers"] = powers
         return aset
 
     @cached_property
     def bases(self) -> np.ndarray:
-        return _STORE.bases(self.limit)
+        bases = np.empty(self.term_count, dtype=np.int64)
+        for i, r in _base_blocks(self.powers, self.limit):
+            bases[i : i + len(r)] = r
+        return _frozen(bases)
 
     @cached_property
     def powers(self) -> np.ndarray:
-        return _frozen(_perfect_powers(self.limit))
+        limit = int(self.limit)
+        skipped = np.ones(limit + 1, dtype=bool)
+        skipped[:2] = False
+        bases = self.bases
+        skipped[bases[(bases >= 2) & (bases <= limit)]] = False
+        return _frozen(np.flatnonzero(skipped))
 
     @cached_property
     def members(self) -> tuple[int, ...]:
@@ -115,14 +128,22 @@ class AdmissibleSet:
     def __eq__(self, other):
         if not isinstance(other, AdmissibleSet):
             return NotImplemented
-        return (
-            self.limit == other.limit
-            and self.term_count == other.term_count
-            and np.array_equal(self.bases, other.bases)
-        )
+        if (self.limit, self.term_count) != (other.limit, other.term_count):
+            return False
+        # Two sets from the store are decided by their powers, so comparing
+        # them builds no bases; a set made from members compares its bases.
+        if self._from_store and other._from_store:
+            return np.array_equal(self.powers, other.powers)
+        return np.array_equal(self.bases, other.bases)
 
     def __hash__(self):
         return hash((self.limit, self.term_count))
+
+    def __repr__(self):
+        return (
+            f"AdmissibleSet(limit={self.limit!r}, term_count={self.term_count!r},"
+            f" powers={self.powers!r})"
+        )
 
 
 def _int_kth_root(m: int, k: int) -> int:
@@ -186,80 +207,76 @@ def _base_blocks(powers: np.ndarray, n: int):
         below = above
 
 
+def _logs_and_signs(powers: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log r as float64 and (-1)**(r-1) as int8 for the admissible bases
+    r <= n, with powers the perfect powers up to n."""
+    count = n - 1 - len(powers)
+    logs = np.empty(count)
+    signs = np.empty(count, dtype=np.int8)
+    for i, r in _base_blocks(powers, n):
+        # Each step is in place or a plain cast, which takes no buffer of
+        # its own.
+        block = logs[i : i + len(r)]
+        block[:] = r
+        np.log(block, out=block)
+        # (-1)**(r-1): 1 for odd bases, -1 for even ones.
+        r &= 1
+        r *= 2
+        r -= 1
+        signs[i : i + len(r)] = r
+    return _frozen(logs), _frozen(signs)
+
+
 class _State(NamedTuple):
     limit: int
     powers: np.ndarray  # the perfect powers up to limit
     floats: tuple[np.ndarray, np.ndarray] | None  # logs and signs, once built
-    bases: np.ndarray | None  # once read
 
 
 class _PrefixStore:
     """The perfect powers up to the largest n asked for so far, with the
-    log r and (-1)**(r-1) arrays every evaluator sums over and, once read,
-    the bases.
+    log r and (-1)**(r-1) arrays every evaluator sums over.
 
     Every smaller n reads read-only prefix views of these arrays, so the
     process keeps one copy of the base data instead of one per n.  The
     store only grows: a larger n drops the arrays built at the smaller one,
-    and the logs and signs and the bases are each built on first use, a
-    block at a time.  Each state is swapped in whole, so a reader never
-    sees arrays of two sizes.
+    and the logs and signs are built on first use, a block at a time.  Each
+    state is swapped in whole, so a reader never sees arrays of two sizes,
+    and one thread at a time makes a new one, so no thread drops the
+    arrays another built or takes the store back to a smaller n.
     """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self.clear()
 
     def clear(self) -> None:
-        self._state = _State(1, _frozen(np.empty(0, dtype=np.int64)), None, None)
+        self._state = _State(1, _frozen(np.empty(0, dtype=np.int64)), None)
 
-    def _covering(self, n: int) -> _State:
-        """The state, grown to n."""
+    def _covering(self, n: int, floats: bool = False) -> _State:
+        """The state, grown to n, with its logs and signs if floats."""
         state = self._state
-        if n > state.limit:
-            state = self._state = _State(n, _frozen(_perfect_powers(n)), None, None)
-            # The cached sets view the arrays just replaced; dropping them
-            # lets those arrays be freed.
-            admissible_up_to.cache_clear()
+        if n > state.limit or (floats and state.floats is None):
+            with self._lock:
+                state = self._state
+                if n > state.limit:
+                    state = self._state = _State(n, _frozen(_perfect_powers(n)), None)
+                    # The cached sets view the arrays just replaced;
+                    # dropping them lets those arrays be freed.
+                    admissible_up_to.cache_clear()
+                if floats and state.floats is None:
+                    logs_signs = _logs_and_signs(state.powers, state.limit)
+                    state = self._state = state._replace(floats=logs_signs)
         return state
-
-    @staticmethod
-    def _count(state: _State, n: int) -> int:
-        """The number of admissible bases up to n <= state.limit."""
-        return n - 1 - int(np.searchsorted(state.powers, n, side="right"))
 
     def admissible_up_to(self, n: int) -> AdmissibleSet:
         powers = self._covering(n).powers
         return AdmissibleSet._in_store(n, powers[: np.searchsorted(powers, n, "right")])
 
     def logs_and_signs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        state = self._covering(n)
-        if state.floats is None:
-            count = self._count(state, state.limit)
-            logs = np.empty(count)
-            signs = np.empty(count, dtype=np.int8)
-            for i, r in _base_blocks(state.powers, state.limit):
-                # Each step is in place or a plain cast, which takes no
-                # buffer of its own.
-                block = logs[i : i + len(r)]
-                block[:] = r
-                np.log(block, out=block)
-                # (-1)**(r-1): 1 for odd bases, -1 for even ones.
-                r &= 1
-                r *= 2
-                r -= 1
-                signs[i : i + len(r)] = r
-            state = self._state = state._replace(floats=(_frozen(logs), _frozen(signs)))
-        count = self._count(state, n)
+        state = self._covering(n, floats=True)
+        count = n - 1 - int(np.searchsorted(state.powers, n, side="right"))
         return state.floats[0][:count], state.floats[1][:count]
-
-    def bases(self, n: int) -> np.ndarray:
-        state = self._covering(n)
-        if state.bases is None:
-            bases = np.empty(self._count(state, state.limit), dtype=np.int64)
-            for i, r in _base_blocks(state.powers, state.limit):
-                bases[i : i + len(r)] = r
-            state = self._state = state._replace(bases=_frozen(bases))
-        return state.bases[: self._count(state, n)]
 
 
 _STORE = _PrefixStore()
@@ -271,7 +288,7 @@ def admissible_up_to(n) -> AdmissibleSet:
 
     The set holds a read-only prefix view of the perfect powers kept at the
     largest n asked for so far, so it is cheap to make; its ``bases`` are
-    built only when read, as a prefix view of one array at that n.
+    built from them only when read.
     """
     return _STORE.admissible_up_to(check_int(n, "n", 2, MAX_LIMIT))
 

@@ -161,18 +161,6 @@ _BOUNDS = ("re_min", "re_max", "im_min", "im_max")
 
 def _checked_bounds(bounds) -> tuple[float, float, float, float]:
     """(re_min, re_max, im_min, im_max) as finite floats, min < max per axis."""
-    # Fast path for the common case, an exact tuple of four exact floats,
-    # finite and in order (nan fails every comparison); every other value
-    # takes the full checks below.
-    if (
-        type(bounds) is tuple
-        and len(bounds) == 4
-        and type(bounds[0]) is type(bounds[1]) is float
-        and type(bounds[2]) is type(bounds[3]) is float
-        and -math.inf < bounds[0] < bounds[1] < math.inf
-        and -math.inf < bounds[2] < bounds[3] < math.inf
-    ):
-        return bounds
     try:
         re_min, re_max, im_min, im_max = bounds
     except (TypeError, ValueError):

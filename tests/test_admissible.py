@@ -1,5 +1,7 @@
 """Perfect-power classification and the admissible sieve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from zetasieve import (
     zeta_coth_partial,
     zeta_direct_partial,
 )
+from zetasieve import admissible
 
 
 def brute_force_powers(limit):
@@ -154,6 +157,53 @@ class TestAdmissibleUpTo:
         for call in calls:
             with pytest.raises(InputError):
                 call()
+
+
+class TestBasesAndPowers:
+    """A set holds its bases or its perfect powers and builds the other from
+    it; the two agree, and equality between sets from the store builds
+    nothing."""
+
+    @staticmethod
+    def forget():
+        admissible_up_to.cache_clear()
+        admissible._STORE.clear()
+
+    @pytest.mark.parametrize("limit", [12, np.int64(12)], ids=["int", "int64"])
+    def test_a_set_given_members_finds_its_powers(self, limit):
+        members = (2, 3, 5, 6, 7, 10, 11, 12)
+        built = AdmissibleSet(limit=limit, members=members, term_count=8)
+        assert built.powers.tolist() == [4, 8, 9]
+        assert not built.powers.flags.writeable
+        assert built == admissible_up_to(12) and admissible_up_to(12) == built
+
+    def test_sets_from_the_store_compare_without_building_bases(self):
+        self.forget()
+        first = admissible_up_to(100_000)
+        self.forget()
+        again = admissible_up_to(100_000)
+        assert first == again and first is not again
+        assert first != admissible_up_to(99_999)
+        assert "bases" not in vars(first) and "bases" not in vars(again)
+        # A set made from members compares base by base, here unequal.
+        shifted = AdmissibleSet(3, (3, 2), 2)
+        assert shifted != admissible_up_to(3)
+
+    def test_a_small_set_builds_only_its_own_bases(self):
+        self.forget()
+        zeta_direct_partial(complex(0.5, 14.0), 300_000)
+        tracemalloc.start()
+        try:
+            assert admissible_up_to(6).members == (2, 3, 5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10
+
+    def test_repr_shows_the_powers(self):
+        assert repr(admissible_up_to(12)) == (
+            "AdmissibleSet(limit=12, term_count=8, powers=array([4, 8, 9]))"
+        )
 
 
 class TestPartitionProperty:

@@ -390,10 +390,11 @@ class TestPrefixStore:
         representations._bernoulli_polynomial.cache_clear()
 
     @staticmethod
-    def store_array(name="bases"):
-        """The array that owns the memory of the store's bases (or of its
-        perfect powers)."""
-        array = getattr(admissible._STORE._state, name)
+    def store_array(name="powers"):
+        """The array that owns the memory of the store's perfect powers (or
+        of its logs)."""
+        state = admissible._STORE._state
+        array = state.floats[0] if name == "logs" else getattr(state, name)
         return array if array.base is None else array.base
 
     @staticmethod
@@ -427,9 +428,12 @@ class TestPrefixStore:
         large_powers = admissible_up_to(self.LARGE).powers
         for n in (2, 97, 20_000, self.LARGE - 1):
             small = base_data(n)
+            # Each set builds its own bases; the logs and signs are views.
             assert admissible_up_to(n).bases is small[0]
-            for a, whole in zip(small, large):
+            assert small[0].tolist() == large[0][: len(small[0])].tolist()
+            for a, whole in zip(small[1:], large[1:]):
                 assert np.shares_memory(a, whole)
+            for a in small:
                 assert not a.flags.writeable
                 assert len(a) == admissible_up_to(n).term_count
             powers = admissible_up_to(n).powers
@@ -440,15 +444,15 @@ class TestPrefixStore:
     def test_growth_drops_sets_that_view_the_old_arrays(self):
         self.forget()
         small = [2, 97, 20_000]
-        for n in small:
-            admissible_up_to(n).bases
-        old = [weakref.ref(self.store_array(a)) for a in ("bases", "powers")]
-        admissible_up_to(self.LARGE)
+        old = [weakref.ref(admissible_up_to(n).bases) for n in small]
+        admissible.base_logs_and_signs(small[-1])
+        old += [weakref.ref(self.store_array(a)) for a in ("powers", "logs")]
+        base_data(self.LARGE)
         gc.collect()
-        assert [ref() for ref in old] == [None, None]
+        assert [ref() for ref in old] == [None] * len(old)
         for n in (*small, self.LARGE):
-            assert admissible_up_to(n).bases.base is self.store_array()
-            assert admissible_up_to(n).powers.base is self.store_array("powers")
+            assert admissible_up_to(n).powers.base is self.store_array()
+            assert admissible.base_logs_and_signs(n)[0].base is self.store_array("logs")
 
 
 class TestStore:
@@ -479,7 +483,7 @@ class TestStore:
             u = w if kind is RepresentationKind.BERNOULLI_SERIES else z
             representations.partial_sum_table(kind, u, n, [2, n // 3, n], 30)
 
-    def test_an_evaluation_keeps_nine_bytes_per_base_and_no_bases(self):
+    def test_an_evaluation_keeps_nine_bytes_per_base_and_no_bases(self, monkeypatch):
         TestPrefixStore.forget()
         gc.collect()
         tracemalloc.start()
@@ -493,10 +497,32 @@ class TestStore:
         # A few KiB of Python objects (the cached set, the lru_cache entry)
         # on top of the arrays.
         assert held <= 9 * aset.term_count + aset.powers.nbytes + (16 << 10)
-        assert admissible._STORE._state.bases is None
+
+        def unread(aset):
+            raise AssertionError(f"an evaluator read the bases up to {aset.limit}")
+
+        monkeypatch.setattr(admissible.AdmissibleSet, "bases", property(unread))
         self.all_paths(self.N)
         self.all_paths(1_000)
-        assert admissible._STORE._state.bases is None
+
+    def test_a_growth_during_a_build_is_kept(self, monkeypatch):
+        TestPrefixStore.forget()
+        build = admissible._logs_and_signs
+        grower = threading.Thread(target=admissible.base_logs_and_signs, args=(50_000,))
+
+        def build_while_another_thread_grows(powers, n):
+            if n == 20_000:
+                grower.start()
+                grower.join(0.2)  # it waits for this build to be kept
+            return build(powers, n)
+
+        monkeypatch.setattr(admissible, "_logs_and_signs", build_while_another_thread_grows)
+        logs, _ = admissible.base_logs_and_signs(20_000)
+        grower.join(60)
+        assert not grower.is_alive()
+        state = admissible._STORE._state
+        assert state.limit == 50_000 and state.floats is not None
+        assert logs.tobytes() == admissible.base_logs_and_signs(20_000)[0].tobytes()
 
     @pytest.mark.parametrize(
         "read",

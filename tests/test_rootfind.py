@@ -8,8 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 import roots_frozen as frozen
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from zetasieve import (
     ContourError,
@@ -26,7 +24,7 @@ from zetasieve import (
     newton_refine,
     winding_count,
 )
-from zetasieve.rootfind import _checked_bounds, _nudged
+from zetasieve.rootfind import _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -219,43 +217,6 @@ class TestNewtonRefine:
                     assert len(seen) - len(set(seen)) <= 2, seen
                     assert out.location in seen
                     assert out.residual == abs(t.value_at(out.location))
-
-
-class _Float(float):
-    """A float that _checked_bounds' fast path, for exact floats, does not
-    take."""
-
-
-def _bounds_outcome(bounds):
-    try:
-        got = _checked_bounds(bounds)
-    except InputError as exc:
-        return "refused", str(exc)
-    return "accepted", [type(b) for b in got], [b.hex() for b in got]
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    st.lists(
-        st.one_of(st.floats(), st.floats(-3.0, 3.0), st.integers(-3, 3)),
-        min_size=3,
-        max_size=5,
-    )
-)
-@example([-5.0, 5.0, -10.0, 10.0])
-@example([0.0, -0.0, 1.0, 2.0])
-@example([-0.0, 0.0, 1.0, 2.0])
-@example([-math.inf, 0.0, 1.0, 2.0])
-@example([0.0, 1.0, 2.0, math.inf])
-@example([0.0, math.nan, 1.0, 2.0])
-@example([1.0, 1.0, 1.0, 2.0])
-@example([0.0, 1.0, 2.0, 2.0])
-@example([1, 2.0, 3.0, 4.0])
-def test_bounds_fast_path_accepts_and_refuses_what_the_full_checks_do(values):
-    wrapped = [_Float(v) if type(v) is float else v for v in values]
-    assert _bounds_outcome(tuple(values)) == _bounds_outcome(tuple(wrapped))
-    # A list takes the full checks too.
-    assert _bounds_outcome(list(values)) == _bounds_outcome(wrapped)
 
 
 class TestWindingCount:
