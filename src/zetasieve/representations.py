@@ -647,9 +647,13 @@ def zeta_alt_coth_partial(z, n) -> EvalResult:
     """Alternating coth form with the printed branch constant.
 
     The constant is 1 when the term count l is even and 1/2 when l is odd.
-    (The branch rule matches the plain alternating form exactly when the
-    parity balance of the admissible set cooperates, which it does at every
-    truncation this package pins in its fixtures; see the tests.)
+    Term by term the plain alternating form regroups to the constant
+    1 - s/2 instead, with s the number of odd members minus the number of
+    even ones, and the two constants agree only when s is 0 or 1.  At any
+    other truncation, n = 2 the first, this form differs from
+    zeta_alt_partial by |s - l mod 2|/2 over |1 - 2**(1-z)|: at z = 1.3+7i,
+    at 1326 of n = 2..3000.  See the README's note on the alt-coth branch
+    constant.
     """
     return _evaluate(RepresentationKind.ALTERNATING_COTH, z, n)
 

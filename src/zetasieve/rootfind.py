@@ -14,26 +14,31 @@ interpreter lock, so find_zeros accepts a thread count but does not use
 threads.  Newton evaluates f and f' once per iterate, and the pair of the
 last iterate carries into the polish steps and the reported residual.
 
-Target evaluation at one point is a scalar cmath loop over the member list
-(value_at, and value_and_derivative_at, which gives the value and the
-derivative from one exp per base): at the handful of terms a search uses,
-one point costs less than half of what the same sums cost in numpy.  A
-verification contour is evaluated as one array (values_at), one base at a
-time in member order; it agrees with value_at to rounding, and only the
-winding count drawn from it is used.  The vectorized evaluators in the
-representations module are the tool for large n.  Everything about the
-pole lattice -- Newton's gate, the clearance of a verification circle, the
-radius it may take, the sides of a search rectangle that a pole touches --
-goes through the representations module (pole_gate, nearest_pole,
-pole_distance), so the lattice is written down once, and one gate,
-POLE_GATE, serves them all.
+Target evaluation at one point is a scalar cmath loop over the target's
+terms, one (log r, sign, sign*log r) triple per member built with the
+target (value_at, and value_and_derivative_at, which gives the value and
+the derivative from one exp per base): at the handful of terms a search
+uses, one point costs less than half of what the same sums cost in numpy.
+Newton is most of a search's time, so its loop does little besides the
+arithmetic: it unpacks the box and binds the evaluation once per seed and
+calls the pole gate directly, and the evaluation keeps the plain loop's
+operations in their order, so every float keeps its bits.  A search takes
+at most MAX_SEEDS seeds.  A verification contour is evaluated as one array
+(values_at), one base at a time in member order; it agrees with value_at
+to rounding, and only the winding count drawn from it is used.  The
+vectorized evaluators in the representations module are the tool for
+large n.  Everything about the pole lattice -- Newton's gate, the
+clearance of a verification circle, the radius it may take, the sides of a
+search rectangle that a pole touches -- goes through the representations
+module (pole_gate, nearest_pole, pole_distance), so the lattice is written
+down once, and one gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Target:
-    """Partial-sum descriptor: kind, truncation, and additive constant."""
+    """Partial-sum descriptor: kind, truncation, and additive constant.
+
+    terms holds one (log r, sign, sign*log r) triple per member, built once,
+    for the scalar and contour loops.
+    """
 
     kind: RepresentationKind
     n: int
@@ -79,26 +88,35 @@ class Target:
     members: tuple[int, ...]
     logs: tuple[float, ...]
     signs: tuple[float, ...]
+    terms: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        terms = tuple((lg, s, s * lg) for lg, s in zip(self.logs, self.signs))
+        object.__setattr__(self, "terms", terms)
 
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
 
     def value_and_derivative_at(self, z: complex) -> tuple[complex, complex]:
         """f(z) and f'(z) from one cmath.exp per base."""
+        exp = cmath.exp
         value = complex(self.constant)
         slope = 0j
         if z.real >= 0.0:
-            for lg, s in zip(self.logs, self.signs):
-                w = cmath.exp(-z * lg)
+            nz = -z
+            for lg, s, slg in self.terms:
+                w = exp(nz * lg)
                 d = 1.0 - w
                 value += s * w / d
-                slope += s * lg * w / (d * d)
+                slope += slg * w / (d * d)
         else:
-            for lg, s in zip(self.logs, self.signs):
-                v = cmath.exp(z * lg)
+            for lg, s, slg in self.terms:
+                v = exp(z * lg)
                 d = v - 1.0
                 value += s / d
-                slope += s * lg * v / (d * d)
+                slope += slg * v / (d * d)
         return value, -slope
 
     def value_at(self, z: complex) -> complex:
@@ -114,7 +132,7 @@ class Target:
         right = points.real >= 0.0
         u = np.where(right, -points, points)
         value = np.full(points.shape, complex(self.constant))
-        for lg, s in zip(self.logs, self.signs):
+        for lg, s, _ in self.terms:
             e = np.exp(u * lg)
             value += np.where(right, s * e, -s) / (1.0 - e)
         return value
@@ -178,9 +196,15 @@ def _checked_bounds(bounds) -> tuple[float, float, float, float]:
     return re_min, re_max, im_min, im_max
 
 
+# Seeds per search, grid_re * grid_im, at most: a search holds every seed
+# and its Newton outcome at once, some hundreds of bytes each.
+MAX_SEEDS = 10**6
+
+
 @dataclass(frozen=True)
 class SearchRegion:
-    """Rectangle in the z plane plus the per-axis seed counts."""
+    """Rectangle in the z plane plus the per-axis seed counts, at least 2
+    each and at most MAX_SEEDS in all."""
 
     re_min: float
     re_max: float
@@ -195,6 +219,11 @@ class SearchRegion:
             object.__setattr__(self, name, value)
         for name in ("grid_re", "grid_im"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 2))
+        if self.grid_re * self.grid_im > MAX_SEEDS:
+            raise InputError(
+                f"a {self.grid_re}x{self.grid_im} grid asks for"
+                f" {self.grid_re * self.grid_im} seeds, more than {MAX_SEEDS}"
+            )
 
     def contains(self, z: complex) -> bool:
         return (
@@ -254,30 +283,35 @@ def newton_refine(
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
     else:
         box = _checked_bounds(box)
+    re_min, re_max, im_min, im_max = box
+    evaluate = target.value_and_derivative_at
+    n = target.n
     iterations = 0
     pair = None  # (f, f') at z, once evaluated
     while iterations < _MAX_ITER:
         if pair is None:
-            if _near_pole(target, z):
+            try:
+                pole_gate(z, n)
+            except PoleProximityError:
                 return NewtonFailure("pole", z, iterations)
-            pair = target.value_and_derivative_at(z)
+            pair = evaluate(z)
         fz, dz = pair
         if abs(dz) < 1e-14:
             return NewtonFailure("stagnation", z, iterations)
         step = fz / dz
         z_next = z - step
         iterations += 1
-        if not (
-            box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
-        ):
+        if not (re_min <= z_next.real <= re_max and im_min <= z_next.imag <= im_max):
             return NewtonFailure("escape", z_next, iterations)
         if z_next != z or not _identical(z_next, z):  # != alone is faster
             z, pair = z_next, None
         if abs(step) < tol:
             if pair is None:
-                if _near_pole(target, z):
+                try:
+                    pole_gate(z, n)
+                except PoleProximityError:
                     return NewtonFailure("pole", z, iterations)
-                pair = target.value_and_derivative_at(z)
+                pair = evaluate(z)
             if abs(pair[0]) <= tol:
                 z, fz = _polish(target, z, pair, box)
                 return RootRecord(
@@ -311,20 +345,13 @@ def _checked_target(target) -> Target:
     return target
 
 
-def _near_pole(target, z) -> bool:
-    """Whether the representations pole gate refuses z."""
-    try:
-        pole_gate(z, target.n)
-    except PoleProximityError:
-        return True
-    return False
-
-
 def _polish(target, z, pair, box):
     """A couple of extra Newton steps to push the residual to rounding.
 
     pair is (f, f') at z.  Returns the final z and f(z).
     """
+    re_min, re_max, im_min, im_max = box
+    evaluate = target.value_and_derivative_at
     fz, dz = pair
     for _ in range(2):
         if abs(dz) < 1e-14:
@@ -332,13 +359,13 @@ def _polish(target, z, pair, box):
         z_next = z - fz / dz
         if _identical(z_next, z):  # the step is below rounding: done
             break
-        if not (
-            box[0] <= z_next.real <= box[1] and box[2] <= z_next.imag <= box[3]
-        ):
+        if not (re_min <= z_next.real <= re_max and im_min <= z_next.imag <= im_max):
             break
-        if _near_pole(target, z_next):
+        try:
+            pole_gate(z_next, target.n)
+        except PoleProximityError:
             break
-        pair = target.value_and_derivative_at(z_next)
+        pair = evaluate(z_next)
         if not abs(pair[0]) <= abs(fz):
             break
         z, (fz, dz) = z_next, pair

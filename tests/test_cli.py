@@ -288,6 +288,23 @@ class TestZeros:
         assert roots[0]["conjugate_of"] == 1
         assert roots[1]["conjugate_of"] == 0
 
+    def test_oversized_grid_is_refused_before_any_seed(self):
+        # 9e8 seeds would fill the memory while the seed list was built; the
+        # child's address space is capped so a regression fails fast.
+        cap = 512 << 20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zetasieve", "zeros", "--rep", "direct",
+             "--n", "6", "--region", "0,1,0,1", "--grid", "30000,30000"],
+            capture_output=True, text=True, check=False, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
+        )
+        assert done.returncode == 2
+        assert "seeds" in done.stderr and "MemoryError" not in done.stderr
+
     def test_explicit_target_with_constant(self, capsys):
         code, out, _ = run(
             capsys, "zeros", "--rep", "alt", "--n", "5", "--constant", "0.5",

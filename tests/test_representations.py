@@ -69,6 +69,30 @@ def alt_coth_constant_matches(n):
     return branch == 1.0 - s / 2.0
 
 
+def identity_rounding_bound(z, n):
+    """A bound on |direct - coth| at z and n from rounding alone.
+
+    With x = z log r and d = 1/(e**x - 1), a term of either form is d or
+    (1 + 2d)/2.  Rounding x moves it by about EPS |x| times its derivative
+    d(1 + d); forming it adds a few EPS of its magnitude, at most 1 + 2|d|
+    for coth; and the pairwise sums and the constants 1 and (2 - l)/2 add
+    EPS (log2 l + a few) times the sum of the term magnitudes.  A safety
+    factor of 16 covers the constants dropped.
+    """
+    eps = np.finfo(float).eps
+    logs = np.log(np.array(admissible_up_to(n).members, dtype=float))
+    x = z * logs
+    if z.real >= 0.0:
+        w = np.exp(-x)
+        d = w / (1.0 - w)
+    else:
+        d = 1.0 / (np.exp(x) - 1.0)
+    ad = np.abs(d)
+    per_term = (np.abs(x) + 4.0) * ad * np.abs(1.0 + d) + 4.0 * (ad + 1.0)
+    sums = (math.log2(len(logs)) + 4.0) * (3.0 * ad.sum() + len(logs))
+    return 16.0 * eps * (per_term.sum() + sums)
+
+
 VALID_ALT_N = [n for n in range(2, 201) if alt_coth_constant_matches(n)]
 
 EVALUATORS = {
@@ -160,6 +184,29 @@ class TestFamilyIdentities:
             b = zeta_alt_coth_partial(z, n_alt).value
             assert abs(a - b) <= 1e-11 * (1 + abs(a)), f"z={z} n={n_alt}"
             checked += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        re=st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0)),
+        im=st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0])),
+        n=st.integers(2, 3000),
+    )
+    @example(1.3, 7.0, 2)
+    @example(0.5, 14.134725, 3000)
+    @example(-2.5, 0.0, 100)
+    @example(1e-5, 2 * math.pi / math.log(2), 17)
+    def test_coth_equals_direct_within_rounding(self, re, im, n):
+        # coth(x/2)/2 = 1/(e**x - 1) + 1/2 term by term, so the two forms
+        # differ by rounding alone, which the bound below covers.
+        z = complex(re, im)
+        try:
+            a = zeta_direct_partial(z, n).value
+        except ZetaSieveError as exc:
+            with pytest.raises(type(exc)):
+                zeta_coth_partial(z, n)
+            return
+        b = zeta_coth_partial(z, n).value
+        assert abs(a - b) <= identity_rounding_bound(z, n), (z, n, abs(a - b))
 
     def test_branch_constant_mismatch_is_real(self):
         # The excluded truncations genuinely violate the identity, they are

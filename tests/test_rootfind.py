@@ -1,5 +1,6 @@
 """Newton refinement, winding counts, and the region search."""
 
+import cmath
 import math
 import random
 from dataclasses import replace
@@ -8,6 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 import roots_frozen as frozen
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetasieve import (
     ContourError,
@@ -24,7 +27,7 @@ from zetasieve import (
     newton_refine,
     winding_count,
 )
-from zetasieve.rootfind import _nudged
+from zetasieve.rootfind import MAX_SEEDS, _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -59,6 +62,34 @@ def assert_matches_frozen(roots, expected_pairs, reals=(), tol=1e-9):
     assert len(roots) == len(want)
     for rec, w in zip(roots, want):
         assert abs(rec.location - w) <= tol, f"{rec.location} vs {w}"
+
+
+def reference_value_and_derivative(target, z):
+    """Target.value_and_derivative_at as first written, zipping the logs and
+    signs on each call: the bits any faster form of the loop must keep."""
+    value = complex(target.constant)
+    slope = 0j
+    if z.real >= 0.0:
+        for lg, s in zip(target.logs, target.signs):
+            w = cmath.exp(-z * lg)
+            d = 1.0 - w
+            value += s * w / d
+            slope += s * lg * w / (d * d)
+    else:
+        for lg, s in zip(target.logs, target.signs):
+            v = cmath.exp(z * lg)
+            d = v - 1.0
+            value += s / d
+            slope += s * lg * v / (d * d)
+    return value, -slope
+
+
+def outcome_bits(evaluate, z):
+    """(f, f') at z as hex text, or the class of what the call raised."""
+    try:
+        return [bits(w) for w in evaluate(z)]
+    except ArithmeticError as exc:
+        return type(exc).__name__
 
 
 class TestTarget:
@@ -113,6 +144,38 @@ class TestTarget:
                 scalar = np.array([t.value_at(z) for z in points])
                 scale = np.maximum(np.abs(scalar), 1.0)
                 assert np.all(np.abs(batch - scalar) <= 1e-13 * scale), (kind, n)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from([DIRECT, ALT]),
+        n=st.integers(2, 60),
+        constant=st.sampled_from([1.0, 0.5, 0.0, -0.0]),
+        re=st.one_of(
+            st.floats(-4.0, 4.0), st.floats(-420.0, 420.0), st.sampled_from([0.0, -0.0])
+        ),
+        im=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0])),
+    )
+    @example(DIRECT, 2, 1.0, 0.0, 0.0)  # both raise at the pole z = 0
+    @example(ALT, 60, 1.0, 400.0, -0.0)  # exp underflows on the real axis
+    @example(ALT, 47, 0.0, -400.0, 0.0)
+    @example(DIRECT, 7, 0.5, -0.0, 3.0)
+    @example(ALT, 12, -0.0, -1.5, -0.0)
+    @example(DIRECT, 31, 1.0, 745.5, 2.0)
+    def test_value_and_derivative_keep_the_reference_bits(
+        self, kind, n, constant, re, im
+    ):
+        t = make_target(kind, n, constant)
+        z = complex(re, im)
+        want = outcome_bits(lambda w: reference_value_and_derivative(t, w), z)
+        assert outcome_bits(t.value_and_derivative_at, z) == want
+        if not isinstance(want, str):
+            assert bits(t.value_at(z)) == want[0]
+
+    def test_terms_are_built_once_from_logs_and_signs(self):
+        t = make_target(ALT, 6)
+        assert t.terms == tuple((lg, s, s * lg) for lg, s in zip(t.logs, t.signs))
+        assert t == make_target(ALT, 6)
+        assert "terms" not in repr(t)
 
     def test_alternating_signs(self):
         t = make_target(ALT, 6)
@@ -313,6 +376,14 @@ class TestSearchRegion:
             SearchRegion(-1.0, float("inf"), -1.0, 1.0)
         with pytest.raises(InputError):
             SearchRegion(False, True, 0, 1)
+
+    def test_grid_above_the_seed_cap_is_refused(self):
+        assert MAX_SEEDS == 10**6
+        region = SearchRegion(0.0, 1.0, 0.0, 1.0, 1000, 1000)
+        assert (region.grid_re, region.grid_im) == (1000, 1000)
+        for grid in ((1001, 1000), (2, 500_001), (30000, 30000)):
+            with pytest.raises(InputError, match="seeds"):
+                SearchRegion(0.0, 1.0, 0.0, 1.0, *grid)
 
     def test_contains_is_boundary_inclusive(self):
         region = SearchRegion(-1.0, 1.0, -2.0, 2.0)
