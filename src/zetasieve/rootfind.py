@@ -22,16 +22,21 @@ uses, one point costs less than half of what the same sums cost in numpy.
 Newton is most of a search's time, so its loop does little besides the
 arithmetic: it unpacks the box and binds the evaluation once per seed and
 calls the pole gate directly, and the evaluation keeps the plain loop's
-operations in their order, so every float keeps its bits.  A search takes
-at most MAX_SEEDS seeds.  A verification contour is evaluated as one array
-(values_at), one base at a time in member order; it agrees with value_at
-to rounding, and only the winding count drawn from it is used.  The
-vectorized evaluators in the representations module are the tool for
-large n.  Everything about the pole lattice -- Newton's gate, the
-clearance of a verification circle, the radius it may take, the sides of a
-search rectangle that a pole touches -- goes through the representations
-module (pole_gate, nearest_pole, pole_distance), so the lattice is written
-down once, and one gate, POLE_GATE, serves them all.
+operations in their order, so every float keeps its bits.  The triples,
+the constant and the 1 in 1 - w and v - 1 are complex numbers, so every
+operation in the loop is complex by complex: CPython 3.11 would promote a
+float operand to complex(x, 0.0) on each mixed operation, then run the
+same complex routine, so the bits are the same and the promotions are
+saved.  A search takes at most MAX_SEEDS seeds, and a contour at most
+MAX_SAMPLES samples.  A verification contour is evaluated as one array
+(values_at), one base at a time in member order, from the float logs and
+signs; it agrees with value_at to rounding, and only the winding count
+drawn from it is used.  The vectorized evaluators in the representations
+module are the tool for large n.  Everything about the pole lattice --
+Newton's gate, the clearance of a verification circle, the radius it may
+take, the sides of a search rectangle that a pole touches -- goes through
+the representations module (pole_gate, nearest_pole, pole_distance), so
+the lattice is written down once, and one gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -78,8 +83,9 @@ __all__ = [
 class Target:
     """Partial-sum descriptor: kind, truncation, and additive constant.
 
-    terms holds one (log r, sign, sign*log r) triple per member, built once,
-    for the scalar and contour loops.
+    terms holds one (log r, sign, sign*log r) triple per member and start the
+    constant, all as complex numbers built once, for the scalar loop; the
+    contour loop reads the float logs and signs.
     """
 
     kind: RepresentationKind
@@ -88,13 +94,18 @@ class Target:
     members: tuple[int, ...]
     logs: tuple[float, ...]
     signs: tuple[float, ...]
-    terms: tuple[tuple[float, float, float], ...] = field(
+    terms: tuple[tuple[complex, complex, complex], ...] = field(
         init=False, repr=False, compare=False
     )
+    start: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = tuple((lg, s, s * lg) for lg, s in zip(self.logs, self.signs))
+        terms = tuple(
+            (complex(lg), complex(s), complex(s * lg))
+            for lg, s in zip(self.logs, self.signs)
+        )
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "start", complex(self.constant))
 
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
@@ -102,19 +113,19 @@ class Target:
     def value_and_derivative_at(self, z: complex) -> tuple[complex, complex]:
         """f(z) and f'(z) from one cmath.exp per base."""
         exp = cmath.exp
-        value = complex(self.constant)
+        value = self.start
         slope = 0j
         if z.real >= 0.0:
             nz = -z
             for lg, s, slg in self.terms:
                 w = exp(nz * lg)
-                d = 1.0 - w
+                d = (1 + 0j) - w
                 value += s * w / d
                 slope += slg * w / (d * d)
         else:
             for lg, s, slg in self.terms:
                 v = exp(z * lg)
-                d = v - 1.0
+                d = v - (1 + 0j)
                 value += s / d
                 slope += slg * v / (d * d)
         return value, -slope
@@ -132,7 +143,7 @@ class Target:
         right = points.real >= 0.0
         u = np.where(right, -points, points)
         value = np.full(points.shape, complex(self.constant))
-        for lg, s, _ in self.terms:
+        for lg, s in zip(self.logs, self.signs):
             e = np.exp(u * lg)
             value += np.where(right, s * e, -s) / (1.0 - e)
         return value
@@ -201,10 +212,37 @@ def _checked_bounds(bounds) -> tuple[float, float, float, float]:
 MAX_SEEDS = 10**6
 
 
+def _escape_box(re_min, re_max, im_min, im_max):
+    """Newton's escape fence for a search over a rectangle: the rectangle
+    widened by half its size, at least 1, on every side."""
+    margin_re = max(1.0, 0.5 * (re_max - re_min))
+    margin_im = max(1.0, 0.5 * (im_max - im_min))
+    return (
+        re_min - margin_re,
+        re_max + margin_re,
+        im_min - margin_im,
+        im_max + margin_im,
+    )
+
+
+def _too_large(region) -> InputError:
+    return InputError(
+        f"region ({region.re_min!r}, {region.re_max!r}, {region.im_min!r},"
+        f" {region.im_max!r}) is too large: with a {region.grid_re}x"
+        f"{region.grid_im} grid, its grid cells, nudged sides or escape box"
+        " would overflow"
+    )
+
+
 @dataclass(frozen=True)
 class SearchRegion:
     """Rectangle in the z plane plus the per-axis seed counts, at least 2
-    each and at most MAX_SEEDS in all."""
+    each and at most MAX_SEEDS in all.
+
+    A search may move sides of the rectangle out by a grid cell, two moves
+    at most, and fences Newton in the escape box around the result; a
+    rectangle for which any of these could overflow is refused.
+    """
 
     re_min: float
     re_max: float
@@ -224,6 +262,16 @@ class SearchRegion:
                 f"a {self.grid_re}x{self.grid_im} grid asks for"
                 f" {self.grid_re * self.grid_im} seeds, more than {MAX_SEEDS}"
             )
+        cell_re = (self.re_max - self.re_min) / (self.grid_re - 1)
+        cell_im = (self.im_max - self.im_min) / (self.grid_im - 1)
+        box = _escape_box(  # around the widest region _nudged can make
+            self.re_min - 2.0 * cell_re,
+            self.re_max + 2.0 * cell_re,
+            self.im_min - 2.0 * cell_im,
+            self.im_max + 2.0 * cell_im,
+        )
+        if not all(map(math.isfinite, box)):
+            raise _too_large(self)
 
     def contains(self, z: complex) -> bool:
         return (
@@ -372,6 +420,12 @@ def _polish(target, z, pair, box):
     return z, fz
 
 
+# Contour samples per winding count, at most: the contour is evaluated as
+# arrays of samples + 1 points, some tens of bytes each.  _verify goes up to
+# 4096.
+MAX_SAMPLES = 2**20
+
+
 def winding_count(
     target: Target,
     center,
@@ -384,12 +438,13 @@ def winding_count(
     the disc, or within POLE_GATE of the circle anywhere along it (not only
     at the samples), raises ContourError; one nearest_pole call on the
     center decides both.  Phase steps above pi/2 are refused
-    (ResolutionError) rather than unwrapped optimistically.
+    (ResolutionError) rather than unwrapped optimistically.  samples is
+    at most MAX_SAMPLES.
     """
     target = _checked_target(target)
     center = check_point(center)
     radius = check_real(radius, "radius", 0.0, strict=True)
-    samples = check_int(samples, "samples", 8)
+    samples = check_int(samples, "samples", 8, MAX_SAMPLES)
 
     # With no pole inside the disc, the pole nearest the center is also the
     # one nearest the circle, so this one test covers both refusals exactly.
@@ -431,7 +486,11 @@ def _nudged(region: SearchRegion, target: Target) -> SearchRegion:
     the heights within half its height h of its midpoint m, so it lies
     hypot(c, max(0, d - h)) from them, with d the distance from i*m to the
     nearest pole.  A tie goes to the side name first in alphabetical order.
+
+    A moved region is checked again as a SearchRegion, more widely than the
+    search over it needs; if that check fails, the region given is refused.
     """
+    given = region
     cell_re = (region.re_max - region.re_min) / (region.grid_re - 1)
     cell_im = (region.im_max - region.im_min) / (region.grid_im - 1)
     shift = {
@@ -441,6 +500,8 @@ def _nudged(region: SearchRegion, target: Target) -> SearchRegion:
         foot = min(max(0.0, region.re_min), region.re_max)
         half = 0.5 * (region.im_max - region.im_min)
         mid = 0.5 * (region.im_max + region.im_min)
+        if math.isinf(mid):  # the sum overflows, but then halving is exact
+            mid = 0.5 * region.im_max + 0.5 * region.im_min
         gap = max(0.0, nearest_pole(complex(0.0, mid), target.n)[0] - half)
         dist, side = min(
             (nearest_pole(complex(foot, region.im_min), target.n)[0], "im_min"),
@@ -450,7 +511,10 @@ def _nudged(region: SearchRegion, target: Target) -> SearchRegion:
         )
         if dist > POLE_GATE:
             break
-        region = replace(region, **{side: getattr(region, side) + shift[side]})
+        try:
+            region = replace(region, **{side: getattr(region, side) + shift[side]})
+        except InputError:
+            raise _too_large(given) from None
     return region
 
 
@@ -484,14 +548,7 @@ def find_zeros(
     res = np.linspace(region.re_min, region.re_max, region.grid_re)
     ims = np.linspace(region.im_min, region.im_max, region.grid_im)
     seeds = [complex(a, b) for b in ims for a in res]
-    margin_re = max(1.0, 0.5 * (region.re_max - region.re_min))
-    margin_im = max(1.0, 0.5 * (region.im_max - region.im_min))
-    box = (
-        region.re_min - margin_re,
-        region.re_max + margin_re,
-        region.im_min - margin_im,
-        region.im_max + margin_im,
-    )
+    box = _escape_box(region.re_min, region.re_max, region.im_min, region.im_max)
     results = [newton_refine(target, seed, tol=tol, box=box) for seed in seeds]
 
     # Seed-order deduplication; keep the lowest residual per cluster.

@@ -305,6 +305,25 @@ class TestZeros:
         assert done.returncode == 2
         assert "seeds" in done.stderr and "MemoryError" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "region, grid",
+        [
+            ("-1e308,1e308,0,1", "2"),
+            ("-1.5e308,0,0,1", "2"),
+            ("0,1,-1.7e308,1.7e308", "40"),
+            ("-2.5e307,0,0,1", "2"),
+        ],
+    )
+    def test_region_whose_search_would_overflow_is_refused(self, capsys, region, grid):
+        code, out, err = run(
+            capsys, "zeros", "--rep", "direct", "--n", "6",
+            f"--region={region}", "--grid", grid,
+        )
+        bounds = ", ".join(repr(float(b)) for b in region.split(","))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: region ({bounds}) is too large")
+        assert len(err.splitlines()) == 1
+
     def test_explicit_target_with_constant(self, capsys):
         code, out, _ = run(
             capsys, "zeros", "--rep", "alt", "--n", "5", "--constant", "0.5",

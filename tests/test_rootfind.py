@@ -27,7 +27,7 @@ from zetasieve import (
     newton_refine,
     winding_count,
 )
-from zetasieve.rootfind import MAX_SEEDS, _nudged
+from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -172,10 +172,24 @@ class TestTarget:
             assert bits(t.value_at(z)) == want[0]
 
     def test_terms_are_built_once_from_logs_and_signs(self):
-        t = make_target(ALT, 6)
-        assert t.terms == tuple((lg, s, s * lg) for lg, s in zip(t.logs, t.signs))
-        assert t == make_target(ALT, 6)
-        assert "terms" not in repr(t)
+        # Exact complex numbers with a +0.0 imaginary part, so that the
+        # scalar loop does no float/complex promotion; == alone would let
+        # floats pass.
+        def exact(w, x):
+            return (
+                type(w) is complex
+                and w.real.hex() == x.hex()
+                and bits(w)[1] == (0.0).hex()
+            )
+
+        for kind, constant in ((ALT, 1.0), (DIRECT, 0.5), (ALT, -0.0)):
+            t = make_target(kind, 47, constant)
+            assert len(t.terms) == len(t.members)
+            for (lg, s, slg), lg0, s0 in zip(t.terms, t.logs, t.signs):
+                assert exact(lg, lg0) and exact(s, s0) and exact(slg, s0 * lg0)
+            assert exact(t.start, constant)
+            assert t == make_target(kind, 47, constant)
+            assert "terms" not in repr(t) and "start" not in repr(t)
 
     def test_alternating_signs(self):
         t = make_target(ALT, 6)
@@ -352,6 +366,15 @@ class TestWindingCount:
             winding_count(t, center, radius)
         assert winding_count(t, center, radius, samples=1024) == 0
 
+    def test_samples_above_the_cap_are_refused_before_any_array(self):
+        # 10**12 samples would ask numpy for terabytes before any check.
+        assert 4096 <= MAX_SAMPLES < 10**8
+        t = make_target(DIRECT, 6)
+        for samples in (MAX_SAMPLES + 1, 10**8, 10**12):
+            with pytest.raises(InputError, match="samples"):
+                winding_count(t, 0.5 + 3j, 0.1, samples=samples)
+        assert winding_count(t, 0.5 + 3j, 0.1, samples=MAX_SAMPLES) == 0
+
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
         for radius in (-0.1, True, float("inf")):
@@ -384,6 +407,33 @@ class TestSearchRegion:
         for grid in ((1001, 1000), (2, 500_001), (30000, 30000)):
             with pytest.raises(InputError, match="seeds"):
                 SearchRegion(0.0, 1.0, 0.0, 1.0, *grid)
+
+    @pytest.mark.parametrize(
+        "bounds, grid",
+        [
+            ((-1e308, 1e308, 0.0, 1.0), 2),  # the cell overflows
+            ((-1.5e308, 0.0, 0.0, 1.0), 2),  # a nudged side overflows
+            ((0.0, 1.0, -1.7e308, 1.7e308), 40),  # the escape box overflows
+            ((0.0, 1.0, 1e308, 1.7e308), 40),
+        ],
+    )
+    def test_rectangle_whose_search_would_overflow_is_refused(self, bounds, grid):
+        with pytest.raises(InputError, match=r"region \(.*\) is too large"):
+            SearchRegion(*bounds, grid_re=grid, grid_im=grid)
+
+    def test_region_refused_only_once_nudged_is_named_as_given(self):
+        # The region passes, but the side on the axis is moved out by a
+        # 2.5e307 cell, and the moved region does not.
+        region = SearchRegion(-2.5e307, 0.0, 0.0, 1.0, 2, 2)
+        with pytest.raises(InputError, match=r"region \(-2\.5e\+307, 0\.0, 0\.0"):
+            find_zeros(make_target(DIRECT, 6), region)
+
+    def test_huge_but_finite_rectangles_are_searched(self):
+        # The sum of the two heights overflows; the search must not.
+        t = make_target(DIRECT, 6)
+        for bounds in ((0.0, 1.0, 0.9e308, 0.95e308), (0.0, 1.0, -0.95e308, -0.9e308)):
+            assert find_zeros(t, SearchRegion(*bounds, grid_re=3, grid_im=3)) == []
+        SearchRegion(-1e307, 1e307, -1e307, 1e307)
 
     def test_contains_is_boundary_inclusive(self):
         region = SearchRegion(-1.0, 1.0, -2.0, 2.0)

@@ -8,8 +8,8 @@ record: what was called, its arguments and its result.  Floats print as
 float.hex, so signed zeros and the last bit show; a refusal prints as its
 error class and message.  The last line counts the records.
 
-It imports only the package from the checkout's src directory, takes no
-options, and runs in well under a minute on a laptop.
+It imports only numpy and the package from the checkout's src directory,
+takes no options, and runs in well under a minute on a laptop.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 import random
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -130,6 +132,30 @@ def targets(rng: random.Random) -> None:
                 record("winding_count", zs.winding_count, t, center, radius, samples)
 
 
+def values_on_circle(target, center, radius, samples):
+    """Target.values_at on a circle sampled as winding_count samples it."""
+    theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)
+    return target.values_at(center + radius * np.exp(1j * theta)).tolist()
+
+
+def circles() -> None:
+    # Right and left of Re z = 0, across it, centred on it, and far out on
+    # either side, where exp underflows.
+    rings = (
+        (complex(1.5, 10.0), 0.5),
+        (complex(-1.5, 5.0), 0.5),
+        (complex(0.2, 7.0), 0.6),
+        (complex(0.0, 14.0), 0.3),
+        (complex(800.0, 3.0), 5.0),
+        (complex(-800.0, -3.0), 5.0),
+    )
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        for n in (6, 47, 200):
+            t = zs.make_target(kind, n)
+            for center, radius in rings:
+                record("values_at", values_on_circle, t, center, radius, 32)
+
+
 def searches() -> None:
     for name, t in zs.PRESETS.items():
         for bounds in ((-1.0, 1.0, -3.0, 3.0), (-2.0, 2.0, -12.0, 12.0)):
@@ -144,6 +170,11 @@ def searches() -> None:
         region = zs.SearchRegion(0.0, 1.5, t, t + 12.0)
         record(f"find_zeros strip {kind.value} {n}", zs.find_zeros,
                zs.make_target(kind, n), region)
+    # Larger n, toward the truncations the paper is about, on a small grid.
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=8, grid_im=8)
+        record(f"find_zeros {kind.value} 200", zs.find_zeros,
+               zs.make_target(kind, 200), region)
 
 
 def main() -> None:
@@ -151,6 +182,7 @@ def main() -> None:
     evaluators(rng)
     tables(rng)
     targets(rng)
+    circles()
     searches()
     print("records", RECORDS)
 
