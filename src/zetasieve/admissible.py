@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -66,32 +66,26 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False)
 class AdmissibleSet:
     """Ascending admissible bases r <= limit and their count l.
 
-    ``bases`` holds the bases as a read-only int64 array; ``members`` gives
-    them as a tuple of Python ints.  ``powers`` holds the perfect powers up
-    to ``limit`` as a read-only int64 array: the bases are the integers in
-    [2, limit] that are not among them.  A set holds one of the two arrays
-    and builds the other on first read: a set from ``admissible_up_to``
-    holds a view of the store's powers, and builds its own bases, a block
-    at a time; a set made here holds the ``members`` it is given, as any
-    sequence of integers (a caller's writeable array is copied, never
-    frozen in place).
+    A set is the store's view of the perfect powers up to ``limit``, so
+    ``admissible_up_to`` is the only way to get one, and two sets are equal,
+    and hash alike, exactly when their limits are.  ``powers`` holds those
+    perfect powers as a read-only int64 array: the bases are the integers
+    in [2, limit] that are not among them.  ``bases`` holds the bases as a
+    read-only int64 array, built from the powers a block at a time on first
+    read; ``members`` gives them as a tuple of Python ints.
     """
 
     limit: int
-    term_count: int
-    _from_store = False
+    term_count: int = field(compare=False)
 
-    def __init__(self, limit: int, members, term_count: int):
-        bases = np.asarray(members, dtype=np.int64)
-        if bases.flags.writeable:
-            bases = _frozen(bases.copy() if bases is members else bases)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "term_count", term_count)
-        self.__dict__["bases"] = bases
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "AdmissibleSet has no public constructor; use admissible_up_to(n)"
+        )
 
     @classmethod
     def _in_store(cls, limit: int, powers: np.ndarray) -> AdmissibleSet:
@@ -100,8 +94,7 @@ class AdmissibleSet:
         aset = cls.__new__(cls)
         object.__setattr__(aset, "limit", limit)
         object.__setattr__(aset, "term_count", limit - 1 - len(powers))
-        object.__setattr__(aset, "_from_store", True)
-        aset.__dict__["powers"] = powers
+        object.__setattr__(aset, "powers", powers)
         return aset
 
     @cached_property
@@ -112,32 +105,9 @@ class AdmissibleSet:
         return _frozen(bases)
 
     @cached_property
-    def powers(self) -> np.ndarray:
-        limit = int(self.limit)
-        skipped = np.ones(limit + 1, dtype=bool)
-        skipped[:2] = False
-        bases = self.bases
-        skipped[bases[(bases >= 2) & (bases <= limit)]] = False
-        return _frozen(np.flatnonzero(skipped))
-
-    @cached_property
     def members(self) -> tuple[int, ...]:
         # tolist() makes the Python ints about 5x faster than int(r) per r.
         return tuple(self.bases.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, AdmissibleSet):
-            return NotImplemented
-        if (self.limit, self.term_count) != (other.limit, other.term_count):
-            return False
-        # Two sets from the store are decided by their powers, so comparing
-        # them builds no bases; a set made from members compares its bases.
-        if self._from_store and other._from_store:
-            return np.array_equal(self.powers, other.powers)
-        return np.array_equal(self.bases, other.bases)
-
-    def __hash__(self):
-        return hash((self.limit, self.term_count))
 
     def __repr__(self):
         return (
@@ -282,13 +252,15 @@ class _PrefixStore:
 _STORE = _PrefixStore()
 
 
-@lru_cache(maxsize=32)
+# Typed: untyped, a cached key (np.int64(6),) equals (6.0,), so 6.0 would
+# get the set at 6 without being checked.
+@lru_cache(maxsize=32, typed=True)
 def admissible_up_to(n) -> AdmissibleSet:
     """All admissible bases r with 2 <= r <= n, ascending, plus the count l.
 
     The set holds a read-only prefix view of the perfect powers kept at the
     largest n asked for so far, so it is cheap to make; its ``bases`` are
-    built from them only when read.
+    built from them only when read.  This is the only way to get a set.
     """
     return _STORE.admissible_up_to(check_int(n, "n", 2, MAX_LIMIT))
 

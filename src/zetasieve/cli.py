@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -40,6 +41,9 @@ SCHEMA_VERSION = "1"
 
 # converge refuses tables longer than this before it builds any row.
 MAX_ROWS = 10**6
+
+# terms formats and writes this many bases at a time.
+_TERMS_BLOCK = 2**14
 
 _EVALUATORS = {
     "direct": zeta_direct_partial,
@@ -107,17 +111,28 @@ def _reference_delta(value: complex, z: complex) -> float | None:
         return None
 
 
-def _cmd_terms(args) -> str:
+def _cmd_terms(args):
+    """The output in chunks, from the int64 bases: no Python int or str is
+    held for every base at once."""
     aset = admissible_up_to(args.n)
+    head, sep, tail = "", "\n", f"\nl={aset.term_count}"
     if args.json:
-        return _envelope(
-            "terms",
-            {"n": args.n},
-            {"members": list(aset.members), "term_count": aset.term_count},
-        )
-    lines = [str(r) for r in aset.members]
-    lines.append(f"l={aset.term_count}")
-    return "\n".join(lines)
+        # The envelope split at a placeholder for the members, which go one
+        # to a line at the placeholder's indent.
+        payload = {"members": ["\0"], "term_count": aset.term_count}
+        head, tail = _envelope("terms", {"n": args.n}, payload).split('"\\u0000"')
+        sep = "," + head[head.rindex("\n") :]
+    return _joined(aset.bases, head, sep, tail)
+
+
+def _joined(values, head: str, sep: str, tail: str):
+    """head, the values joined by sep, then tail, in chunks of
+    _TERMS_BLOCK values."""
+    yield head
+    for i in range(0, len(values), _TERMS_BLOCK):
+        block = sep.join(map(str, values[i : i + _TERMS_BLOCK].tolist()))
+        yield block if i == 0 else sep + block
+    yield tail
 
 
 def _evaluate(args):
@@ -384,18 +399,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text = args.handler(args)
+        output = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # A handler returns its text, or chunks of it to write as they come.
+    chunks = itertools.chain([output] if isinstance(output, str) else output, "\n")
     if args.out is None:
-        print(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
-        args.out.write_text(text + "\n")
+        with args.out.open("w") as stream:
+            stream.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return 2

@@ -83,29 +83,47 @@ __all__ = [
 class Target:
     """Partial-sum descriptor: kind, truncation, and additive constant.
 
-    terms holds one (log r, sign, sign*log r) triple per member and start the
-    constant, all as complex numbers built once, for the scalar loop; the
-    contour loop reads the float logs and signs.
+    The rest follows from these and is built with the target, read-only and
+    out of repr and equality: members, the admissible bases up to n; logs
+    and signs, log r and the term sign per member as floats, for the
+    contour loop; terms, one (log r, sign, sign*log r) triple per member,
+    and start, the constant, as complex numbers for the scalar loop.
     """
 
     kind: RepresentationKind
     n: int
     constant: float
-    members: tuple[int, ...]
-    logs: tuple[float, ...]
-    signs: tuple[float, ...]
+    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    signs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     terms: tuple[tuple[complex, complex, complex], ...] = field(
         init=False, repr=False, compare=False
     )
     start: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.kind not in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
+            raise InputError(
+                f"targets exist for DIRECT and ALTERNATING kinds, got {self.kind!r}"
+            )
+        constant = check_real(self.constant, "constant")
+        aset = admissible_up_to(self.n)
+        members = aset.members
+        logs = tuple(math.log(r) for r in members)
+        if self.kind is RepresentationKind.ALTERNATING:
+            signs = tuple(1.0 if r % 2 else -1.0 for r in members)
+        else:
+            signs = (1.0,) * len(members)
         terms = tuple(
-            (complex(lg), complex(s), complex(s * lg))
-            for lg, s in zip(self.logs, self.signs)
+            (complex(lg), complex(s), complex(s * lg)) for lg, s in zip(logs, signs)
         )
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "start", complex(self.constant))
+        # Through object.__setattr__, not vars(self): a __dict__ once made
+        # slows every attribute read in the scalar loop by a few percent.
+        for name, value in dict(
+            n=aset.limit, constant=constant, members=members, logs=logs,
+            signs=signs, terms=terms, start=complex(constant),
+        ).items():
+            object.__setattr__(self, name, value)
 
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
@@ -150,25 +168,7 @@ class Target:
 
 
 def make_target(kind, n, constant: float = 1.0) -> Target:
-    if kind not in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
-        raise InputError(
-            f"targets exist for DIRECT and ALTERNATING kinds, got {kind!r}"
-        )
-    constant = check_real(constant, "constant")
-    members = admissible_up_to(n).members
-    logs = tuple(math.log(r) for r in members)
-    if kind is RepresentationKind.ALTERNATING:
-        signs = tuple(1.0 if r % 2 else -1.0 for r in members)
-    else:
-        signs = (1.0,) * len(members)
-    return Target(
-        kind=kind,
-        n=int(n),
-        constant=constant,
-        members=members,
-        logs=logs,
-        signs=signs,
-    )
+    return Target(kind, n, constant)
 
 
 # The eight test equations, with each one's printed constant: the third

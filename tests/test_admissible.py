@@ -1,9 +1,13 @@
 """Perfect-power classification and the admissible sieve."""
 
+import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetasieve import (
     AdmissibleSet,
@@ -111,7 +115,9 @@ class TestAdmissibleUpTo:
         assert set(range(2, 21)) - set(aset.members) == {4, 8, 9, 16}
 
     def test_smallest_case(self):
-        assert admissible_up_to(2) == AdmissibleSet(limit=2, members=(2,), term_count=1)
+        aset = admissible_up_to(2)
+        assert (aset.limit, aset.term_count, aset.members) == (2, 1, (2,))
+        assert aset.powers.tolist() == []
 
     def test_bases_are_a_read_only_int64_copy_of_members(self):
         aset = admissible_up_to(5000)
@@ -120,11 +126,6 @@ class TestAdmissibleUpTo:
         assert all(type(r) is int for r in aset.members)
         with pytest.raises(ValueError):
             aset.bases[0] = 4
-        # A caller's writeable array is copied, not frozen in place.
-        given = np.array([2, 3])
-        built = AdmissibleSet(limit=3, members=given, term_count=2)
-        given[0] = 5
-        assert built == admissible_up_to(3)
 
     def test_members_strictly_ascending(self):
         members = admissible_up_to(5000).members
@@ -136,6 +137,15 @@ class TestAdmissibleUpTo:
         for m in range(2, 3001):
             expected = decompose_power(m).exponent == 1
             assert (m in member_set) == expected
+
+    @pytest.mark.parametrize("bad", [6.0, np.float64(6.0)], ids=["float", "float64"])
+    def test_a_float_equal_to_a_cached_limit_is_refused(self, bad):
+        # A cache keys an int64 limit as (np.int64(6),), which equals (6.0,)
+        # and hashes alike, so an untyped cache would hand back the set at 6
+        # without checking the argument.
+        admissible_up_to(np.int64(6))
+        with pytest.raises(InputError, match="n must be an integer"):
+            admissible_up_to(bad)
 
     @pytest.mark.parametrize("bad", [1, 0, -3, 1.5, None, True, 6.7, "6", 1e3])
     def test_rejects_bad_limits(self, bad):
@@ -159,9 +169,14 @@ class TestAdmissibleUpTo:
                 call()
 
 
+@functools.cache
+def admissible_by_decomposition(limit):
+    return tuple(m for m in range(2, limit + 1) if decompose_power(m).exponent == 1)
+
+
 class TestBasesAndPowers:
-    """A set holds its bases or its perfect powers and builds the other from
-    it; the two agree, and equality between sets from the store builds
+    """A set is the store's view of the perfect powers up to its limit and
+    builds its bases from them; sets compare by limit, which builds
     nothing."""
 
     @staticmethod
@@ -170,12 +185,12 @@ class TestBasesAndPowers:
         admissible._STORE.clear()
 
     @pytest.mark.parametrize("limit", [12, np.int64(12)], ids=["int", "int64"])
-    def test_a_set_given_members_finds_its_powers(self, limit):
-        members = (2, 3, 5, 6, 7, 10, 11, 12)
-        built = AdmissibleSet(limit=limit, members=members, term_count=8)
-        assert built.powers.tolist() == [4, 8, 9]
-        assert not built.powers.flags.writeable
-        assert built == admissible_up_to(12) and admissible_up_to(12) == built
+    def test_a_set_from_the_store_holds_its_powers(self, limit):
+        aset = admissible_up_to(limit)
+        assert type(aset.limit) is int and aset.limit == 12
+        assert aset.powers.tolist() == [4, 8, 9]
+        assert not aset.powers.flags.writeable
+        assert aset == admissible_up_to(12) and admissible_up_to(12) == aset
 
     def test_sets_from_the_store_compare_without_building_bases(self):
         self.forget()
@@ -185,9 +200,45 @@ class TestBasesAndPowers:
         assert first == again and first is not again
         assert first != admissible_up_to(99_999)
         assert "bases" not in vars(first) and "bases" not in vars(again)
-        # A set made from members compares base by base, here unequal.
-        shifted = AdmissibleSet(3, (3, 2), 2)
-        assert shifted != admissible_up_to(3)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((2, (2,), 1), {}), ((), {"limit": 3, "members": (2, 3), "term_count": 2})],
+    )
+    def test_there_is_no_public_constructor(self, args, kwargs):
+        # A set made from a caller's list could disagree with its limit.
+        with pytest.raises(TypeError, match=r"admissible_up_to\(n\)"):
+            AdmissibleSet(*args, **kwargs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            admissible_up_to(12).limit = 13
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(st.integers(2, 1500), st.sampled_from(["cache", "store"])),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_sets_are_equal_exactly_when_their_limits_are(self, steps):
+        # The store grows in the order asked for, and "cache" or "store"
+        # drops the cached sets or everything; sets made before and after a
+        # growth are compared with each other.
+        self.forget()
+        sets = []
+        for step in steps:
+            if step == "cache":
+                admissible_up_to.cache_clear()
+            elif step == "store":
+                self.forget()
+            else:
+                sets.append(admissible_up_to(step))
+        for a in sets:
+            for b in sets:
+                assert (a.limit == b.limit) == (a == b) == (hash(a) == hash(b))
+        for aset in sets:
+            assert aset.members == admissible_by_decomposition(aset.limit)
+            assert aset.term_count == len(aset.members)
 
     def test_a_small_set_builds_only_its_own_bases(self):
         self.forget()

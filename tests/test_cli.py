@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from zetasieve import admissible_up_to
 from zetasieve.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,6 +37,52 @@ class TestTerms:
         assert doc["parameters"] == {"n": 20}
         assert doc["payload"]["term_count"] == 15
         assert doc["payload"]["members"][:4] == [2, 3, 5, 6]
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_blocks_join_into_the_whole_rendering(self, capsys, as_json):
+        # About 69 700 bases, several blocks: the output is byte for byte
+        # the one-piece rendering of every base.
+        n = 70_000
+        aset = admissible_up_to(n)
+        if as_json:
+            payload = {"members": list(aset.members), "term_count": aset.term_count}
+            doc = {"schema_version": "1", "command": "terms",
+                   "parameters": {"n": n}, "payload": payload}
+            want = json.dumps(doc, indent=2) + "\n"
+        else:
+            want = "\n".join(map(str, aset.members)) + f"\nl={aset.term_count}\n"
+        code, out, err = run(capsys, "terms", "--n", str(n), *["--json"] * as_json)
+        assert (code, err) == (0, "")
+        assert out == want
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_a_long_listing_is_written_a_block_at_a_time(self, tmp_path, as_json):
+        # Two million bases as one str each, or as Python ints, need more
+        # than this cap; the int64 bases and one block of text do not.
+        cap = 256 << 20
+        n = 2 * 10**6
+        path = tmp_path / "terms.out"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zetasieve", "terms", "--n", str(n),
+             "--out", str(path), *["--json"] * as_json],
+            capture_output=True, text=True, check=False, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        count = admissible_up_to(n).term_count
+        data = path.read_bytes()
+        if as_json:
+            head = b'"members": [\n      2,\n      3,\n      5,\n'
+            tail = b"      2000000\n    ],\n    \"term_count\": %d\n  }\n}\n" % count
+            lines = count + 12
+        else:
+            head, tail, lines = b"2\n3\n5\n", b"\n2000000\nl=%d\n" % count, count + 1
+        assert head in data[:200] and data.endswith(tail)
+        assert data.count(b"\n") == lines
 
 
 class TestEval:

@@ -160,6 +160,33 @@ def base_reads(path: Path) -> list[str]:
     return found
 
 
+def set_constructions(path: Path) -> list[str]:
+    """Calls that make an AdmissibleSet: AdmissibleSet(...), bare or read
+    off a module, or a method read off the class, such as
+    AdmissibleSet._in_store(...)."""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and name(func.value) == "AdmissibleSet":
+                func = func.value
+            if name(func) == "AdmissibleSet":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "admissible.py"], ids=lambda p: p.name
+)
+def test_only_admissible_makes_sets(path):
+    # Every set is the store's view up to its limit, from admissible_up_to;
+    # a set made elsewhere could disagree with its limit.
+    assert set_constructions(path) == []
+
+
 def test_no_evaluator_builds_the_bases():
     # The evaluators take counts and bases from the perfect powers, so no
     # evaluator path builds the 8-byte-per-base int64 array.
@@ -228,6 +255,11 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "first = aset.members[0]\n"
         "bases = getattr(aset, 'bases')\n"
         "powers, count = aset.powers, aset.term_count\n"
+        "aset = AdmissibleSet(2, (2,), 1)\n"
+        "aset = admissible.AdmissibleSet(limit=3)\n"
+        "aset = AdmissibleSet._in_store(3, powers)\n"
+        "aset = admissible.AdmissibleSet.__new__(admissible.AdmissibleSet)\n"
+        "isinstance(aset, AdmissibleSet)\n"
     )
     assert package_imports(probe) == {
         "errors", "representations", "rootfind", "admissible", "bernoulli"
@@ -236,6 +268,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
     assert len(base_reads(probe)) == 3
+    assert len(set_constructions(probe)) == 4
 
 
 def traced_attributes() -> list[tuple[str, str]]:

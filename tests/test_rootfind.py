@@ -3,7 +3,7 @@
 import cmath
 import math
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
@@ -201,6 +201,65 @@ class TestTarget:
         for constant in (float("inf"), True, "2"):
             with pytest.raises(InputError):
                 make_target(DIRECT, 6, constant)
+
+    def test_target_takes_only_kind_n_and_constant(self):
+        # A caller's base list could disagree with n.
+        with pytest.raises(TypeError):
+            Target(DIRECT, 6, 1.0, (2, 3, 5, 6))
+        for name, value in (
+            ("members", (2, 3, 5, 6)),
+            ("logs", (math.log(2),)),
+            ("signs", (1.0, 1.0)),
+            ("terms", ()),
+            ("start", 1 + 0j),
+        ):
+            with pytest.raises(TypeError):
+                Target(kind=DIRECT, n=6, constant=1.0, **{name: value})
+        t = Target(ALT, np.int64(6), 1)
+        assert t == make_target(ALT, 6) and hash(t) == hash(make_target(ALT, 6))
+        assert type(t.n) is int and type(t.constant) is float
+        assert t.members == (2, 3, 5, 6) and len(t.terms) == 4
+        assert repr(t) == (
+            "Target(kind=<RepresentationKind.ALTERNATING: 'alt'>,"
+            " n=6, constant=1.0)"
+        )
+        with pytest.raises(FrozenInstanceError):
+            t.members = (2,)
+
+    @pytest.mark.parametrize(
+        "kind, n, constant",
+        [
+            (RepresentationKind.COTH, 6, 1.0),
+            (RepresentationKind.BERNOULLI_SERIES, 6, 1.0),
+            ("direct", 6, 1.0),
+            (DIRECT, 1, 1.0),
+            (DIRECT, 6.0, 1.0),
+            (DIRECT, True, 1.0),
+            (ALT, 10**9, 1.0),
+            (DIRECT, 6, float("inf")),
+            (DIRECT, 6, True),
+            (ALT, 6, "2"),
+        ],
+    )
+    def test_target_refuses_what_make_target_refuses(self, kind, n, constant):
+        with pytest.raises(InputError) as made:
+            make_target(kind, n, constant)
+        with pytest.raises(InputError) as direct:
+            Target(kind, n, constant)
+        assert str(direct.value) == str(made.value)
+
+    @pytest.mark.parametrize("kind", [DIRECT, ALT])
+    def test_replace_builds_the_target_at_the_new_n(self, kind):
+        t = replace(make_target(kind, 6, 0.5), n=7)
+        want = make_target(kind, 7, 0.5)
+        assert t == want and t.describe() == want.describe()
+        assert t.members == want.members == (2, 3, 5, 6, 7)
+        assert t.logs == want.logs and t.signs == want.signs
+        assert [[bits(w) for w in term] for term in t.terms] == [
+            [bits(w) for w in term] for term in want.terms
+        ]
+        with pytest.raises(InputError):
+            replace(t, n=1)
 
 
 class TestNewtonRefine:

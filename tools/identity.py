@@ -6,7 +6,8 @@ Run it in two checkouts and compare the outputs with cmp: a change that
 keeps every result bit for bit prints the same bytes.  Each line is one
 record: what was called, its arguments and its result.  Floats print as
 float.hex, so signed zeros and the last bit show; a refusal prints as its
-error class and message.  The last line counts the records.
+error class and message; the terms command's output, as its exit code and
+sha256.  The last line counts the records.
 
 It imports only numpy and the package from the checkout's src directory,
 takes no options, and runs in well under a minute on a laptop.
@@ -14,7 +15,10 @@ takes no options, and runs in well under a minute on a laptop.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import math
 import random
 import sys
@@ -26,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import zetasieve as zs  # noqa: E402
 from zetasieve import RepresentationKind as Kind  # noqa: E402
+from zetasieve.cli import main as cli_main  # noqa: E402
 from zetasieve.representations import partial_sum_table  # noqa: E402
 
 RECORDS = 0
@@ -177,6 +182,63 @@ def searches() -> None:
                zs.make_target(kind, 200), region)
 
 
+def set_fields(n):
+    aset = zs.admissible_up_to(n)
+    return [repr(aset), aset.limit, aset.term_count, aset.powers.tolist(), aset.members]
+
+
+def equal_and_hash_alike(a, b):
+    return [a == b, hash(a) == hash(b)]
+
+
+def sets() -> None:
+    for n in (2, 3, 4, 8, 9, 12, 20, 47, 64, 100, 200):
+        record("admissible_up_to", set_fields, n)
+    # Sets made before the store grows past its largest n, and after.
+    limits = (12, 100, 4000, 200_000)
+    before = [zs.admissible_up_to(n) for n in limits]
+    zs.admissible_up_to(300_000)
+    made = before + [zs.admissible_up_to(n) for n in limits + (300_000,)]
+    for a in made:
+        for b in made:
+            record("set == and hash", equal_and_hash_alike, a, b)
+
+
+def target_terms(target):
+    return [target.describe(), len(target.terms), target.terms, target.start]
+
+
+def target_fields() -> None:
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        for n in (6, 47, 200):
+            for constant in (1.0, 0.5, -0.0):
+                record("target terms", target_terms, zs.make_target(kind, n, constant))
+
+
+class Digest(io.TextIOBase):
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, chunk: str) -> int:
+        self.sha.update(chunk.encode())
+        return len(chunk)
+
+
+def terms_digest(*argv):
+    stream = Digest()
+    with contextlib.redirect_stdout(stream):
+        code = cli_main(["terms", *argv])
+    return [code, stream.sha.hexdigest()]
+
+
+def terms_outputs() -> None:
+    for n in (2, 12, 1000, 70_000, 10**6):
+        record("terms sha256", terms_digest, "--n", str(n))
+        record("terms sha256", terms_digest, "--n", str(n), "--json")
+
+
 def main() -> None:
     rng = random.Random(15)
     evaluators(rng)
@@ -184,6 +246,9 @@ def main() -> None:
     targets(rng)
     circles()
     searches()
+    sets()
+    target_fields()
+    terms_outputs()
     print("records", RECORDS)
 
 
