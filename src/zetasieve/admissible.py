@@ -76,7 +76,8 @@ class AdmissibleSet:
     perfect powers as a read-only int64 array: the bases are the integers
     in [2, limit] that are not among them.  ``bases`` holds the bases as a
     read-only int64 array, built from the powers a block at a time on first
-    read; ``members`` gives them as a tuple of Python ints.
+    read; ``members`` gives them as a tuple of Python ints, made anew on
+    each read, so no set keeps one.
     """
 
     limit: int
@@ -104,7 +105,7 @@ class AdmissibleSet:
             bases[i : i + len(r)] = r
         return _frozen(bases)
 
-    @cached_property
+    @property
     def members(self) -> tuple[int, ...]:
         # tolist() makes the Python ints about 5x faster than int(r) per r.
         return tuple(self.bases.tolist())

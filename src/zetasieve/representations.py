@@ -402,6 +402,20 @@ def pole_gate(z: complex, n) -> None:
         raise PoleProximityError(z, base, k, dist)
 
 
+def check_height(z: complex, n, log_max: float, what) -> None:
+    """Refuse the points w with |Re w| <= |Re z| and |Im w| <= |Im z|,
+    named by what(), when Re z is not finite or Im z * log_max overflows,
+    log_max being the log of the largest base r <= n.  There the imaginary
+    part of w * log r is not finite and every term built from it is nan; a
+    real part that overflows only sends r**w to 0 or infinity.
+    """
+    if not (math.isfinite(z.real) and math.isfinite(z.imag * log_max)):
+        raise InputError(
+            f"{what()} is out of range for n = {n}: z * log r overflows there"
+            " for the largest base r <= n"
+        )
+
+
 def _kernel(z: complex, logs, out, spare, squares=None):
     """1/(r**z - 1) per base into out or, given a third buffer squares, the
     derivative's r**z/(r**z - 1)**2; spare is a second buffer of the same
@@ -535,13 +549,21 @@ def _eta_prefactor(z: complex) -> complex:
 
 
 def _prepare(kind, z, n):
-    """Check the point, n, the prefactor (1.0 for plain kinds) and the pole
-    gate, in that order; (z, powers, logs, signs, prefactor)."""
-    z = check_point(z)
-    powers, logs, signs = _base_data(n)
+    """Check the point, n, its height, the prefactor (1.0 for plain kinds)
+    and the pole gate, in that order; (z, powers, logs, signs, prefactor)."""
+    z, powers, logs, signs = _checked_point(z, n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
     pole_gate(z, n)
     return z, powers, logs, signs, p
+
+
+def _checked_point(z, n):
+    """The point, checked as a number and for its height at n, with the
+    base data at n: (z, powers, logs, signs)."""
+    z = check_point(z)
+    powers, logs, signs = _base_data(n)
+    check_height(z, n, float(logs[-1]), lambda: f"z = {z}")
+    return z, powers, logs, signs
 
 
 def remainder_bound(n, sigma) -> float:
@@ -799,7 +821,6 @@ def derivative_partial(kind, z, n) -> complex:
             "derivative_partial supports DIRECT and ALTERNATING kinds,"
             f" got {kind!r}"
         )
-    z = check_point(z)
-    _, logs, signs = _base_data(n)
+    z, _, logs, signs = _checked_point(z, n)
     pole_gate(z, n)
     return -_term_sum(kind, z, logs, signs, derivative=True)

@@ -15,7 +15,7 @@ threads.  Newton evaluates f and f' once per iterate, and the pair of the
 last iterate carries into the polish steps and the reported residual.
 
 Target evaluation at one point is a scalar cmath loop over the target's
-terms, one (log r, sign, sign*log r) triple per member built with the
+terms, one (log r, sign, sign*log r) triple per base built with the
 target (value_at, and value_and_derivative_at, which gives the value and
 the derivative from one exp per base): at the handful of terms a search
 uses, one point costs less than half of what the same sums cost in numpy.
@@ -27,10 +27,12 @@ the constant and the 1 in 1 - w and v - 1 are complex numbers, so every
 operation in the loop is complex by complex: CPython 3.11 would promote a
 float operand to complex(x, 0.0) on each mixed operation, then run the
 same complex routine, so the bits are the same and the promotions are
-saved.  A search takes at most MAX_SEEDS seeds, and a contour at most
-MAX_SAMPLES samples.  A verification contour is evaluated as one array
-(values_at), one base at a time in member order, from the float logs and
-signs; it agrees with value_at to rounding, and only the winding count
+saved.  A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS
+seeds, and a contour at most MAX_SAMPLES samples.  Newton's seed and a
+contour's disc are refused, as an evaluator's point is, where Im z * log r
+overflows for the target's largest base (check_height).  A verification
+contour is evaluated as one array (values_at), one term at a time, from
+the terms; it agrees with value_at to rounding, and only the winding count
 drawn from it is used.  The vectorized evaluators in the representations
 module are the tool for large n.  Everything about the pole lattice --
 Newton's gate, the clearance of a verification circle, the radius it may
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .admissible import admissible_up_to
+from .admissible import admissible_up_to, base_logs_and_signs
 from .errors import (
     ContourError,
     InputError,
@@ -61,6 +63,7 @@ from .representations import (
     POLE_GATE,
     TWO_PI,
     RepresentationKind,
+    check_height,
     nearest_pole,
     pole_distance,
     pole_gate,
@@ -79,23 +82,26 @@ __all__ = [
 ]
 
 
+# Largest n a target takes: it holds 168 bytes of Python objects per base,
+# about 170 MB at this cap.
+MAX_TARGET_N = 10**6
+
+
 @dataclass(frozen=True)
 class Target:
     """Partial-sum descriptor: kind, truncation, and additive constant.
 
     The rest follows from these and is built with the target, read-only and
-    out of repr and equality: members, the admissible bases up to n; logs
-    and signs, log r and the term sign per member as floats, for the
-    contour loop; terms, one (log r, sign, sign*log r) triple per member,
-    and start, the constant, as complex numbers for the scalar loop.
+    out of repr and equality: terms, one (log r, s_r, s_r*log r) triple per
+    admissible base r <= n, with log r read from the store the evaluators
+    sum over and s_r = (-1)**(r-1) for ALTERNATING, 1 for DIRECT, and
+    start, the constant, all as complex numbers for the scalar loop.
+    n is at most MAX_TARGET_N.
     """
 
     kind: RepresentationKind
     n: int
     constant: float
-    members: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    logs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    signs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     terms: tuple[tuple[complex, complex, complex], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -107,21 +113,18 @@ class Target:
                 f"targets exist for DIRECT and ALTERNATING kinds, got {self.kind!r}"
             )
         constant = check_real(self.constant, "constant")
-        aset = admissible_up_to(self.n)
-        members = aset.members
-        logs = tuple(math.log(r) for r in members)
-        if self.kind is RepresentationKind.ALTERNATING:
-            signs = tuple(1.0 if r % 2 else -1.0 for r in members)
-        else:
-            signs = (1.0,) * len(members)
+        n = admissible_up_to(check_int(self.n, "n", 2, MAX_TARGET_N)).limit
+        logs, signs = base_logs_and_signs(n)
+        if self.kind is RepresentationKind.DIRECT:
+            signs = np.ones_like(signs)
         terms = tuple(
-            (complex(lg), complex(s), complex(s * lg)) for lg, s in zip(logs, signs)
+            (complex(lg), complex(s), complex(s * lg))
+            for lg, s in zip(logs.tolist(), signs.tolist())
         )
         # Through object.__setattr__, not vars(self): a __dict__ once made
         # slows every attribute read in the scalar loop by a few percent.
         for name, value in dict(
-            n=aset.limit, constant=constant, members=members, logs=logs,
-            signs=signs, terms=terms, start=complex(constant),
+            n=n, constant=constant, terms=terms, start=complex(constant)
         ).items():
             object.__setattr__(self, name, value)
 
@@ -154,16 +157,16 @@ class Target:
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """value_at at each point of a complex array, equal to rounding.
 
-        The same sum, one numpy pass per base in member order.  Right of
-        Re z = 0 a term is s*w/(1 - w) with w = exp(-z*log r), left of it
-        s/(v - 1) with v = exp(z*log r), as in value_and_derivative_at.
+        The same sum, one numpy pass per term in order.  Right of Re z = 0
+        a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
+        with v = exp(z*log r), as in value_and_derivative_at.
         """
         right = points.real >= 0.0
         u = np.where(right, -points, points)
-        value = np.full(points.shape, complex(self.constant))
-        for lg, s in zip(self.logs, self.signs):
-            e = np.exp(u * lg)
-            value += np.where(right, s * e, -s) / (1.0 - e)
+        value = np.full(points.shape, self.start)
+        for lg, s, _ in self.terms:
+            e = np.exp(u * lg.real)
+            value += np.where(right, s.real * e, -s.real) / (1.0 - e)
         return value
 
 
@@ -322,11 +325,17 @@ def newton_refine(
     "pole" failure.  The box (re_min, re_max, im_min, im_max) is the escape
     fence; by default it extends 25 units around the seed, wide enough that
     a genuine basin is never cut, while unbounded drifts (targets with no
-    zeros at all) are cut off quickly.
+    zeros at all) are cut off quickly.  A seed where Im z * log r
+    overflows for the target's largest base is refused (InputError).  The
+    box is not checked: at heights near that overflow a Newton step lies
+    far below the spacing of the floats, so the iterates keep the seed's
+    height.
     """
     target = _checked_target(target)
     z = check_point(seed)
     tol = check_real(tol, "tol", 0.0, strict=True)
+    # z=z: a closure would make the loop's z a cell variable.
+    check_height(z, target.n, _log_max(target), lambda z=z: f"the seed {z}")
     if box is None:
         box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
     else:
@@ -393,6 +402,11 @@ def _checked_target(target) -> Target:
     return target
 
 
+def _log_max(target: Target) -> float:
+    """log r of the target's largest base."""
+    return target.terms[-1][0].real
+
+
 def _polish(target, z, pair, box):
     """A couple of extra Newton steps to push the residual to rounding.
 
@@ -439,12 +453,19 @@ def winding_count(
     at the samples), raises ContourError; one nearest_pole call on the
     center decides both.  Phase steps above pi/2 are refused
     (ResolutionError) rather than unwrapped optimistically.  samples is
-    at most MAX_SAMPLES.
+    at most MAX_SAMPLES.  A circle whose bounding box overflows, or reaches
+    heights where Im z * log r does for the target's largest base, is
+    refused (InputError).
     """
     target = _checked_target(target)
     center = check_point(center)
     radius = check_real(radius, "radius", 0.0, strict=True)
     samples = check_int(samples, "samples", 8, MAX_SAMPLES)
+    corner = complex(abs(center.real) + radius, abs(center.imag) + radius)
+    check_height(
+        corner, target.n, _log_max(target),
+        lambda: f"the circle of radius {radius} around {center}",
+    )
 
     # With no pole inside the disc, the pole nearest the center is also the
     # one nearest the circle, so this one test covers both refusals exactly.

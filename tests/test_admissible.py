@@ -127,6 +127,15 @@ class TestAdmissibleUpTo:
         with pytest.raises(ValueError):
             aset.bases[0] = 4
 
+    def test_no_set_keeps_its_members(self):
+        # A cached set holding a tuple of Python ints would keep about 46
+        # bytes per base alive; members is made anew on each read.
+        aset = admissible_up_to(5000)
+        first = aset.members
+        assert first == tuple(aset.bases.tolist())
+        assert aset.members is not first
+        assert not any(type(v) is tuple for v in vars(aset).values())
+
     def test_members_strictly_ascending(self):
         members = admissible_up_to(5000).members
         assert all(a < b for a, b in zip(members, members[1:]))

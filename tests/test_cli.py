@@ -352,6 +352,30 @@ class TestZeros:
         assert done.returncode == 2
         assert "seeds" in done.stderr and "MemoryError" not in done.stderr
 
+    @pytest.mark.parametrize("n, cap", [(100_000_000, 1 << 30), (3_000_000, 512 << 20)])
+    def test_target_above_the_cap_is_refused_before_any_base(self, n, cap):
+        # A target holds some 200 bytes per base; the child's address space
+        # is capped so a target built past the cap fails fast.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "zetasieve", "zeros", "--rep", "direct",
+             "--n", str(n), "--region=0,1,10,11", "--grid", "2"],
+            capture_output=True, text=True, check=False, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: n must be in [2, 1000000], got {n}\n"
+
+    def test_region_where_z_log_r_overflows_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "zeros", "--rep", "direct", "--n", "6",
+            "--region=0,1,1.5e308,1.50000001e308", "--grid", "2",
+        )
+        assert code == 2 and out == ""
+        assert "n = 6" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize(
         "region, grid",
         [
@@ -499,6 +523,37 @@ class TestExitCodes:
         )
         assert code == 3
         assert "2*pi/log(600)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--rep", "direct", "--n", "6", "--z", "0.5,1.05e308"],
+            ["eval", "--rep", "coth", "--n", "6", "--z", "0.5,-1.5e308"],
+            ["converge", "--rep", "alt", "--n-max", "6", "--step", "2",
+             "--z", "0.5,1.05e308"],
+        ],
+    )
+    def test_heights_where_z_log_r_overflows_are_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: z = ") and "n = 6" in err
+        assert len(err.splitlines()) == 1
+
+    def test_a_point_above_the_reference_cap_has_no_reference(self, capsys):
+        # log 3 * 1.2e308 is finite, so the evaluator answers, but the
+        # reference needs infinitely many stages and stays out.
+        code, out, err = run(
+            capsys, "eval", "--rep", "direct", "--n", "3", "--z", "0.5,1.2e308"
+        )
+        assert code == 0 and err == ""
+        assert "value_re" in out and "reference_delta" not in out
+        code, out, err = run(
+            capsys, "converge", "--rep", "direct", "--n-max", "4", "--step", "2",
+            "--z", "0.5,1.2e308",
+        )
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.split(",")[3] == "" for row in rows)
 
     def test_domain_error_near_pole(self, capsys):
         code, _, err = run(capsys, "eval", "--rep", "direct", "--z", "0,0", "--n", "6")

@@ -187,10 +187,15 @@ def test_only_admissible_makes_sets(path):
     assert set_constructions(path) == []
 
 
-def test_no_evaluator_builds_the_bases():
-    # The evaluators take counts and bases from the perfect powers, so no
-    # evaluator path builds the 8-byte-per-base int64 array.
-    assert base_reads(PACKAGE / "representations.py") == []
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("admissible.py", "cli.py")],
+    ids=lambda p: p.name,
+)
+def test_only_the_terms_command_builds_the_bases(path):
+    # The evaluators take counts and bases from the perfect powers, and a
+    # target takes its logs and signs from the store, so only the terms
+    # command builds the 8-byte-per-base int64 array.
+    assert base_reads(path) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -254,6 +259,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "top = admissible_up_to(9).bases[-1]\n"
         "first = aset.members[0]\n"
         "bases = getattr(aset, 'bases')\n"
+        "members = getattr(admissible_up_to(6), 'members', ())\n"
         "powers, count = aset.powers, aset.term_count\n"
         "aset = AdmissibleSet(2, (2,), 1)\n"
         "aset = admissible.AdmissibleSet(limit=3)\n"
@@ -267,7 +273,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
-    assert len(base_reads(probe)) == 3
+    assert len(base_reads(probe)) == 4
     assert len(set_constructions(probe)) == 4
 
 

@@ -75,6 +75,12 @@ class TestAgainstMpmath:
 
 
 class TestDomain:
+    def test_a_stage_count_that_overflows_is_refused(self):
+        # (pi/2) * |Im z| overflows: the refusal, not its message, decides.
+        for z in (complex(0.5, 1.2e308), complex(0.5, -1.7e308)):
+            with pytest.raises(DomainError, match="cap of 320 stages"):
+                reference_zeta(z)
+
     def test_pole_at_one(self):
         with pytest.raises(PoleError):
             reference_zeta(1.0)

@@ -5,6 +5,7 @@ import gc
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -833,6 +834,29 @@ class TestInputChecking:
     def test_rejects_non_numeric_points(self, bad):
         with pytest.raises(InputError):
             zeta_direct_partial(bad, 6)
+
+    @pytest.mark.parametrize("z", [0.5 + 1.05e308j, 0.5 - 1.5e308j, -2.0 + 1.5e308j])
+    def test_heights_where_z_log_r_overflows_are_refused(self, z):
+        # |Im z| * log 6 overflows: every term is nan there, and the coth
+        # forms' z * log(r) / 2 would not be.
+        evaluators = [
+            zeta_direct_partial,
+            zeta_coth_partial,
+            lambda z, n: derivative_partial(RepresentationKind.DIRECT, z, n),
+            lambda z, n: derivative_partial(RepresentationKind.ALTERNATING, z, n),
+            lambda z, n: representations.partial_sum_table(
+                RepresentationKind.DIRECT, z, n, [2, n]
+            ),
+        ]
+        if z.real > 0.0:
+            evaluators += [zeta_alt_partial, zeta_alt_coth_partial]
+        for evaluate in evaluators:
+            message = re.escape(f"z = {z} is out of range for n = 6")
+            with pytest.raises(InputError, match=message):
+                evaluate(z, 6)
+        # Below the overflow, and at n = 2, where log 2 < 1, a value comes back.
+        assert np.isfinite(zeta_direct_partial(complex(0.5, 1e308), 6).value)
+        assert np.isfinite(zeta_alt_partial(0.5 + 1.5e308j, 2).value)
 
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)

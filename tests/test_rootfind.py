@@ -3,7 +3,7 @@
 import cmath
 import math
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
 import numpy as np
@@ -27,7 +27,8 @@ from zetasieve import (
     newton_refine,
     winding_count,
 )
-from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, _nudged
+from zetasieve.admissible import admissible_up_to, base_logs_and_signs
+from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, MAX_TARGET_N, _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -64,19 +65,30 @@ def assert_matches_frozen(roots, expected_pairs, reals=(), tol=1e-9):
         assert abs(rec.location - w) <= tol, f"{rec.location} vs {w}"
 
 
+def store_floats(kind, n):
+    """log r and the term sign s_r per admissible base r <= n, as Python
+    floats read from the store: s_r = (-1)**(r-1) for ALT, 1 for DIRECT."""
+    logs, signs = base_logs_and_signs(n)
+    if kind is DIRECT:
+        return logs.tolist(), [1.0] * len(logs)
+    return logs.tolist(), [float(s) for s in signs.tolist()]
+
+
 def reference_value_and_derivative(target, z):
-    """Target.value_and_derivative_at as first written, zipping the logs and
-    signs on each call: the bits any faster form of the loop must keep."""
+    """Target.value_and_derivative_at as first written, zipping the store's
+    logs and signs on each call: the bits any faster form of the loop must
+    keep."""
+    logs, signs = store_floats(target.kind, target.n)
     value = complex(target.constant)
     slope = 0j
     if z.real >= 0.0:
-        for lg, s in zip(target.logs, target.signs):
+        for lg, s in zip(logs, signs):
             w = cmath.exp(-z * lg)
             d = 1.0 - w
             value += s * w / d
             slope += s * lg * w / (d * d)
     else:
-        for lg, s in zip(target.logs, target.signs):
+        for lg, s in zip(logs, signs):
             v = cmath.exp(z * lg)
             d = v - 1.0
             value += s / d
@@ -109,7 +121,8 @@ class TestTarget:
             t.constant == 1.0 for k, t in PRESETS.items() if k != "paper-alt-5"
         )
         t = PRESETS["paper-direct-3"]
-        assert (t.kind, t.n, t.members) == (DIRECT, 3, (2, 3))
+        assert (t.kind, t.n) == (DIRECT, 3)
+        assert [lg.real for lg, _, _ in t.terms] == [math.log(2), math.log(3)]
 
     def test_value_matches_direct_evaluator(self):
         from zetasieve import zeta_direct_partial
@@ -171,7 +184,7 @@ class TestTarget:
         if not isinstance(want, str):
             assert bits(t.value_at(z)) == want[0]
 
-    def test_terms_are_built_once_from_logs_and_signs(self):
+    def test_terms_are_built_once_from_the_stores_logs_and_signs(self):
         # Exact complex numbers with a +0.0 imaginary part, so that the
         # scalar loop does no float/complex promotion; == alone would let
         # floats pass.
@@ -184,16 +197,46 @@ class TestTarget:
 
         for kind, constant in ((ALT, 1.0), (DIRECT, 0.5), (ALT, -0.0)):
             t = make_target(kind, 47, constant)
-            assert len(t.terms) == len(t.members)
-            for (lg, s, slg), lg0, s0 in zip(t.terms, t.logs, t.signs):
+            assert len(t.terms) == admissible_up_to(47).term_count
+            for (lg, s, slg), lg0, s0 in zip(t.terms, *store_floats(kind, 47)):
                 assert exact(lg, lg0) and exact(s, s0) and exact(slg, s0 * lg0)
             assert exact(t.start, constant)
             assert t == make_target(kind, 47, constant)
             assert "terms" not in repr(t) and "start" not in repr(t)
 
     def test_alternating_signs(self):
+        # Bases 2, 3, 5, 6: s_r = (-1)**(r-1).
         t = make_target(ALT, 6)
-        assert t.signs == (-1.0, 1.0, 1.0, -1.0)
+        assert [bits(s) for _, s, _ in t.terms] == [
+            bits(complex(s)) for s in (-1.0, 1.0, 1.0, -1.0)
+        ]
+
+    @pytest.mark.parametrize("kind", [DIRECT, ALT])
+    def test_term_logs_are_the_stores_bit_for_bit(self, kind):
+        # math.log and np.log first disagree at r = 9170; a target reads
+        # the store's float, as the evaluators do.
+        t = make_target(kind, 10**4)
+        logs = base_logs_and_signs(10**4)[0]
+        assert len(t.terms) == len(logs)
+        assert [lg.real.hex() for lg, _, _ in t.terms] == [x.hex() for x in logs.tolist()]
+
+    def test_target_holds_only_its_terms_and_start(self):
+        assert [f.name for f in fields(Target)] == [
+            "kind", "n", "constant", "terms", "start"
+        ]
+        t = make_target(ALT, 12)
+        for name in ("members", "logs", "signs"):
+            assert not hasattr(t, name)
+
+    def test_n_above_the_cap_is_refused_before_any_base_data(self, monkeypatch):
+        def unread(n):
+            raise AssertionError(f"base data read at n = {n}")
+
+        monkeypatch.setattr("zetasieve.rootfind.admissible_up_to", unread)
+        monkeypatch.setattr("zetasieve.rootfind.base_logs_and_signs", unread)
+        for kind in (DIRECT, ALT):
+            with pytest.raises(InputError, match=f"n must be in \\[2, {MAX_TARGET_N}\\]"):
+                make_target(kind, MAX_TARGET_N + 1)
 
     def test_rejects_unsupported_kinds(self):
         with pytest.raises(InputError):
@@ -218,13 +261,13 @@ class TestTarget:
         t = Target(ALT, np.int64(6), 1)
         assert t == make_target(ALT, 6) and hash(t) == hash(make_target(ALT, 6))
         assert type(t.n) is int and type(t.constant) is float
-        assert t.members == (2, 3, 5, 6) and len(t.terms) == 4
+        assert len(t.terms) == 4
         assert repr(t) == (
             "Target(kind=<RepresentationKind.ALTERNATING: 'alt'>,"
             " n=6, constant=1.0)"
         )
         with pytest.raises(FrozenInstanceError):
-            t.members = (2,)
+            t.terms = ()
 
     @pytest.mark.parametrize(
         "kind, n, constant",
@@ -253,8 +296,7 @@ class TestTarget:
         t = replace(make_target(kind, 6, 0.5), n=7)
         want = make_target(kind, 7, 0.5)
         assert t == want and t.describe() == want.describe()
-        assert t.members == want.members == (2, 3, 5, 6, 7)
-        assert t.logs == want.logs and t.signs == want.signs
+        assert len(t.terms) == len(want.terms) == 5
         assert [[bits(w) for w in term] for term in t.terms] == [
             [bits(w) for w in term] for term in want.terms
         ]
@@ -303,6 +345,21 @@ class TestNewtonRefine:
         assert isinstance(out, NewtonFailure)
         assert out.reason == "escape"
         assert out.iterations == 1
+
+    def test_a_seed_where_z_log_r_overflows_is_refused(self):
+        # |Im z| * log 6 overflows above about 1.003e308; the scalar loop
+        # would raise ValueError from cmath there.
+        t = make_target(DIRECT, 6)
+        for seed, box in (
+            (0.5 + 1.5e308j, None),
+            (0.5 - 1.5e308j, None),
+            (0.5 + 1.5e308j, (0.0, 1.0, 1e300, 1.6e308)),
+        ):
+            with pytest.raises(InputError, match="the seed .* n = 6"):
+                newton_refine(t, seed, box=box)
+        # log 2 * 1.5e308 is finite: the run ends as any other.
+        out = newton_refine(make_target(DIRECT, 2), 0.5 + 1.5e308j)
+        assert isinstance(out, NewtonFailure)
 
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
@@ -434,6 +491,20 @@ class TestWindingCount:
                 winding_count(t, 0.5 + 3j, 0.1, samples=samples)
         assert winding_count(t, 0.5 + 3j, 0.1, samples=MAX_SAMPLES) == 0
 
+    def test_a_circle_that_overflows_is_refused(self):
+        # Above the height where Im z * log 6 overflows, and a circle whose
+        # samples would overflow to inf on the real axis.
+        t = make_target(DIRECT, 6)
+        for center, radius in (
+            (0.5 + 1.5e308j, 0.1),
+            (0.5 - 1.5e308j, 0.1),
+            (0.5 + 1.0e308j, 0.01e308),
+            (1.7e308, 1e307),
+            (-1.7e308, 1e307),
+        ):
+            with pytest.raises(InputError, match="circle of radius"):
+                winding_count(t, center, radius)
+
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
         for radius in (-0.1, True, float("inf")):
@@ -550,6 +621,11 @@ class TestFindZeros:
     def test_zero_free_target_returns_empty(self):
         t = make_target(DIRECT, 2)
         assert find_zeros(t, SearchRegion(-5, 5, -10, 10)) == []
+
+    def test_a_search_above_the_overflow_height_is_refused(self):
+        region = SearchRegion(0.0, 1.0, 1.5e308, 1.50000001e308, 2, 2)
+        with pytest.raises(InputError, match="n = 6"):
+            find_zeros(make_target(DIRECT, 6), region)
 
     def test_direct_3_exactly_the_imaginary_pair(self):
         roots = find_zeros(make_target(DIRECT, 3), SearchRegion(-2, 2, -6, 6))
