@@ -35,9 +35,9 @@ __all__ = [
 # below this, but exactness must not silently degrade above it.
 MAX_VALUE = 2**64 - 1
 
-# The process keeps the base data once, at the largest n asked for: the
-# perfect powers up to n (about sqrt(n) of them), and once something is
-# evaluated there, 9 bytes per base of float64 logs and int8 signs, about
+# The process keeps the base data once: the perfect powers up to the
+# largest n asked for (about sqrt(n) of them), and 9 bytes per base of
+# float64 logs and int8 signs up to the largest n evaluated at, about
 # 0.9 GB at this cap.  Arrays are built a block of integers at a time, with
 # no sieve or other transient that grows with n.  Reading a set's .bases
 # adds 8 bytes per base of that set, and .members several GB of Python ints.
@@ -202,16 +202,19 @@ class _State(NamedTuple):
     limit: int
     powers: np.ndarray  # the perfect powers up to limit
     floats: tuple[np.ndarray, np.ndarray] | None  # logs and signs, once built
+    float_limit: int = 1  # the n <= limit the logs and signs reach
 
 
 class _PrefixStore:
     """The perfect powers up to the largest n asked for so far, with the
-    log r and (-1)**(r-1) arrays every evaluator sums over.
+    log r and (-1)**(r-1) arrays every evaluator sums over, up to the
+    largest n they were asked for.
 
     Every smaller n reads read-only prefix views of these arrays, so the
     process keeps one copy of the base data instead of one per n.  The
     store only grows: a larger n drops the arrays built at the smaller one,
-    and the logs and signs are built on first use, a block at a time.  Each
+    and the logs and signs are built a block at a time when asked for at an
+    n they do not reach, never past that n.  Each
     state is swapped in whole, so a reader never sees arrays of two sizes,
     and one thread at a time makes a new one, so no thread drops the
     arrays another built or takes the store back to a smaller n.
@@ -225,9 +228,10 @@ class _PrefixStore:
         self._state = _State(1, _frozen(np.empty(0, dtype=np.int64)), None)
 
     def _covering(self, n: int, floats: bool = False) -> _State:
-        """The state, grown to n, with its logs and signs if floats."""
+        """The state, grown to n, with its logs and signs reaching n if
+        floats."""
         state = self._state
-        if n > state.limit or (floats and state.floats is None):
+        if n > state.limit or (floats and n > state.float_limit):
             with self._lock:
                 state = self._state
                 if n > state.limit:
@@ -235,9 +239,12 @@ class _PrefixStore:
                     # The cached sets view the arrays just replaced;
                     # dropping them lets those arrays be freed.
                     admissible_up_to.cache_clear()
-                if floats and state.floats is None:
-                    logs_signs = _logs_and_signs(state.powers, state.limit)
-                    state = self._state = state._replace(floats=logs_signs)
+                if floats and n > state.float_limit:
+                    powers = state.powers[: np.searchsorted(state.powers, n, "right")]
+                    logs_signs = _logs_and_signs(powers, n)
+                    state = self._state = state._replace(
+                        floats=logs_signs, float_limit=n
+                    )
         return state
 
     def admissible_up_to(self, n: int) -> AdmissibleSet:

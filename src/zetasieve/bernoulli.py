@@ -33,14 +33,13 @@ class BernoulliTable:
         return tuple(float(v) for v in self.values)
 
 
-def bernoulli_table(max_index, *, maximum: int = DEFAULT_MAX_INDEX) -> BernoulliTable:
-    """B_0 .. B_max_index, exactly; max_index may not exceed maximum.
+def bernoulli_table(max_index) -> BernoulliTable:
+    """B_0 .. B_max_index, exactly; max_index may not exceed DEFAULT_MAX_INDEX.
 
     Tables are cached by size and shared between callers, which is safe
     because a table and its Fractions are immutable.
     """
-    maximum = check_int(maximum, "maximum", 0)
-    return _table(check_int(max_index, "max_index", 0, maximum))
+    return _table(check_int(max_index, "max_index", 0, DEFAULT_MAX_INDEX))
 
 
 @lru_cache(maxsize=32)

@@ -191,20 +191,19 @@ def _cmd_converge(args) -> str:
         reference = None
     kind = RepresentationKind(args.rep)
     rows = partial_sum_table(kind, args.z, n_max, ns, args.order)
-    lines = ["n,value_re,value_im,abs_error,tail_bound"]
+    # Every row has an error and a tail bound, or none does: one format,
+    # each float as _g writes it, applied once to every row's fields.
+    has_error, has_tail = reference is not None, rows[0].tail_bound is not None
+    line = "\n%d,%.17g,%.17g," + "%.17g" * has_error + "," + "%.17g" * has_tail
+    fields = []
     for row in rows:
-        value, bound = row.value, row.tail_bound
-        lines.append(
-            "%d,%.17g,%.17g,%s,%s"  # each float as _g writes it
-            % (
-                row.truncation,
-                value.real,
-                value.imag,
-                "" if reference is None else "%.17g" % abs(value - reference),
-                "" if bound is None else "%.17g" % bound,
-            )
-        )
-    return "\n".join(lines)
+        value = row.value
+        fields += (row.truncation, value.real, value.imag)
+        if has_error:
+            fields.append(abs(value - reference))
+        if has_tail:
+            fields.append(row.tail_bound)
+    return "n,value_re,value_im,abs_error,tail_bound" + line * len(rows) % tuple(fields)
 
 
 def _zeros_target(args):

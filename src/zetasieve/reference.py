@@ -50,7 +50,7 @@ _PREFACTOR_GUARD = 1e-8
 
 def _stages(z: complex) -> int:
     need = (_TARGET_DIGITS * _LN10 + 0.5 * math.pi * abs(z.imag) + 5.0) / _GAIN
-    if need > _MAX_STAGES:  # need may be inf, which has no ceiling
+    if need > _MAX_STAGES:
         raise DomainError(
             f"z = {z} needs more than the cap of {_MAX_STAGES} stages;"
             " the reference evaluator is not accurate there"

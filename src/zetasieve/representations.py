@@ -16,7 +16,10 @@ The coth forms follow from 1/(e**x - 1) + 1/2 = coth(x/2)/2 term by term,
 so they agree with their direct counterparts to rounding whenever the
 constants match.  Every term is singular on the lattice z = 2*pi*i*k/log(r);
 evaluations are gated on the distance to that lattice rather than left to
-blow up, which is what the root finder relies on.
+blow up, which is what the root finder relies on.  Every point enters
+through check_point, which refuses |Im z| above MAX_HEIGHT (2**28): above
+it the float64 phases Im z*log(r) lose their accuracy, and the gate cannot
+resolve POLE_GATE from the spacing of the floats near Im z.
 
 Terms are evaluated overflow-safe on both half planes: for Re(z) >= 0 use
 w = r**(-z) (|w| <= 1) and 1/(r**z - 1) = w/(1 - w); for Re(z) < 0 use
@@ -363,7 +366,7 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     def make_leaf(length):
         spacing, k, dist = (np.empty(length) for _ in range(3))
 
-        def leaf(start: int, stop: int) -> tuple[float, int | None, int]:
+        def leaf(start: int, stop: int) -> tuple[float, int, int]:
             """(distance, base index, lattice index) of the block's nearest
             pole."""
             s, kb, d = (a[: stop - start] for a in (spacing, k, dist))
@@ -372,8 +375,6 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
             np.subtract(z.imag, np.multiply(kb, s, out=d), out=d)
             np.hypot(z.real, d, out=d)
             i = int(np.argmin(d))
-            if not d[i] < math.inf:  # Im z / s overflowed: no finite k
-                return math.inf, None, 0
             return float(d[i]), start + i, int(kb[i])
 
         return leaf
@@ -381,7 +382,7 @@ def nearest_pole(z, n) -> tuple[float, int, int]:
     # The left side wins ties, as the first minimum does in np.argmin.
     nearer = lambda a, b: b if b[0] < a[0] else a
     dist, i, k = _tree_sum(len(logs), make_leaf, combine=nearer)
-    return dist, 0 if i is None else _base_at(powers, i), k
+    return dist, _base_at(powers, i), k
 
 
 def pole_distance(z, n) -> float:
@@ -400,20 +401,6 @@ def pole_gate(z: complex, n) -> None:
     dist, base, k = nearest_pole(z, n)
     if dist <= POLE_GATE:
         raise PoleProximityError(z, base, k, dist)
-
-
-def check_height(z: complex, n, log_max: float, what) -> None:
-    """Refuse the points w with |Re w| <= |Re z| and |Im w| <= |Im z|,
-    named by what(), when Re z is not finite or Im z * log_max overflows,
-    log_max being the log of the largest base r <= n.  There the imaginary
-    part of w * log r is not finite and every term built from it is nan; a
-    real part that overflows only sends r**w to 0 or infinity.
-    """
-    if not (math.isfinite(z.real) and math.isfinite(z.imag * log_max)):
-        raise InputError(
-            f"{what()} is out of range for n = {n}: z * log r overflows there"
-            " for the largest base r <= n"
-        )
 
 
 def _kernel(z: complex, logs, out, spare, squares=None):
@@ -549,21 +536,12 @@ def _eta_prefactor(z: complex) -> complex:
 
 
 def _prepare(kind, z, n):
-    """Check the point, n, its height, the prefactor (1.0 for plain kinds)
-    and the pole gate, in that order; (z, powers, logs, signs, prefactor)."""
-    z, powers, logs, signs = _checked_point(z, n)
+    """Check the point, n, the prefactor (1.0 for plain kinds) and the pole
+    gate, in that order; (z, powers, logs, signs, prefactor)."""
+    z, powers, logs, signs = check_point(z), *_base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
     pole_gate(z, n)
     return z, powers, logs, signs, p
-
-
-def _checked_point(z, n):
-    """The point, checked as a number and for its height at n, with the
-    base data at n: (z, powers, logs, signs)."""
-    z = check_point(z)
-    powers, logs, signs = _base_data(n)
-    check_height(z, n, float(logs[-1]), lambda: f"z = {z}")
-    return z, powers, logs, signs
 
 
 def remainder_bound(n, sigma) -> float:
@@ -782,11 +760,10 @@ def _bernoulli_value(z: complex, poly) -> complex:
     return 1.0 + poly[0] / z + acc
 
 
-def euler_even_zeta(m, *, maximum: int = DEFAULT_MAX_INDEX) -> float:
+def euler_even_zeta(m) -> float:
     """Euler's closed form zeta(2m) = (-1)**(m+1) B_{2m} (2*pi)**(2m) / (2*(2m)!)."""
-    maximum = check_int(maximum, "maximum", 0)
-    m = check_int(m, "m", 1, maximum // 2)
-    b = bernoulli_table(2 * m, maximum=maximum)[2 * m]
+    m = check_int(m, "m", 1, DEFAULT_MAX_INDEX // 2)
+    b = bernoulli_table(2 * m)[2 * m]
     rational = (-1) ** (m + 1) * b / (2 * math.factorial(2 * m))
     return float(rational) * TWO_PI ** (2 * m)
 
@@ -821,6 +798,6 @@ def derivative_partial(kind, z, n) -> complex:
             "derivative_partial supports DIRECT and ALTERNATING kinds,"
             f" got {kind!r}"
         )
-    z, _, logs, signs = _checked_point(z, n)
+    z, _, logs, signs = check_point(z), *_base_data(n)
     pole_gate(z, n)
     return -_term_sum(kind, z, logs, signs, derivative=True)

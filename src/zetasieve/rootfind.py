@@ -28,17 +28,19 @@ operation in the loop is complex by complex: CPython 3.11 would promote a
 float operand to complex(x, 0.0) on each mixed operation, then run the
 same complex routine, so the bits are the same and the promotions are
 saved.  A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS
-seeds, and a contour at most MAX_SAMPLES samples.  Newton's seed and a
-contour's disc are refused, as an evaluator's point is, where Im z * log r
-overflows for the target's largest base (check_height).  A verification
-contour is evaluated as one array (values_at), one term at a time, from
-the terms; it agrees with value_at to rounding, and only the winding count
-drawn from it is used.  The vectorized evaluators in the representations
-module are the tool for large n.  Everything about the pole lattice --
-Newton's gate, the clearance of a verification circle, the radius it may
-take, the sides of a search rectangle that a pole touches -- goes through
-the representations module (pole_gate, nearest_pole, pole_distance), so
-the lattice is written down once, and one gate, POLE_GATE, serves them all.
+seeds, and a contour at most MAX_SAMPLES samples.  A point above the
+height limit |Im z| <= MAX_HEIGHT is refused (check_point), and so is a
+search rectangle's escape box, Newton's box or a contour's bounding box
+that reaches above it, so a search never meets a refused point.  A
+verification contour is evaluated as one array (values_at), one term at a
+time, from the terms; it agrees with value_at to rounding, and only the
+winding count drawn from it is used.  The vectorized evaluators in the
+representations module are the tool for large n.  Everything about the
+pole lattice -- Newton's gate, the clearance of a verification circle, the
+radius it may take, the sides of a search rectangle that a pole touches --
+goes through the representations module (pole_gate, nearest_pole,
+pole_distance), so the lattice is written down once, and one gate,
+POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import numpy as np
 
 from .admissible import admissible_up_to, base_logs_and_signs
 from .errors import (
+    MAX_HEIGHT,
     ContourError,
     InputError,
     PoleProximityError,
@@ -63,7 +66,6 @@ from .representations import (
     POLE_GATE,
     TWO_PI,
     RepresentationKind,
-    check_height,
     nearest_pole,
     pole_distance,
     pole_gate,
@@ -233,7 +235,7 @@ def _too_large(region) -> InputError:
         f"region ({region.re_min!r}, {region.re_max!r}, {region.im_min!r},"
         f" {region.im_max!r}) is too large: with a {region.grid_re}x"
         f"{region.grid_im} grid, its grid cells, nudged sides or escape box"
-        " would overflow"
+        " would overflow or reach above the height limit |Im z| <= 2**28"
     )
 
 
@@ -244,7 +246,8 @@ class SearchRegion:
 
     A search may move sides of the rectangle out by a grid cell, two moves
     at most, and fences Newton in the escape box around the result; a
-    rectangle for which any of these could overflow is refused.
+    rectangle for which any of these could overflow, or reach above
+    MAX_HEIGHT, is refused.
     """
 
     re_min: float
@@ -273,7 +276,7 @@ class SearchRegion:
             self.im_min - 2.0 * cell_im,
             self.im_max + 2.0 * cell_im,
         )
-        if not all(map(math.isfinite, box)):
+        if not (all(map(math.isfinite, box)) and max(-box[2], box[3]) <= MAX_HEIGHT):
             raise _too_large(self)
 
     def contains(self, z: complex) -> bool:
@@ -325,21 +328,20 @@ def newton_refine(
     "pole" failure.  The box (re_min, re_max, im_min, im_max) is the escape
     fence; by default it extends 25 units around the seed, wide enough that
     a genuine basin is never cut, while unbounded drifts (targets with no
-    zeros at all) are cut off quickly.  A seed where Im z * log r
-    overflows for the target's largest base is refused (InputError).  The
-    box is not checked: at heights near that overflow a Newton step lies
-    far below the spacing of the floats, so the iterates keep the seed's
-    height.
+    zeros at all) are cut off quickly, and stops at |Im z| = MAX_HEIGHT.
+    A box given that reaches above that height limit is refused
+    (InputError), as a seed above it is.
     """
     target = _checked_target(target)
     z = check_point(seed)
     tol = check_real(tol, "tol", 0.0, strict=True)
-    # z=z: a closure would make the loop's z a cell variable.
-    check_height(z, target.n, _log_max(target), lambda z=z: f"the seed {z}")
     if box is None:
-        box = (z.real - 25.0, z.real + 25.0, z.imag - 25.0, z.imag + 25.0)
+        lo, hi = max(z.imag - 25.0, -MAX_HEIGHT), min(z.imag + 25.0, MAX_HEIGHT)
+        box = (z.real - 25.0, z.real + 25.0, lo, hi)
     else:
         box = _checked_bounds(box)
+        if max(-box[2], box[3]) > MAX_HEIGHT:
+            raise InputError(f"box {box!r} reaches above the height limit 2**28")
     re_min, re_max, im_min, im_max = box
     evaluate = target.value_and_derivative_at
     n = target.n
@@ -402,11 +404,6 @@ def _checked_target(target) -> Target:
     return target
 
 
-def _log_max(target: Target) -> float:
-    """log r of the target's largest base."""
-    return target.terms[-1][0].real
-
-
 def _polish(target, z, pair, box):
     """A couple of extra Newton steps to push the residual to rounding.
 
@@ -454,18 +451,19 @@ def winding_count(
     center decides both.  Phase steps above pi/2 are refused
     (ResolutionError) rather than unwrapped optimistically.  samples is
     at most MAX_SAMPLES.  A circle whose bounding box overflows, or reaches
-    heights where Im z * log r does for the target's largest base, is
-    refused (InputError).
+    above the height limit |Im z| <= MAX_HEIGHT, is refused (InputError).
     """
     target = _checked_target(target)
     center = check_point(center)
     radius = check_real(radius, "radius", 0.0, strict=True)
     samples = check_int(samples, "samples", 8, MAX_SAMPLES)
-    corner = complex(abs(center.real) + radius, abs(center.imag) + radius)
-    check_height(
-        corner, target.n, _log_max(target),
-        lambda: f"the circle of radius {radius} around {center}",
-    )
+    try:
+        check_point(complex(abs(center.real) + radius, abs(center.imag) + radius))
+    except InputError:
+        raise InputError(
+            f"the circle of radius {radius} around {center} overflows or"
+            " reaches above the height limit |Im z| <= 2**28"
+        ) from None
 
     # With no pole inside the disc, the pole nearest the center is also the
     # one nearest the circle, so this one test covers both refusals exactly.
@@ -521,8 +519,6 @@ def _nudged(region: SearchRegion, target: Target) -> SearchRegion:
         foot = min(max(0.0, region.re_min), region.re_max)
         half = 0.5 * (region.im_max - region.im_min)
         mid = 0.5 * (region.im_max + region.im_min)
-        if math.isinf(mid):  # the sum overflows, but then halving is exact
-            mid = 0.5 * region.im_max + 0.5 * region.im_min
         gap = max(0.0, nearest_pole(complex(0.0, mid), target.n)[0] - half)
         dist, side = min(
             (nearest_pole(complex(foot, region.im_min), target.n)[0], "im_min"),

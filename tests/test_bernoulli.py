@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zetasieve import InputError, bernoulli_table
+from zetasieve.bernoulli import DEFAULT_MAX_INDEX
 
 
 def akiyama_tanigawa(n):
@@ -96,10 +97,12 @@ class TestTableInterface:
         with pytest.raises(InputError):
             bernoulli_table(bad)
 
-    @pytest.mark.parametrize("maximum", [-1, 2.5, "x", True, None])
-    def test_rejects_bad_maximum(self, maximum):
-        with pytest.raises(InputError, match="maximum"):
-            bernoulli_table(2, maximum=maximum)
+    def test_the_cap_is_fixed(self):
+        assert bernoulli_table(DEFAULT_MAX_INDEX).max_index == DEFAULT_MAX_INDEX
+        with pytest.raises(InputError, match=r"in \[0, 200\]"):
+            bernoulli_table(DEFAULT_MAX_INDEX + 1)
+        with pytest.raises(TypeError):
+            bernoulli_table(2, maximum=400)
 
     def test_tables_are_cached(self):
         assert bernoulli_table(12) is bernoulli_table(np.int64(12))

@@ -368,13 +368,30 @@ class TestZeros:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr == f"error: n must be in [2, 1000000], got {n}\n"
 
-    def test_region_where_z_log_r_overflows_is_refused(self, capsys):
+    def test_region_above_the_height_limit_is_refused(self, capsys):
         code, out, err = run(
             capsys, "zeros", "--rep", "direct", "--n", "6",
             "--region=0,1,1.5e308,1.50000001e308", "--grid", "2",
         )
         assert code == 2 and out == ""
-        assert "n = 6" in err and len(err.splitlines()) == 1
+        assert err.startswith("error: region (") and "2**28" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_height_limit_is_exact(self, capsys, sign):
+        # A 3x3 grid over a side of 1: the nudged sides and the escape box
+        # reach 2.5 past im_max, so 2**28 - 2.5 takes them to 2**28 exactly.
+        for top, code_wanted in ((2.0**28 - 2.5, 0), (2.0**28 - 2.5 + 2.0**-24, 2)):
+            lo, hi = sorted((sign * top, sign * (top - 1.0)))
+            code, out, err = run(
+                capsys, "zeros", "--rep", "direct", "--n", "6",
+                f"--region=0,1,{lo!r},{hi!r}", "--grid", "3",
+            )
+            assert code == code_wanted
+            if code:
+                assert out == "" and len(err.splitlines()) == 1
+            else:
+                assert json.loads(out)["payload"]["roots"] == [] and err == ""
 
     @pytest.mark.parametrize(
         "region, grid",
@@ -533,23 +550,41 @@ class TestExitCodes:
              "--z", "0.5,1.05e308"],
         ],
     )
-    def test_heights_where_z_log_r_overflows_are_refused(self, capsys, argv):
+    def test_heights_above_the_limit_are_refused(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: z = ") and "n = 6" in err
+        assert err.startswith("error: z = ") and "height limit" in err
         assert len(err.splitlines()) == 1
 
-    def test_a_point_above_the_reference_cap_has_no_reference(self, capsys):
-        # log 3 * 1.2e308 is finite, so the evaluator answers, but the
-        # reference needs infinitely many stages and stays out.
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--rep", "direct", "--n", "6"],
+            ["eval", "--rep", "alt", "--n", "6"],
+            ["converge", "--rep", "coth", "--n-max", "6", "--step", "2"],
+        ],
+    )
+    def test_the_height_limit_is_exact(self, capsys, argv, sign):
+        code, out, err = run(capsys, *argv, "--z", f"0.5,{sign}268435456")
+        assert code == 0 and err == "" and "reference" not in out
         code, out, err = run(
-            capsys, "eval", "--rep", "direct", "--n", "3", "--z", "0.5,1.2e308"
+            capsys, *argv, "--z", f"0.5,{sign}{math.nextafter(2.0**28, 3e8)!r}"
+        )
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "height limit" in err
+
+    def test_a_point_above_the_reference_cap_has_no_reference(self, capsys):
+        # At 0.5+1e6i the evaluator answers, but the reference would need
+        # more than its 320-stage cap and stays out.
+        code, out, err = run(
+            capsys, "eval", "--rep", "direct", "--n", "3", "--z", "0.5,1e6"
         )
         assert code == 0 and err == ""
         assert "value_re" in out and "reference_delta" not in out
         code, out, err = run(
             capsys, "converge", "--rep", "direct", "--n-max", "4", "--step", "2",
-            "--z", "0.5,1.2e308",
+            "--z", "0.5,1e6",
         )
         assert code == 0 and err == ""
         rows = out.splitlines()[1:]

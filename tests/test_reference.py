@@ -75,11 +75,17 @@ class TestAgainstMpmath:
 
 
 class TestDomain:
-    def test_a_stage_count_that_overflows_is_refused(self):
-        # (pi/2) * |Im z| overflows: the refusal, not its message, decides.
+    def test_a_point_above_the_height_limit_is_refused(self):
+        # As every point is, above |Im z| = 2**28; below it the stage cap
+        # refuses anything above |Im z| = 337 or so.
         for z in (complex(0.5, 1.2e308), complex(0.5, -1.7e308)):
-            with pytest.raises(DomainError, match="cap of 320 stages"):
+            with pytest.raises(InputError, match="height limit"):
                 reference_zeta(z)
+        for sign in (1.0, -1.0):
+            with pytest.raises(DomainError, match="cap of 320 stages"):
+                reference_zeta(complex(0.5, sign * 2.0**28))
+            with pytest.raises(InputError, match="height limit"):
+                reference_zeta(complex(0.5, sign * (2.0**28 + 2.0**-24)))
 
     def test_pole_at_one(self):
         with pytest.raises(PoleError):

@@ -553,6 +553,29 @@ class TestStore:
         self.all_paths(self.N)
         self.all_paths(1_000)
 
+    @pytest.mark.parametrize(
+        "call",
+        ["make_target(RepresentationKind.DIRECT, 7)", "zeta_direct_partial(2.0, 7)"],
+    )
+    def test_floats_are_built_only_as_far_as_asked(self, call):
+        # The sieve at 1e7 leaves a fresh process near 30 MiB; logs and
+        # signs built at the store's limit, 1e7, would add about 86 MiB.
+        # The peak is VmHWM: ru_maxrss would keep the forking parent's.
+        code = (
+            "from zetasieve import *\n"
+            "admissible_up_to(10**7)\n"
+            f"{call}\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 40 << 10  # KiB
+
     def test_a_growth_during_a_build_is_kept(self, monkeypatch):
         TestPrefixStore.forget()
         build = admissible._logs_and_signs
@@ -700,13 +723,11 @@ class TestSpecialValues:
         with pytest.raises(InputError):
             euler_even_zeta(101)
 
-    @pytest.mark.parametrize("maximum", ["x", -1, 2.5, True, None])
-    def test_rejects_bad_maximum(self, maximum):
-        with pytest.raises(InputError, match="maximum"):
-            euler_even_zeta(1, maximum=maximum)
-
-    def test_maximum_lifts_the_cap(self):
-        assert euler_even_zeta(150, maximum=400) == pytest.approx(1.0, abs=1e-13)
+    def test_the_cap_is_fixed(self):
+        # m up to DEFAULT_MAX_INDEX // 2 = 100, and no keyword lifts it.
+        assert euler_even_zeta(100) == pytest.approx(1.0, abs=1e-13)
+        with pytest.raises(TypeError):
+            euler_even_zeta(150, maximum=400)
 
 
 class TestDerivative:
@@ -835,28 +856,50 @@ class TestInputChecking:
         with pytest.raises(InputError):
             zeta_direct_partial(bad, 6)
 
-    @pytest.mark.parametrize("z", [0.5 + 1.05e308j, 0.5 - 1.5e308j, -2.0 + 1.5e308j])
-    def test_heights_where_z_log_r_overflows_are_refused(self, z):
-        # |Im z| * log 6 overflows: every term is nan there, and the coth
-        # forms' z * log(r) / 2 would not be.
-        evaluators = [
+    @staticmethod
+    def point_evaluators():
+        """Every public entry that takes a point and n, Bernoulli aside."""
+        return [
             zeta_direct_partial,
             zeta_coth_partial,
+            zeta_alt_partial,
+            zeta_alt_coth_partial,
+            nearest_pole,
             lambda z, n: derivative_partial(RepresentationKind.DIRECT, z, n),
             lambda z, n: derivative_partial(RepresentationKind.ALTERNATING, z, n),
             lambda z, n: representations.partial_sum_table(
                 RepresentationKind.DIRECT, z, n, [2, n]
             ),
         ]
-        if z.real > 0.0:
-            evaluators += [zeta_alt_partial, zeta_alt_coth_partial]
+
+    @pytest.mark.parametrize(
+        "z", [0.5 + 1.05e308j, 0.5 - 1.5e308j, 0.5 + 1e308j, 0.5 + 1e16j]
+    )
+    def test_heights_above_the_limit_are_refused(self, z):
+        # Above |Im z| = 2**28 the float64 phases Im z * log r are noise long
+        # before they overflow: at 1e16 the direct sum at n = 1000 is off by
+        # 15% of its value (mpmath, 200 bits), and at 1e308 every term is
+        # nan.  Refused, not answered.
+        evaluators = self.point_evaluators()
+        evaluators.append(lambda z, n: zeta_bernoulli_partial(z, n, 10))
         for evaluate in evaluators:
-            message = re.escape(f"z = {z} is out of range for n = 6")
-            with pytest.raises(InputError, match=message):
-                evaluate(z, 6)
-        # Below the overflow, and at n = 2, where log 2 < 1, a value comes back.
-        assert np.isfinite(zeta_direct_partial(complex(0.5, 1e308), 6).value)
-        assert np.isfinite(zeta_alt_partial(0.5 + 1.5e308j, 2).value)
+            message = re.escape(f"z = {z!r} is above the height limit")
+            for n in (2, 6):
+                with pytest.raises(InputError, match=message):
+                    evaluate(z, n)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_height_limit_is_exact(self, sign):
+        top = complex(0.5, sign * 2.0**28)
+        above = complex(0.5, sign * math.nextafter(2.0**28, math.inf))
+        for evaluate in self.point_evaluators():
+            evaluate(top, 6)
+            with pytest.raises(InputError, match="height limit"):
+                evaluate(above, 6)
+        with pytest.raises(ConvergenceDomainError):
+            zeta_bernoulli_partial(top, 6, 10)
+        with pytest.raises(InputError, match="height limit"):
+            zeta_bernoulli_partial(above, 6, 10)
 
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)
@@ -943,6 +986,48 @@ def table_and_cumsum_bits(kind, z, n, ns):
     counts = np.searchsorted(bases, ns, "right")
     want = [one_shot_value(kind, z, partial[c - 1], c) for c in counts]
     return bits([r.value for r in rows]), bits(want)
+
+
+class TestHeightLimit:
+    """Up to |Im z| = 2**28 the float64 evaluators hold their accuracy;
+    above it they refuse rather than answer with noise."""
+
+    @staticmethod
+    def exact(kind, z, n):
+        """The partial sum at 60 digits, and its scale: 1 + sum |term|,
+        over |prefactor| for the alternating form."""
+        with mpmath.workdps(60):
+            w = mpmath.mpc(z.real, z.imag)
+            terms = [
+                (-1) ** (r - 1) / (mpmath.mpf(r) ** w - 1)
+                if kind == "alt" else 1 / (mpmath.mpf(r) ** w - 1)
+                for r in admissible_up_to(n).members
+            ]
+            p = 1 - mpmath.mpf(2) ** (1 - w) if kind == "alt" else mpmath.mpf(1)
+            value = (1 + mpmath.fsum(terms)) / p
+            scale = (1 + mpmath.fsum(abs(t) for t in terms)) / abs(p)
+            return complex(value), float(scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["direct", "alt"]),
+        sigma=st.floats(0.25, 3.0),
+        height=st.floats(0.0, 2.0**29),
+        n=st.integers(2, 2000),
+    )
+    @example(kind="direct", sigma=0.5, height=2.0**28, n=2000)
+    @example(kind="alt", sigma=2.0, height=-(2.0**28), n=2000)
+    @example(kind="direct", sigma=0.5, height=1e16, n=1000)
+    @example(kind="alt", sigma=0.5, height=math.nextafter(2.0**28, 0.0) + 1.0, n=2)
+    def test_answers_are_accurate_or_refused(self, kind, sigma, height, n):
+        z = complex(sigma, height)
+        evaluate = EVALUATORS[kind]
+        if abs(height) > 2.0**28:
+            with pytest.raises(InputError, match="height limit"):
+                evaluate(z, n)
+            return
+        value, scale = self.exact(kind, z, n)
+        assert abs(evaluate(z, n).value - value) <= 1e-6 * scale
 
 
 class TestBlockedSums:
@@ -1048,19 +1133,17 @@ class TestBlockedSums:
         assert nearest_pole(z, n) == one_shot_nearest_pole(z, bases, logs)
         assert nearest_pole(z, n)[1] == bases[ties[0]]
 
-    @pytest.mark.parametrize("im", [1.7e308, -1.7e308])
-    def test_leaves_whose_lattice_index_overflows_lose(self, monkeypatch, im):
-        # Im z / spacing overflows to inf for every base above about 765,
-        # so each leaf up there has no finite distance; the nearest pole is
-        # still the first minimum among the bases below.
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_the_walk_holds_up_to_the_height_limit(self, monkeypatch, sign):
+        # Every lattice index is finite up to |Im z| = 2**28, so every leaf
+        # has a finite nearest pole; above it the point is refused.
         monkeypatch.setattr(representations, "_LEAF", 64)
         n = 5_000
         bases, logs, _ = base_data(n)
-        z = complex(1e-7, im)
-        with np.errstate(over="ignore"):
-            assert np.isinf(z.imag / (2 * math.pi / logs[-2 * 64 :])).all()
-            want = one_shot_nearest_pole(z, bases, logs)
-            assert nearest_pole(z, n) == want
+        z = complex(1e-7, sign * 2.0**28)
+        assert nearest_pole(z, n) == one_shot_nearest_pole(z, bases, logs)
+        with pytest.raises(InputError, match="height limit"):
+            nearest_pole(complex(1e-7, sign * 1.7e308), n)
 
     @settings(max_examples=120, deadline=None)
     @given(

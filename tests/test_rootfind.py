@@ -346,20 +346,44 @@ class TestNewtonRefine:
         assert out.reason == "escape"
         assert out.iterations == 1
 
-    def test_a_seed_where_z_log_r_overflows_is_refused(self):
-        # |Im z| * log 6 overflows above about 1.003e308; the scalar loop
-        # would raise ValueError from cmath there.
+    def test_a_seed_above_the_height_limit_is_refused(self):
+        # Far above |Im z| = 2**28 the phases Im z * log r are noise (at
+        # n = 2 as at 6), and near 1e308 they overflow.
+        for n in (2, 6):
+            t = make_target(DIRECT, n)
+            for seed, box in (
+                (0.5 + 1.5e308j, None),
+                (0.5 - 1.5e308j, None),
+                (0.5 + 1e16j, (0.0, 1.0, 1e15, 1e17)),
+            ):
+                with pytest.raises(InputError, match="above the height limit"):
+                    newton_refine(t, seed, box=box)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_height_limit_is_exact(self, sign):
         t = make_target(DIRECT, 6)
-        for seed, box in (
-            (0.5 + 1.5e308j, None),
-            (0.5 - 1.5e308j, None),
-            (0.5 + 1.5e308j, (0.0, 1.0, 1e300, 1.6e308)),
-        ):
-            with pytest.raises(InputError, match="the seed .* n = 6"):
-                newton_refine(t, seed, box=box)
-        # log 2 * 1.5e308 is finite: the run ends as any other.
-        out = newton_refine(make_target(DIRECT, 2), 0.5 + 1.5e308j)
-        assert isinstance(out, NewtonFailure)
+        top = sign * 2.0**28
+        above = sign * math.nextafter(2.0**28, math.inf)
+        assert newton_refine(t, complex(0.5, top)) is not None
+        with pytest.raises(InputError, match="height limit"):
+            newton_refine(t, complex(0.5, above))
+        # A box given that reaches the limit is taken, one past it is not.
+        seed = complex(0.5, sign * (2.0**28 - 10.0))
+        newton_refine(t, seed, box=(0.0, 1.0, *sorted((top, sign * 1e8))))
+        with pytest.raises(InputError, match="box .* height limit"):
+            newton_refine(t, seed, box=(0.0, 1.0, *sorted((above, sign * 1e8))))
+
+    def test_the_default_box_stops_at_the_height_limit(self):
+        # 25 units around the seed, cut at |Im z| = 2**28, where a box given
+        # 25 units around it would be refused.
+        t = make_target(DIRECT, 2)
+        for im in (2.0**28 - 1.0, -(2.0**28 - 1.0), 2.0**28):
+            seed = complex(0.5, im)
+            lo, hi = max(im - 25.0, -(2.0**28)), min(im + 25.0, 2.0**28)
+            box = (-24.5, 25.5, lo, hi)
+            assert newton_refine(t, seed) == newton_refine(t, seed, box=box)
+            with pytest.raises(InputError, match="height limit"):
+                newton_refine(t, seed, box=(-24.5, 25.5, im - 25.0, im + 25.0))
 
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
@@ -491,19 +515,32 @@ class TestWindingCount:
                 winding_count(t, 0.5 + 3j, 0.1, samples=samples)
         assert winding_count(t, 0.5 + 3j, 0.1, samples=MAX_SAMPLES) == 0
 
-    def test_a_circle_that_overflows_is_refused(self):
-        # Above the height where Im z * log 6 overflows, and a circle whose
-        # samples would overflow to inf on the real axis.
+    def test_a_circle_that_overflows_or_leaves_the_height_limit_is_refused(self):
+        # A center above |Im z| = 2**28 is refused as any point is; a circle
+        # that reaches above it, or whose samples would overflow to inf on
+        # the real axis, is refused as a circle.
         t = make_target(DIRECT, 6)
+        for center in (0.5 + 1.5e308j, 0.5 - 1.5e308j, 0.5 + 1e16j):
+            with pytest.raises(InputError, match="z = .* above the height limit"):
+                winding_count(t, center, 0.1)
         for center, radius in (
-            (0.5 + 1.5e308j, 0.1),
-            (0.5 - 1.5e308j, 0.1),
-            (0.5 + 1.0e308j, 0.01e308),
+            (0.5 + 1.0e8j, 1e9),
+            (complex(0.5, -(2.0**28 - 0.05)), 0.1),
             (1.7e308, 1e307),
             (-1.7e308, 1e307),
         ):
             with pytest.raises(InputError, match="circle of radius"):
                 winding_count(t, center, radius)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_height_limit_is_exact(self, sign):
+        # The circle's top (or bottom) at 2**28 is taken, one float past it
+        # not.
+        t = make_target(DIRECT, 6)
+        center = complex(0.5, sign * (2.0**28 - 0.25))
+        assert winding_count(t, center, 0.25) == 0
+        with pytest.raises(InputError, match="circle of radius"):
+            winding_count(t, center, 0.25 + 2.0**-24)
 
     def test_rejects_bad_arguments(self):
         t = make_target(DIRECT, 3)
@@ -558,12 +595,34 @@ class TestSearchRegion:
         with pytest.raises(InputError, match=r"region \(-2\.5e\+307, 0\.0, 0\.0"):
             find_zeros(make_target(DIRECT, 6), region)
 
-    def test_huge_but_finite_rectangles_are_searched(self):
-        # The sum of the two heights overflows; the search must not.
+    def test_rectangles_above_the_height_limit_are_refused(self):
+        # Up there the phases are noise (see the evaluators' height tests),
+        # so a search must not return roots found in them.
+        for bounds in (
+            (0.0, 1.0, 0.9e308, 0.95e308),
+            (0.0, 1.0, -0.95e308, -0.9e308),
+            (0.0, 1.0, 1.5e308, 1.50000001e308),
+            (-1e307, 1e307, -1e307, 1e307),
+        ):
+            with pytest.raises(InputError, match=r"too large.* 2\*\*28"):
+                SearchRegion(*bounds, grid_re=3, grid_im=3)
+        # Wide along the real axis is still fine.
+        SearchRegion(-1e307, 1e307, -1e6, 1e6)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_height_limit_is_exact(self, sign):
+        # With a 3x3 grid over a side of 1, a nudged side moves out by 1 and
+        # the escape box by 1.5 more: im_max = 2**28 - 2.5 takes the box up
+        # to 2**28 exactly; one float more takes it past.
         t = make_target(DIRECT, 6)
-        for bounds in ((0.0, 1.0, 0.9e308, 0.95e308), (0.0, 1.0, -0.95e308, -0.9e308)):
-            assert find_zeros(t, SearchRegion(*bounds, grid_re=3, grid_im=3)) == []
-        SearchRegion(-1e307, 1e307, -1e307, 1e307)
+        for top, taken in ((2.0**28 - 2.5, True), (2.0**28 - 2.5 + 2.0**-24, False)):
+            lo, hi = sorted((sign * top, sign * (top - 1.0)))
+            if taken:
+                region = SearchRegion(0.0, 1.0, lo, hi, 3, 3)
+                assert find_zeros(t, region) == []
+            else:
+                with pytest.raises(InputError, match="too large"):
+                    SearchRegion(0.0, 1.0, lo, hi, 3, 3)
 
     def test_contains_is_boundary_inclusive(self):
         region = SearchRegion(-1.0, 1.0, -2.0, 2.0)
@@ -621,11 +680,6 @@ class TestFindZeros:
     def test_zero_free_target_returns_empty(self):
         t = make_target(DIRECT, 2)
         assert find_zeros(t, SearchRegion(-5, 5, -10, 10)) == []
-
-    def test_a_search_above_the_overflow_height_is_refused(self):
-        region = SearchRegion(0.0, 1.0, 1.5e308, 1.50000001e308, 2, 2)
-        with pytest.raises(InputError, match="n = 6"):
-            find_zeros(make_target(DIRECT, 6), region)
 
     def test_direct_3_exactly_the_imaginary_pair(self):
         roots = find_zeros(make_target(DIRECT, 3), SearchRegion(-2, 2, -6, 6))
