@@ -16,31 +16,29 @@ last iterate carries into the polish steps and the reported residual.
 
 Target evaluation at one point is a scalar cmath loop over the target's
 terms, one (log r, sign, sign*log r) triple per base built with the
-target (value_at, and value_and_derivative_at, which gives the value and
-the derivative from one exp per base): at the handful of terms a search
-uses, one point costs less than half of what the same sums cost in numpy.
-Newton is most of a search's time, so its loop does little besides the
-arithmetic: it unpacks the box and binds the evaluation once per seed and
-calls the pole gate directly, and the evaluation keeps the plain loop's
-operations in their order, so every float keeps its bits.  The triples,
-the constant and the 1 in 1 - w and v - 1 are complex numbers, so every
-operation in the loop is complex by complex: CPython 3.11 would promote a
-float operand to complex(x, 0.0) on each mixed operation, then run the
-same complex routine, so the bits are the same and the promotions are
-saved.  A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS
-seeds, and a contour at most MAX_SAMPLES samples.  A point above the
-height limit |Im z| <= MAX_HEIGHT is refused (check_point), and so is a
-search rectangle's escape box, Newton's box or a contour's bounding box
-that reaches above it, so a search never meets a refused point.  A
-verification contour is evaluated as one array (values_at), one term at a
-time, from the terms; it agrees with value_at to rounding, and only the
-winding count drawn from it is used.  The vectorized evaluators in the
-representations module are the tool for large n.  Everything about the
-pole lattice -- Newton's gate, the clearance of a verification circle, the
-radius it may take, the sides of a search rectangle that a pole touches --
-goes through the representations module (pole_gate, nearest_pole,
-pole_distance), so the lattice is written down once, and one gate,
-POLE_GATE, serves them all.
+target, that gives the value and the derivative from one exp per base: at
+the handful of terms a search uses, one point costs less than half of what
+the same sums cost in numpy.  The loop keeps the plain loop's operations
+in their order, so every float keeps its bits.  The triples, the constant
+and the 1 in 1 - w and v - 1 are complex numbers, so every operation in
+the loop is complex by complex: CPython 3.11 would promote a float operand
+to complex(x, 0.0) on each mixed operation, with the same bits.  A target
+gates its own sum, as the evaluators do: its one kernel refuses a point
+within POLE_GATE of a term pole (PoleProximityError), and value_at and
+value_and_derivative_at put each point through check_point first.
+Newton, most of a search's time, binds that kernel and unpacks its box
+once per seed, and catches the pole refusal once.  A target takes n up to
+MAX_TARGET_N, a search at most MAX_SEEDS seeds, and a contour at most
+MAX_SAMPLES samples.  A point above the height limit |Im z| <= MAX_HEIGHT
+is refused, and so is a search rectangle's escape box, Newton's box or a
+contour's bounding box that reaches above it, so a search never meets a
+refused point.  A verification contour is evaluated as one array
+(values_at), one term at a time; it agrees with value_at to rounding, and
+only the winding count drawn from it is used.  The vectorized evaluators
+in the representations module are the tool for large n.  Everything about
+the pole lattice goes through the representations module (pole_gate,
+nearest_pole, pole_distance), so the lattice is written down once, and
+one gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -133,8 +131,9 @@ class Target:
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
 
-    def value_and_derivative_at(self, z: complex) -> tuple[complex, complex]:
-        """f(z) and f'(z) from one cmath.exp per base."""
+    def _gated(self, z: complex) -> tuple[complex, complex]:
+        """f(z) and f'(z) behind the pole gate, at a point check_point passed."""
+        pole_gate(z, self.n)
         exp = cmath.exp
         value = self.start
         slope = 0j
@@ -153,16 +152,24 @@ class Target:
                 slope += slg * v / (d * d)
         return value, -slope
 
-    def value_at(self, z: complex) -> complex:
-        return self.value_and_derivative_at(z)[0]
+    def value_and_derivative_at(self, z) -> tuple[complex, complex]:
+        """f(z) and f'(z); refuses what check_point and the pole gate refuse."""
+        return self._gated(check_point(z))
+
+    def value_at(self, z) -> complex:
+        return self._gated(check_point(z))[0]
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """value_at at each point of a complex array, equal to rounding.
 
         The same sum, one numpy pass per term in order.  Right of Re z = 0
         a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
-        with v = exp(z*log r), as in value_and_derivative_at.
+        with v = exp(z*log r), as in value_and_derivative_at.  Points that
+        check_point refuses are refused; the pole gate is winding_count's.
         """
+        ok = np.isfinite(points.real) & (np.abs(points.imag) <= MAX_HEIGHT)
+        if not ok.all():
+            check_point(complex(points[~ok].flat[0]))  # raises InputError
         right = points.real >= 0.0
         u = np.where(right, -points, points)
         value = np.full(points.shape, self.start)
@@ -342,46 +349,39 @@ def newton_refine(
         box = _checked_bounds(box)
         if max(-box[2], box[3]) > MAX_HEIGHT:
             raise InputError(f"box {box!r} reaches above the height limit 2**28")
-    re_min, re_max, im_min, im_max = box
-    evaluate = target.value_and_derivative_at
-    n = target.n
+    lo_re, hi_re, lo_im, hi_im = box
+    evaluate = target._gated  # every iterate is in the box: no check_point
     iterations = 0
     pair = None  # (f, f') at z, once evaluated
-    while iterations < _MAX_ITER:
-        if pair is None:
-            try:
-                pole_gate(z, n)
-            except PoleProximityError:
-                return NewtonFailure("pole", z, iterations)
-            pair = evaluate(z)
-        fz, dz = pair
-        if abs(dz) < 1e-14:
-            return NewtonFailure("stagnation", z, iterations)
-        step = fz / dz
-        z_next = z - step
-        iterations += 1
-        if not (re_min <= z_next.real <= re_max and im_min <= z_next.imag <= im_max):
-            return NewtonFailure("escape", z_next, iterations)
-        if z_next != z or not _identical(z_next, z):  # != alone is faster
-            z, pair = z_next, None
-        if abs(step) < tol:
+    try:
+        while iterations < _MAX_ITER:
             if pair is None:
-                try:
-                    pole_gate(z, n)
-                except PoleProximityError:
-                    return NewtonFailure("pole", z, iterations)
                 pair = evaluate(z)
-            if abs(pair[0]) <= tol:
-                z, fz = _polish(target, z, pair, box)
-                return RootRecord(
-                    location=z,
-                    residual=abs(fz),
-                    verified=False,
-                    conjugate_of=None,
-                )
-            # Tiny step at a large residual is a near-stationary point, not
-            # convergence; keep iterating (from the pair already in hand)
-            # until a definite outcome.
+            fz, dz = pair
+            if abs(dz) < 1e-14:
+                return NewtonFailure("stagnation", z, iterations)
+            step = fz / dz
+            z_next = z - step
+            iterations += 1
+            if not (lo_re <= z_next.real <= hi_re and lo_im <= z_next.imag <= hi_im):
+                return NewtonFailure("escape", z_next, iterations)
+            if z_next != z or not _identical(z_next, z):  # != alone is faster
+                z, pair = z_next, None
+            if abs(step) < tol:
+                if pair is None:
+                    pair = evaluate(z)
+                if abs(pair[0]) <= tol:
+                    z, fz = _polish(target, z, pair, box)
+                    return RootRecord(
+                        location=z,
+                        residual=abs(fz),
+                        verified=False,
+                        conjugate_of=None,
+                    )
+                # A tiny step at a large residual is a near-stationary point,
+                # not convergence: iterate on from the pair in hand.
+    except PoleProximityError:
+        return NewtonFailure("pole", z, iterations)
     return NewtonFailure("max-iter", z, _MAX_ITER)
 
 
@@ -409,25 +409,24 @@ def _polish(target, z, pair, box):
 
     pair is (f, f') at z.  Returns the final z and f(z).
     """
-    re_min, re_max, im_min, im_max = box
-    evaluate = target.value_and_derivative_at
+    lo_re, hi_re, lo_im, hi_im = box
+    evaluate = target._gated
     fz, dz = pair
-    for _ in range(2):
-        if abs(dz) < 1e-14:
-            break
-        z_next = z - fz / dz
-        if _identical(z_next, z):  # the step is below rounding: done
-            break
-        if not (re_min <= z_next.real <= re_max and im_min <= z_next.imag <= im_max):
-            break
-        try:
-            pole_gate(z_next, target.n)
-        except PoleProximityError:
-            break
-        pair = evaluate(z_next)
-        if not abs(pair[0]) <= abs(fz):
-            break
-        z, (fz, dz) = z_next, pair
+    try:
+        for _ in range(2):
+            if abs(dz) < 1e-14:
+                break
+            z_next = z - fz / dz
+            if _identical(z_next, z):  # the step is below rounding: done
+                break
+            if not (lo_re <= z_next.real <= hi_re and lo_im <= z_next.imag <= hi_im):
+                break
+            pair = evaluate(z_next)
+            if not abs(pair[0]) <= abs(fz):
+                break
+            z, (fz, dz) = z_next, pair
+    except PoleProximityError:  # z_next is at a pole: keep z
+        pass
     return z, fz
 
 
@@ -448,10 +447,11 @@ def winding_count(
     Valid as a zero count only when the disc is pole-free.  A pole inside
     the disc, or within POLE_GATE of the circle anywhere along it (not only
     at the samples), raises ContourError; one nearest_pole call on the
-    center decides both.  Phase steps above pi/2 are refused
-    (ResolutionError) rather than unwrapped optimistically.  samples is
-    at most MAX_SAMPLES.  A circle whose bounding box overflows, or reaches
-    above the height limit |Im z| <= MAX_HEIGHT, is refused (InputError).
+    center decides both.  Phase steps above pi/2, and a circle so small
+    that adjacent samples coincide, are refused (ResolutionError) rather
+    than unwrapped optimistically.  samples is at most MAX_SAMPLES.  A
+    circle whose bounding box overflows, or reaches above the height limit
+    |Im z| <= MAX_HEIGHT, is refused (InputError).
     """
     target = _checked_target(target)
     center = check_point(center)
@@ -477,6 +477,8 @@ def winding_count(
 
     theta = np.linspace(0.0, TWO_PI, samples + 1)
     pts = center + radius * np.exp(1j * theta)
+    if np.any(pts[1:] == pts[:-1]):
+        raise ResolutionError(f"radius {radius} too small: adjacent samples coincide")
     values = target.values_at(pts)
     if np.any(values == 0):
         raise ResolutionError("exact zero on the contour; perturb the radius")
@@ -593,13 +595,11 @@ def find_zeros(
         rec.residual = abs(target.value_at(rec.location))
     roots.sort(key=lambda r: (r.location.imag, r.location.real))
 
-    for i, rec in enumerate(roots):
+    # The first index per location; 0.0 and -0.0 are one key, as under ==.
+    first = {rec.location: i for i, rec in reversed(list(enumerate(roots)))}
+    for rec in roots:
         if rec.location.imag != 0.0:
-            mirror = rec.location.conjugate()
-            for j, other in enumerate(roots):
-                if j != i and other.location == mirror:
-                    rec.conjugate_of = j
-                    break
+            rec.conjugate_of = first.get(rec.location.conjugate())
 
     _verify(target, roots, tol)
     return roots

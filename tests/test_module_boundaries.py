@@ -116,9 +116,15 @@ def two_pi_divisions(path: Path) -> list[str]:
 WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
-def walker_calls(path: Path) -> list[str]:
-    """Calls of a name in WALKERS, bare or read off a module, outside the
-    bodies of the functions it allows."""
+# Each sum that gates its own points, the only callers of the pole gate.
+GATED_SUMS = {
+    "pole_gate": {"_prepare", "_bernoulli_checks", "derivative_partial", "_gated"}
+}
+
+
+def walker_calls(path: Path, allowed=WALKERS) -> list[str]:
+    """Calls of a name in allowed (WALKERS unless given), bare or read off
+    a module, outside the bodies of the functions it allows."""
     tree = ast.parse(path.read_text(), filename=str(path))
     inside = {}
     for function in ast.walk(tree):
@@ -130,7 +136,7 @@ def walker_calls(path: Path) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in WALKERS and not WALKERS[name] & inside.get(id(node), set()):
+            if name in allowed and not allowed[name] & inside.get(id(node), set()):
                 found.append(f"{path.name}:{node.lineno}")
     return found
 
@@ -215,6 +221,14 @@ def test_only_representations_spaces_the_pole_lattice(path):
     assert two_pi_divisions(path) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_sums_call_the_pole_gate(path):
+    # The rule lives where the sum is computed: the evaluators' checks and
+    # a target's kernel.  Newton and its polish steps reach the gate only
+    # through the kernel.
+    assert walker_calls(path, GATED_SUMS) == []
+
+
 def test_reference_imports_only_errors():
     # The oracle audits the representations, so it must not be built on them.
     assert package_imports(PACKAGE / "reference.py") == {"errors"}
@@ -256,6 +270,11 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "_split(7, True)\n"
         "_in_order(jobs)\n"
         "_tree_sum(7, make_leaf)\n"
+        "def newton_refine(target, z):\n"
+        "    pole_gate(z, target.n)\n"
+        "def _gated(self, z):\n"
+        "    pole_gate(z, self.n)\n"
+        "representations.pole_gate(0j, 6)\n"
         "top = admissible_up_to(9).bases[-1]\n"
         "first = aset.members[0]\n"
         "bases = getattr(aset, 'bases')\n"
@@ -273,6 +292,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
+    assert len(walker_calls(probe, GATED_SUMS)) == 2
     assert len(base_reads(probe)) == 4
     assert len(set_constructions(probe)) == 4
 

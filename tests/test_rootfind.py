@@ -16,6 +16,7 @@ from zetasieve import (
     ContourError,
     InputError,
     NewtonFailure,
+    PoleProximityError,
     PRESETS,
     RepresentationKind,
     ResolutionError,
@@ -25,9 +26,13 @@ from zetasieve import (
     find_zeros,
     make_target,
     newton_refine,
+    pole_distance,
     winding_count,
+    zeta_direct_partial,
 )
 from zetasieve.admissible import admissible_up_to, base_logs_and_signs
+from zetasieve.errors import MAX_HEIGHT
+from zetasieve.representations import POLE_GATE
 from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, MAX_TARGET_N, _nudged
 
 DIRECT = RepresentationKind.DIRECT
@@ -168,7 +173,9 @@ class TestTarget:
         ),
         im=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0])),
     )
-    @example(DIRECT, 2, 1.0, 0.0, 0.0)  # both raise at the pole z = 0
+    @example(DIRECT, 2, 1.0, 0.0, 0.0)  # the target refuses the pole z = 0
+    @example(DIRECT, 6, 0.5, 0.0, LATTICE_2)  # and the pole 2*pi*i/log 2
+    @example(ALT, 3, 1.0, 5e-7, 0.0)  # and points within the gate of one
     @example(ALT, 60, 1.0, 400.0, -0.0)  # exp underflows on the real axis
     @example(ALT, 47, 0.0, -400.0, 0.0)
     @example(DIRECT, 7, 0.5, -0.0, 3.0)
@@ -177,12 +184,63 @@ class TestTarget:
     def test_value_and_derivative_keep_the_reference_bits(
         self, kind, n, constant, re, im
     ):
+        # Within POLE_GATE of a term pole the target refuses the point, as
+        # the evaluators do; everywhere else it keeps the reference bits.
         t = make_target(kind, n, constant)
         z = complex(re, im)
+        if pole_distance(z, n) <= POLE_GATE:
+            for evaluate in (t.value_and_derivative_at, t.value_at):
+                with pytest.raises(PoleProximityError):
+                    evaluate(z)
+            return
         want = outcome_bits(lambda w: reference_value_and_derivative(t, w), z)
         assert outcome_bits(t.value_and_derivative_at, z) == want
         if not isinstance(want, str):
             assert bits(t.value_at(z)) == want[0]
+
+    @pytest.mark.parametrize("method", ["value_at", "value_and_derivative_at"])
+    def test_a_pole_is_refused_as_the_evaluators_refuse_it(self, method):
+        # Ungated, the sum divides by zero at z = 0 and returns about
+        # -1.5 - 1.55e15i at the pole 2*pi*i/log 2.
+        t = PRESETS["paper-direct-6"]
+        for z in (0j, complex(0.0, LATTICE_2), complex(-5e-7, LATTICE_2)):
+            with pytest.raises(PoleProximityError):
+                zeta_direct_partial(z, 6)
+            with pytest.raises(PoleProximityError):
+                getattr(t, method)(z)
+
+    @pytest.mark.parametrize("method", ["value_at", "value_and_derivative_at"])
+    def test_a_point_check_point_refuses_is_refused(self, method):
+        t = PRESETS["paper-alt-6"]
+        for z in (
+            0.5 + 3e8j,
+            complex(0.5, -math.nextafter(MAX_HEIGHT, math.inf)),
+            complex(math.nan, 1.0),
+            float("nan"),
+            complex(math.inf, 0.0),
+            "2",
+            True,
+            None,
+        ):
+            with pytest.raises(InputError):
+                getattr(t, method)(z)
+        assert getattr(t, method)(complex(0.5, MAX_HEIGHT)) is not None
+        assert getattr(t, method)(2) == getattr(t, method)(2 + 0j)
+
+    def test_values_at_refuses_what_check_point_refuses(self):
+        t = make_target(ALT, 12)
+        good = [0.5 + 1j, -2.0 - 3j, complex(0.5, MAX_HEIGHT), -0.5 - MAX_HEIGHT * 1j]
+        assert np.all(np.isfinite(t.values_at(np.array(good))))
+        above = math.nextafter(MAX_HEIGHT, math.inf)
+        for bad, match in (
+            (complex(math.nan, 0.0), "non-finite"),
+            (complex(0.5, math.nan), "non-finite"),
+            (complex(-math.inf, 1.0), "non-finite"),
+            (0.5 + 3e8j, "height limit"),
+            (complex(0.5, -above), "height limit"),
+        ):
+            with pytest.raises(InputError, match=match):
+                t.values_at(np.array([*good, bad, 1.0 + 2j]))
 
     def test_terms_are_built_once_from_the_stores_logs_and_signs(self):
         # Exact complex numbers with a +0.0 imaginary part, so that the
@@ -407,15 +465,16 @@ class TestNewtonRefine:
                 newton_refine(target, 0.5 + 1j)
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
+        # Newton and value_at reach the sum through the target's one gated
+        # kernel, so its calls are the evaluations.
         seen = []
-        for name in ("value_at", "value_and_derivative_at"):
-            original = getattr(Target, name)
+        original = Target._gated
 
-            def counted(self, z, original=original):
-                seen.append(z)
-                return original(self, z)
+        def counted(self, z):
+            seen.append(z)
+            return original(self, z)
 
-            monkeypatch.setattr(Target, name, counted)
+        monkeypatch.setattr(Target, "_gated", counted)
         # Seeds next to known roots.  Each Newton iterate is evaluated once
         # and never twice in a row; only the two polish steps, which at
         # rounding level can step back onto an earlier point, may repeat one.
@@ -474,6 +533,17 @@ class TestWindingCount:
 
         monkeypatch.setattr(Target, "values_at", scalar_values)
         assert outcomes() == batched
+
+    def test_a_circle_too_small_to_resolve_is_refused(self):
+        # Around a simple root, a circle of radius 1e-300 has every sample
+        # equal to the center: each phase step is 0, and the count would
+        # read 0.
+        t = PRESETS["paper-direct-6"]
+        root = 0.6312141096784283 + 2.546634208615131j
+        assert winding_count(t, root, 1e-3) == 1
+        for radius in (1e-300, 1e-17, 1e-16):
+            with pytest.raises(ResolutionError):
+                winding_count(t, root, radius)
 
     def test_zero_on_a_zero_free_circle(self):
         t = make_target(DIRECT, 3)
