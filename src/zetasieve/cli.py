@@ -219,13 +219,8 @@ def _zeros_target(args):
             ) from None
     if args.rep is None or args.n is None:
         raise InputError("need --preset, or --rep and --n")
-    kind = (
-        RepresentationKind.DIRECT
-        if args.rep == "direct"
-        else RepresentationKind.ALTERNATING
-    )
     constant = 1.0 if args.constant is None else args.constant
-    return None, make_target(kind, args.n, constant)
+    return None, make_target(RepresentationKind(args.rep), args.n, constant)
 
 
 def _cmd_zeros(args) -> str:
@@ -306,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one representation at z")
     p_eval.add_argument(
         "--rep",
-        choices=["direct", "coth", "alt", "alt-coth", "bernoulli"],
+        choices=[kind.value for kind in RepresentationKind],
         required=True,
     )
     p_eval.add_argument("--z", type=_parse_complex, required=True)
@@ -323,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conv.add_argument(
         "--rep",
-        choices=["direct", "coth", "alt", "alt-coth", "bernoulli"],
+        choices=[kind.value for kind in RepresentationKind],
         required=True,
     )
     p_conv.add_argument("--z", type=_parse_complex, required=True)

@@ -487,7 +487,7 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
     order = np.argsort(ends)
     ends_sorted = ends[order]
     values = np.empty(len(ends), complex)
-    total = int(ends_sorted[-1]) + 1 if len(ends) else 0
+    total = int(ends_sorted[-1]) + 1
     length = _leaf_length(total)
     starts = range(0, total, length)
     sets = [_buffers(kind, length) for _ in starts[:_AHEAD]]
@@ -554,12 +554,13 @@ def remainder_bound(n, sigma) -> float:
     sigma = check_real(sigma, "sigma")
     if sigma <= 1.0:
         raise DomainError(f"remainder bound needs sigma > 1, got {sigma}")
-    return float(n) ** (1.0 - sigma) / (sigma - 1.0)
+    return _tail_or_none(sigma, n)
 
 
-def _tail_or_none(z: complex, n: int, scale: float = 1.0) -> float | None:
-    if z.real > 1.0:
-        return remainder_bound(n, z.real) * scale
+def _tail_or_none(sigma: float, n: int, scale: float = 1.0) -> float | None:
+    """remainder_bound(n, sigma) * scale at a checked n; None if sigma <= 1."""
+    if sigma > 1.0:
+        return float(n) ** (1.0 - sigma) / (sigma - 1.0) * scale
     return None
 
 
@@ -568,13 +569,14 @@ def _evaluate(kind, z, n) -> EvalResult:
     z, _, logs, signs, p = _prepare(kind, z, n)
     l = len(logs)
     value = _value(kind, _term_sum(kind, z, logs, signs), l, p)
-    tail = _tail_or_none(z, int(n), 1.0 / abs(p))
+    tail = _tail_or_none(z.real, int(n), 1.0 / abs(p))
     return EvalResult(value, int(n), l, tail)
 
 
 def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
-    """A form at every truncation in ns, from one pass over the bases up to
-    n_max.  Every n in ns must lie in [2, n_max].
+    """A form at every truncation in ns, in the order given, from one pass
+    over the bases up to n_max.  Every n in ns must be an integer in
+    [2, n_max]; an empty ns gives [].
 
     The term-sum forms run the checks and the pole gate once, at n_max;
     each row then reads its prefix of np.cumsum over the terms, built block
@@ -586,40 +588,37 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     form only.
     """
     if kind is RepresentationKind.BERNOULLI_SERIES:
-        return _bernoulli_table(z, n_max, ns, M)
-    if kind not in _TERM_SUM_KINDS:
+        z, M = check_point(z), check_int(M, "M", 0)
+        powers, logs, _ = _base_data(n_max)
+        p = 1.0
+    elif kind in _TERM_SUM_KINDS:
+        z, powers, logs, signs, p = _prepare(kind, z, n_max)
+    else:
         raise InputError(f"no cumulative form for {kind!r}")
-    z, powers, logs, signs, p = _prepare(kind, z, n_max)
-    ns = [check_int(n, "truncation", 2, n_max) for n in ns]
+    try:
+        ns = [check_int(n, "truncation", 2, n_max) for n in ns]
+    except TypeError:
+        raise InputError(f"ns must be an iterable of truncations, got {ns!r}") from None
+    if not ns:
+        return []
     counts = _counts(powers, ns)
-    partial = _prefix_sums(kind, z, logs, signs, counts)
-    sigma, scale = z.real, 1.0 / abs(p)
-    rows = []
-    for n, count, acc in zip(ns, counts, partial):
-        tail = None
-        if sigma > 1.0:  # remainder_bound(n, sigma) * scale, checked above
-            tail = float(n) ** (1.0 - sigma) / (sigma - 1.0) * scale
-        rows.append(EvalResult(_value(kind, acc, count, p), n, count, tail))
-    return rows
-
-
-def _bernoulli_table(z, n_max, ns, M) -> list[EvalResult]:
-    z = check_point(z)
-    M = check_int(M, "M", 0)
-    powers, logs, _ = _base_data(n_max)
-    ns = [check_int(n, "truncation", 2, n_max) for n in ns]
-    counts = _counts(powers, ns)
-    coeffs = ()  # stays empty only when there are no rows to sum
-    for n, count in zip(ns, counts):
-        _bernoulli_checks(z, n, powers, logs[:count])
-        # Refuses an M out of range after the first row's checks, as the
-        # evaluator would; later rows read the cached coefficients.
-        coeffs = _laurent_coefficients(M)
-    top = max(counts, default=0)
-    sums = _power_sums(logs[:top], counts, coeffs, np.empty((2, top)))
+    if kind is RepresentationKind.BERNOULLI_SERIES:
+        for n, count in zip(ns, counts):
+            _bernoulli_checks(z, n, powers, logs[:count])
+            # Refuses an M out of range after the first row's checks, as
+            # the evaluator would; later rows read the cached coefficients.
+            coeffs = _laurent_coefficients(M)
+        top = max(counts)
+        sums = _power_sums(logs[:top], counts, coeffs, np.empty((2, top)))
+        polys = _polynomials(sums, counts, coeffs)
+        values = [_bernoulli_value(z, poly) for poly in polys]
+    else:
+        sums = _prefix_sums(kind, z, logs, signs, counts)
+        values = [_value(kind, acc, count, p) for acc, count in zip(sums, counts)]
+    scale = 1.0 / abs(p)
     return [
-        EvalResult(_bernoulli_value(z, poly), n, count, _tail_or_none(z, n))
-        for n, count, poly in zip(ns, counts, _polynomials(sums, counts, coeffs))
+        EvalResult(value, n, count, _tail_or_none(z.real, n, scale))
+        for value, n, count in zip(values, ns, counts)
     ]
 
 
@@ -676,7 +675,7 @@ def zeta_bernoulli_partial(z, n, M) -> EvalResult:
     powers, logs, _ = _base_data(n)
     _bernoulli_checks(z, n, powers, logs)
     value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
-    return EvalResult(value, n, len(logs), _tail_or_none(z, n))
+    return EvalResult(value, n, len(logs), _tail_or_none(z.real, n))
 
 
 def _bernoulli_checks(z: complex, n: int, powers, logs) -> None:

@@ -159,14 +159,19 @@ class Target:
     def value_at(self, z) -> complex:
         return self._gated(check_point(z))[0]
 
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        """value_at at each point of a complex array, equal to rounding.
+    def values_at(self, points) -> np.ndarray:
+        """value_at at each point of an array of numbers, equal to rounding.
 
         The same sum, one numpy pass per term in order.  Right of Re z = 0
         a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
-        with v = exp(z*log r), as in value_and_derivative_at.  Points that
-        check_point refuses are refused; the pole gate is winding_count's.
+        with v = exp(z*log r), as in value_and_derivative_at.  Integers are
+        read as floats.  Points that check_point refuses are refused, and so
+        are bools, strings and other objects; the pole gate is winding_count's.
         """
+        points = np.asarray(points)
+        if points.dtype.kind not in "iufc":
+            raise InputError(f"expected an array of numbers, got {points.dtype}")
+        points = points.astype(np.result_type(points, 1.0), copy=False)
         ok = np.isfinite(points.real) & (np.abs(points.imag) <= MAX_HEIGHT)
         if not ok.all():
             check_point(complex(points[~ok].flat[0]))  # raises InputError

@@ -901,6 +901,25 @@ class TestInputChecking:
         with pytest.raises(InputError, match="height limit"):
             zeta_bernoulli_partial(above, 6, 10)
 
+    @pytest.mark.parametrize("kind", list(RepresentationKind))
+    def test_every_form_reads_its_rows_alike(self, kind):
+        def table(ns, z=2 + 0.5j):
+            return representations.partial_sum_table(kind, z, 18, ns, 7)
+
+        assert table([]) == [] and table(()) == []
+        with pytest.raises(InputError, match="expected a number"):
+            table([], "2")  # an empty table still checks its arguments
+        for bad in (5, None):
+            with pytest.raises(InputError, match="iterable of truncations"):
+                table(bad)
+        ns = [17, 2, 9, 17, 5, 12]
+        by_n = {row.truncation: row for row in table(sorted(set(ns)))}
+        rows = table(ns)
+        assert rows == [by_n[n] for n in ns]
+        assert bits([r.value for r in rows]) == bits([by_n[n].value for n in ns])
+        tails = [r.tail_bound for r in rows]
+        assert [t.hex() for t in tails] == [by_n[n].tail_bound.hex() for n in ns]
+
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)
         assert r.truncation == 20

@@ -241,6 +241,17 @@ class TestTarget:
         ):
             with pytest.raises(InputError, match=match):
                 t.values_at(np.array([*good, bad, 1.0 + 2j]))
+        for bad in (np.array(["2"]), ["2"], np.array([True]), [0.5 + 1j, None], None):
+            with pytest.raises(InputError, match="array of numbers"):
+                t.values_at(bad)
+        # Lists, scalars and integer arrays are arrays of numbers.
+        want = t.values_at(np.array([0.5 + 1j, -2.0 - 3j]))
+        assert t.values_at([0.5 + 1j, -2.0 - 3j]).tobytes() == want.tobytes()
+        assert t.values_at(0.5 + 1j).tobytes() == want[:1].tobytes()
+        floats = t.values_at(np.array([2.0, 3.0]))
+        assert t.values_at(np.array([2, 3], np.uint8)).tobytes() == floats.tobytes()
+        want = [t.value_at(2), t.value_at(3)]
+        assert floats.tolist() == pytest.approx(want, rel=1e-15)
 
     def test_terms_are_built_once_from_the_stores_logs_and_signs(self):
         # Exact complex numbers with a +0.0 imaginary part, so that the

@@ -113,6 +113,14 @@ def tables(rng: random.Random) -> None:
             for z in (complex(2.0, 1.0), complex(0.7, 14.0), complex(0.1, 0.05)):
                 ns = sorted({rng.randrange(2, n_max + 1) for _ in range(12)} | {n_max})
                 record("partial_sum_table", partial_sum_table, kind, z, n_max, ns, M)
+        # Rows out of order with a repeat, and no rows, inside the Bernoulli
+        # disk at both sizes: one block, and rows across three.
+        for z, n_max, ns in (
+            (complex(1.5, 0.5), 40, [40, 2, 13, 40, 25, 3]),
+            (complex(0.1, 0.05), 40_000, [40_000, 2, 16_385, 40_000, 13_333, 3]),
+        ):
+            for rows in (ns, []):
+                record("partial_sum_table", partial_sum_table, kind, z, n_max, rows, M)
 
 
 def newton_in_box(target, seed, box):
