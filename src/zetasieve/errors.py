@@ -8,8 +8,8 @@ Public entry points check each argument with one of three checkers, which
 raise InputError: ``check_int`` (rejects bools, non-integers such as 6.0 or
 "6", and values out of range; accepts numpy integers), ``check_real``
 (rejects bools, strings, complex values, inf, nan and values below the
-minimum) and ``check_point`` (rejects bools, strings, non-numbers, inf,
-nan and points with |Im z| above MAX_HEIGHT).
+minimum) and ``check_point`` (rejects bools, numpy's bools, strings,
+non-numbers, inf, nan and points with |Im z| above MAX_HEIGHT).
 """
 
 from __future__ import annotations
@@ -143,8 +143,9 @@ def check_point(z) -> complex:
     # limit; every other value takes the full checks below.
     if type(z) is complex and math.isfinite(z.real) and abs(z.imag) <= MAX_HEIGHT:
         return z
-    # complex() would parse "2" or "2+0j"; a point must be a number.
-    if isinstance(z, (bool, str)):
+    # complex() would parse "2" and read numpy's bools, not Numbers, as 0 or
+    # 1; complex, float and int come first only as the ABC check is slow.
+    if isinstance(z, bool) or not isinstance(z, (complex, float, int, numbers.Number)):
         raise InputError(f"expected a number, got {z!r}")
     try:
         z = complex(z)

@@ -59,7 +59,7 @@ from queue import SimpleQueue
 
 import numpy as np
 
-from .admissible import MAX_LIMIT, admissible_up_to, base_logs_and_signs
+from .admissible import admissible_up_to, base_logs_and_signs
 from .bernoulli import DEFAULT_MAX_INDEX, bernoulli_table
 from .errors import (
     ConvergenceDomainError,
@@ -427,7 +427,6 @@ _ALTERNATING = (
     RepresentationKind.ALTERNATING_COTH,
 )
 _COTH = (RepresentationKind.COTH, RepresentationKind.ALTERNATING_COTH)
-_TERM_SUM_KINDS = (RepresentationKind.DIRECT, *_COTH, *_ALTERNATING)
 
 
 def _buffers(kind, length: int, derivative: bool = False) -> list[np.ndarray]:
@@ -535,13 +534,19 @@ def _eta_prefactor(z: complex) -> complex:
     return p
 
 
-def _prepare(kind, z, n):
-    """Check the point, n, the prefactor (1.0 for plain kinds) and the pole
-    gate, in that order; (z, powers, logs, signs, prefactor)."""
-    z, powers, logs, signs = check_point(z), *_base_data(n)
+def _prepare(kind, z, n, M=None):
+    """Every form's entry check: the point, the Bernoulli order M, n and the
+    prefactor (1.0 for plain kinds), in that order, then the pole gate at n
+    but for the Bernoulli form, which gates each truncation after its disk
+    test; (z, M, powers, logs, signs, prefactor)."""
+    z = check_point(z)
+    if kind is RepresentationKind.BERNOULLI_SERIES:
+        M = check_int(M, "M", 0, DEFAULT_MAX_INDEX - 1)
+    powers, logs, signs = _base_data(n)
     p = _eta_prefactor(z) if kind in _ALTERNATING else 1.0
-    pole_gate(z, n)
-    return z, powers, logs, signs, p
+    if kind is not RepresentationKind.BERNOULLI_SERIES:
+        pole_gate(z, n)
+    return z, M, powers, logs, signs, p
 
 
 def remainder_bound(n, sigma) -> float:
@@ -564,13 +569,16 @@ def _tail_or_none(sigma: float, n: int, scale: float = 1.0) -> float | None:
     return None
 
 
-def _evaluate(kind, z, n) -> EvalResult:
-    """A term-sum form at one truncation: checks, kernel, constant, tail."""
-    z, _, logs, signs, p = _prepare(kind, z, n)
-    l = len(logs)
-    value = _value(kind, _term_sum(kind, z, logs, signs), l, p)
-    tail = _tail_or_none(z.real, int(n), 1.0 / abs(p))
-    return EvalResult(value, int(n), l, tail)
+def _evaluate(kind, z, n, M=None) -> EvalResult:
+    """A form at one truncation: checks, sum, constant, tail."""
+    z, M, powers, logs, signs, p = _prepare(kind, z, n, M)
+    n, l = int(n), len(logs)
+    if kind is RepresentationKind.BERNOULLI_SERIES:
+        _bernoulli_checks(z, n, powers, logs)
+        value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
+    else:
+        value = _value(kind, _term_sum(kind, z, logs, signs), l, p)
+    return EvalResult(value, n, l, _tail_or_none(z.real, n, 1.0 / abs(p)))
 
 
 def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
@@ -587,14 +595,9 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     zeta_bernoulli_partial at its n exactly.  M is read by the Bernoulli
     form only.
     """
-    if kind is RepresentationKind.BERNOULLI_SERIES:
-        z, M = check_point(z), check_int(M, "M", 0)
-        powers, logs, _ = _base_data(n_max)
-        p = 1.0
-    elif kind in _TERM_SUM_KINDS:
-        z, powers, logs, signs, p = _prepare(kind, z, n_max)
-    else:
+    if not isinstance(kind, RepresentationKind):
         raise InputError(f"no cumulative form for {kind!r}")
+    z, M, powers, logs, signs, p = _prepare(kind, z, n_max, M)
     try:
         ns = [check_int(n, "truncation", 2, n_max) for n in ns]
     except TypeError:
@@ -605,9 +608,7 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     if kind is RepresentationKind.BERNOULLI_SERIES:
         for n, count in zip(ns, counts):
             _bernoulli_checks(z, n, powers, logs[:count])
-            # Refuses an M out of range after the first row's checks, as
-            # the evaluator would; later rows read the cached coefficients.
-            coeffs = _laurent_coefficients(M)
+        coeffs = _laurent_coefficients(M)
         top = max(counts)
         sums = _power_sums(logs[:top], counts, coeffs, np.empty((2, top)))
         polys = _polynomials(sums, counts, coeffs)
@@ -667,15 +668,9 @@ def zeta_bernoulli_partial(z, n, M) -> EvalResult:
 
     The power sums depend on n alone, so the series is 1 + P_{-1}/z plus a
     polynomial in z: its real coefficients are built once per (n, M) and
-    cached, and each call evaluates it by Horner's rule.
+    cached, and each call evaluates it by Horner's rule.  M is in [0, 199].
     """
-    z = check_point(z)
-    M = check_int(M, "M", 0)
-    n = check_int(n, "n", 2, MAX_LIMIT)
-    powers, logs, _ = _base_data(n)
-    _bernoulli_checks(z, n, powers, logs)
-    value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
-    return EvalResult(value, n, len(logs), _tail_or_none(z.real, n))
+    return _evaluate(RepresentationKind.BERNOULLI_SERIES, z, n, M)
 
 
 def _bernoulli_checks(z: complex, n: int, powers, logs) -> None:

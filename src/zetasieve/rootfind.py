@@ -166,12 +166,16 @@ class Target:
         a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
         with v = exp(z*log r), as in value_and_derivative_at.  Integers are
         read as floats.  Points that check_point refuses are refused, and so
-        are bools, strings and other objects; the pole gate is winding_count's.
+        are bools, strings and other objects, a list's checked one by one
+        (numpy reads a bool among numbers as 1); the pole gate is winding_count's.
         """
-        points = np.asarray(points)
-        if points.dtype.kind not in "iufc":
-            raise InputError(f"expected an array of numbers, got {points.dtype}")
-        points = points.astype(np.result_type(points, 1.0), copy=False)
+        array = np.asarray(points)
+        if array.dtype.kind not in "iufc":
+            raise InputError(f"expected an array of numbers, got {array.dtype}")
+        if not isinstance(points, np.ndarray):
+            for z in np.asarray(points, dtype=object).flat:
+                check_point(z)
+        points = array.astype(np.result_type(array, 1.0), copy=False)
         ok = np.isfinite(points.real) & (np.abs(points.imag) <= MAX_HEIGHT)
         if not ok.all():
             check_point(complex(points[~ok].flat[0]))  # raises InputError

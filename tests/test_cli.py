@@ -286,7 +286,8 @@ class TestConverge:
 
     @pytest.mark.parametrize(
         "order, message",
-        [("-1", "M must be >= 0"), ("2.5", "--order"), ("500", "max_index")],
+        [("-1", "M must be in [0, 199], got -1"), ("2.5", "--order"),
+         ("500", "M must be in [0, 199], got 500")],
     )
     def test_bernoulli_table_rejects_bad_orders(self, capsys, order, message):
         code, out, err = run(

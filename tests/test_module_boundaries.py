@@ -122,6 +122,15 @@ GATED_SUMS = {
 }
 
 
+# The front door of the evaluators: every form checks its point and its
+# prefactor in _prepare; nearest_pole and derivative_partial, which take no
+# prefactor, check their own points.
+FRONT_DOOR = {
+    "check_point": {"_prepare", "nearest_pole", "derivative_partial"},
+    "_eta_prefactor": {"_prepare"},
+}
+
+
 def walker_calls(path: Path, allowed=WALKERS) -> list[str]:
     """Calls of a name in allowed (WALKERS unless given), bare or read off
     a module, outside the bodies of the functions it allows."""
@@ -229,6 +238,12 @@ def test_only_the_sums_call_the_pole_gate(path):
     assert walker_calls(path, GATED_SUMS) == []
 
 
+def test_every_form_enters_through_prepare():
+    # One entry check for the five forms and the tables, so an order, a
+    # point or a prefactor is refused alike whichever form is asked.
+    assert walker_calls(PACKAGE / "representations.py", FRONT_DOOR) == []
+
+
 def test_reference_imports_only_errors():
     # The oracle audits the representations, so it must not be built on them.
     assert package_imports(PACKAGE / "reference.py") == {"errors"}
@@ -285,6 +300,12 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "aset = AdmissibleSet._in_store(3, powers)\n"
         "aset = admissible.AdmissibleSet.__new__(admissible.AdmissibleSet)\n"
         "isinstance(aset, AdmissibleSet)\n"
+        "def _prepare(kind, z, n):\n"
+        "    return check_point(z), _eta_prefactor(z)\n"
+        "def zeta_bernoulli_partial(z, n, M):\n"
+        "    z = errors.check_point(z)\n"
+        "def partial_sum_table(kind, z):\n"
+        "    p = _eta_prefactor(check_point(z))\n"
     )
     assert package_imports(probe) == {
         "errors", "representations", "rootfind", "admissible", "bernoulli"
@@ -295,6 +316,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(walker_calls(probe, GATED_SUMS)) == 2
     assert len(base_reads(probe)) == 4
     assert len(set_constructions(probe)) == 4
+    assert len(walker_calls(probe, FRONT_DOOR)) == 3
 
 
 def traced_attributes() -> list[tuple[str, str]]:

@@ -360,10 +360,23 @@ class TestBernoulliSeries:
             zeta_bernoulli_partial(radius * 1.001, 6, 5)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(InputError):
-            zeta_bernoulli_partial(0.5, 6, -1)
-        with pytest.raises(InputError):
-            zeta_bernoulli_partial(0.5, 6, 2.5)
+        kind = RepresentationKind.BERNOULLI_SERIES
+        forms = (
+            zeta_bernoulli_partial,
+            lambda z, n, M: representations.partial_sum_table(kind, z, n, [n], M)[0],
+        )
+        for evaluate in forms:
+            with pytest.raises(InputError, match=r"M must be in \[0, 199\], got -1"):
+                evaluate(0.5, 6, -1)
+            with pytest.raises(InputError, match="M must be an integer"):
+                evaluate(0.5, 6, 2.5)
+            # The order is checked by name before the disk test.
+            for z in (0.5, 50.0):
+                with pytest.raises(InputError, match=r"M must be in \[0, 199\], got 200"):
+                    evaluate(z, 6, 200)
+            with pytest.raises(ConvergenceDomainError):
+                evaluate(50.0, 6, 199)
+        assert forms[1](0.5, 6, 199) == forms[0](0.5, 6, 199)
 
     def test_matches_a_40_digit_laurent_series(self):
         # The same truncated series, 1 + sum_{m=-1}^{M} z**m B_{m+1} P_m /
@@ -850,7 +863,11 @@ class TestAlternatingDomain:
 
 class TestInputChecking:
     @pytest.mark.parametrize(
-        "bad", [float("nan"), complex(0, float("inf")), True, [1], "2", "2+0j"]
+        "bad",
+        [
+            float("nan"), complex(0, float("inf")), True, np.True_, np.False_,
+            [1], "2", "2+0j",
+        ],
     )
     def test_rejects_non_numeric_points(self, bad):
         with pytest.raises(InputError):

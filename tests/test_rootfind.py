@@ -244,6 +244,11 @@ class TestTarget:
         for bad in (np.array(["2"]), ["2"], np.array([True]), [0.5 + 1j, None], None):
             with pytest.raises(InputError, match="array of numbers"):
                 t.values_at(bad)
+        # numpy reads a bool among numbers as 0 or 1; a list's points are
+        # checked one by one.
+        for bad in ([0.5 + 1j, True], [0.5 + 1j, np.True_], [[0.5 + 1j], [np.False_]]):
+            with pytest.raises(InputError, match="expected a number"):
+                t.values_at(bad)
         # Lists, scalars and integer arrays are arrays of numbers.
         want = t.values_at(np.array([0.5 + 1j, -2.0 - 3j]))
         assert t.values_at([0.5 + 1j, -2.0 - 3j]).tobytes() == want.tobytes()

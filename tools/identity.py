@@ -254,6 +254,24 @@ def terms_outputs() -> None:
         record("terms sha256", terms_digest, "--n", str(n), "--json")
 
 
+def values_of_list(target, points):
+    return target.values_at(points).tolist()
+
+
+def edges() -> None:
+    # The Bernoulli order at the top of its range and one past it, in the
+    # evaluator and the table, and numpy's bool where a point goes, alone
+    # and in a list.
+    z = complex(0.5, 0.25)
+    for M in (199, 200):
+        record("bernoulli", zs.zeta_bernoulli_partial, z, 47, M)
+        rows = [2, 47, 300]
+        record("partial_sum_table", partial_sum_table, Kind.BERNOULLI_SERIES, z, 300, rows, M)
+    record("direct", zs.zeta_direct_partial, np.True_, 6)
+    target = zs.make_target(Kind.ALTERNATING, 12)
+    record("values_at list", values_of_list, target, [0.5 + 1j, True])
+
+
 def main() -> None:
     rng = random.Random(15)
     evaluators(rng)
@@ -264,6 +282,7 @@ def main() -> None:
     sets()
     target_fields()
     terms_outputs()
+    edges()
     print("records", RECORDS)
 
 
