@@ -6,8 +6,8 @@ envelope {schema_version, command, parameters, payload} so a result file
 records the invocation that produced it.  CSV uses '.' decimals and 17
 significant digits, enough to round-trip a double losslessly.
 
-Exit codes: 0 success, 2 usage or parse error (an unwritable --out
-included), 3 mathematical domain error.
+Exit codes: 0 success, 2 usage or parse error (an unwritable --out, or
+output that cannot be written, included), 3 mathematical domain error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -384,6 +385,19 @@ def _fold_negative_values(argv: list[str]) -> list[str]:
     return folded
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, so the interpreter's last
+    flush of what could not be written (to a closed pipe or a full disk)
+    does not fail again at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (OSError, ValueError):  # a stream with no descriptor of its own
+        pass
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
@@ -403,7 +417,13 @@ def main(argv=None) -> int:
     # A handler returns its text, or chunks of it to write as they come.
     chunks = itertools.chain([output] if isinstance(output, str) else output, "\n")
     if args.out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            _stdout_to_devnull()
+            return 2
         return 0
     try:
         with args.out.open("w") as stream:

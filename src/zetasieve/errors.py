@@ -127,7 +127,10 @@ def check_real(
     # float and int come first only because the ABC check alone is slow.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise InputError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise InputError(f"{name} must be finite, got one too large for a float") from None
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     if minimum is not None and (value <= minimum if strict else value < minimum):
@@ -151,6 +154,8 @@ def check_point(z) -> complex:
         z = complex(z)
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected a complex number, got {z!r}") from exc
+    except OverflowError:
+        raise InputError("non-finite argument, too large for a float") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InputError(f"non-finite argument {z!r}")
     if abs(z.imag) > MAX_HEIGHT:

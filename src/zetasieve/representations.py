@@ -104,6 +104,10 @@ PREFACTOR_GATE = 1e-12
 # blocks take 512 KiB, which stays in a 2 MiB L2 cache.
 _LEAF = 2**14
 
+# The Bernoulli power sums keep at most this many bytes of orders in one
+# group, which each table row reduces in one call; it stays in a 2 MiB L2.
+_GROUP_BYTES = 2**20
+
 # _in_order starts no job this many places or more past the one its caller
 # waits for, so the prefix sums' blocks need only this many buffer pairs.
 _AHEAD = 3
@@ -608,10 +612,9 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     if kind is RepresentationKind.BERNOULLI_SERIES:
         for n, count in zip(ns, counts):
             _bernoulli_checks(z, n, powers, logs[:count])
-        coeffs = _laurent_coefficients(M)
         top = max(counts)
-        sums = _power_sums(logs[:top], counts, coeffs, np.empty((2, top)))
-        polys = _polynomials(sums, counts, coeffs)
+        sums = _power_sums(logs[:top], counts, M, _power_rows(M, top))
+        polys = _polynomials(sums, counts, _laurent_coefficients(M))
         values = [_bernoulli_value(z, poly) for poly in polys]
     else:
         sums = _prefix_sums(kind, z, logs, signs, counts)
@@ -702,45 +705,65 @@ def _bernoulli_polynomial(n: int, M: int) -> tuple[float, ...]:
     sum over the whole row.
     """
     _, logs, _ = _base_data(n)
-    coeffs = _laurent_coefficients(M)
 
     def make_leaf(length):
-        buffers = np.empty((2, length))
-        return lambda i, j: _power_sums(logs[i:j], [j - i], coeffs, buffers)
+        rows = _power_rows(M, length)
+        return lambda i, j: _power_sums(logs[i:j], [j - i], M, rows)
 
     sums = _tree_sum(len(logs), make_leaf, real=True)
-    return _polynomials(sums, [len(logs)], coeffs)[0]
+    return tuple(_polynomials(sums, [len(logs)], _laurent_coefficients(M))[0])
 
 
-def _power_sums(logs, prefixes, coeffs, buffers):
-    """P_m over logs[:p] for each prefix length p: row m + 1, column i holds
-    P_m over the first prefixes[i] elements, for m = -1 and each m >= 1
-    with coeffs[m] != 0; the other rows are zero.
+def _power_rows(M: int, length: int) -> np.ndarray:
+    """_power_sums' buffer at order M for up to `length` bases: a group of
+    as many of the summed orders as fit in _GROUP_BYTES, at least one, and
+    a spare row for the even powers between them."""
+    fit = max(1, _GROUP_BYTES // (8 * length))
+    return np.empty((min(fit, 1 + (M + 1) // 2) + 1, length))
 
-    The powers of log r are built elementwise in the two rows of buffers,
-    each product into the other row, never in place.  A prefix slice sums
-    exactly as a fresh array of its length would, so a table row read at n
-    equals the evaluator at n.
+
+def _power_sums(logs, prefixes, M: int, rows) -> np.ndarray:
+    """P_m over logs[:p] for each prefix length p and each summed order:
+    row i holds (P_{-1}, P_1, P_3, ...) up to m = M over the first
+    prefixes[i] elements.  Only the odd orders carry a Laurent coefficient
+    past c_0, since B_{m+1} = 0 at every even m >= 2.
+
+    The powers of log r are built elementwise, (log r)**m from the row of
+    m - 2 through the spare row of rows (from _power_rows), so no product
+    is in place.  The summed orders fill the group rows[:-1] in turn; each
+    full group, and the last, costs a prefix one np.add.reduce along its
+    rows, which adds each row pairwise exactly as np.sum does.  A prefix
+    slice sums as a fresh array of its length would, so a table row read
+    at n equals the evaluator at n.
     """
-    zeros = [0.0] * len(prefixes)
-    power = np.divide(1.0, logs, out=buffers[0, : len(logs)])
-    sums = [power[:p].sum() for p in prefixes] + zeros
-    power = logs
-    for m in range(1, len(coeffs)):
-        if m > 1:  # at most log(MAX_LIMIT)**199 ~ 1e252
-            power = np.multiply(power, logs, out=buffers[m % 2, : len(logs)])
-        sums += [power[:p].sum() for p in prefixes] if coeffs[m] != 0.0 else zeros
-    return np.array(sums).reshape(len(coeffs) + 1, len(prefixes))
+    group, spare = rows[:-1, : len(logs)], rows[-1, : len(logs)]
+    orders = [-1, *range(1, M + 1, 2)]
+    sums = np.empty((len(prefixes), len(orders)))
+    for start in range(0, len(orders), len(group)):
+        filled = group[: len(orders) - start]
+        for row, m in zip(filled, orders[start:]):
+            if m == -1:
+                np.divide(1.0, logs, out=row)
+            elif m == 1:
+                row[:] = logs
+            else:  # at most log(MAX_LIMIT)**199 ~ 1e252
+                np.multiply(np.multiply(power, logs, out=spare), logs, out=row)
+            power = row
+        end = start + len(filled)
+        for i, p in enumerate(prefixes):
+            np.add.reduce(filled[:, :p], axis=1, out=sums[i, start:end])
+    return sums
 
 
-def _polynomials(sums, counts, coeffs) -> list[tuple[float, ...]]:
-    """(P_{-1}, c_0 P_0, ..., c_M P_M) for each column of _power_sums' sums
-    and its count, with c_m = coeffs[m] and P_0 = count."""
-    return [
-        (s[0], coeffs[0] * count)
-        + tuple(c * p if c != 0.0 else 0.0 for c, p in zip(coeffs[1:], s[2:]))
-        for s, count in zip(sums.T.tolist(), counts)
-    ]
+def _polynomials(sums, counts, coeffs) -> list[list[float]]:
+    """[P_{-1}, c_0 P_0, ..., c_M P_M] for each row of _power_sums' sums
+    and its count, with c_m = coeffs[m], P_0 = count and 0.0 at the even
+    orders m >= 2, whose coefficient is zero."""
+    polys = np.zeros((len(counts), len(coeffs) + 1))
+    polys[:, 0] = sums[:, 0]
+    polys[:, 1] = np.multiply(coeffs[0], counts)
+    polys[:, 2::2] = sums[:, 1:] * coeffs[1::2]
+    return polys.tolist()
 
 
 def _bernoulli_value(z: complex, poly) -> complex:

@@ -1,5 +1,7 @@
 """Command-line interface, exercised in process through main()."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -595,6 +597,49 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--rep", "direct", "--z", "0,0", "--n", "6")
         assert code == 3
         assert "pole" in err
+
+    def test_a_closed_pipe_is_a_usage_error(self):
+        # The reader leaves after ten bytes of a long output: one error
+        # line, exit 2, and no traceback from the interpreter's last flush.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "zetasieve", "terms", "--n", "2000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert child.stdout.read(10) == b"2\n3\n5\n6\n7\n"
+        child.stdout.close()
+        assert child.wait(timeout=120) == 2
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    def test_a_refusing_stream_in_process_is_a_usage_error(self, capsys):
+        # A stream with no descriptor of its own keeps the exit code too.
+        class Refusing(io.TextIOBase):
+            def write(self, chunk):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        with contextlib.redirect_stdout(Refusing()):
+            code = main(["eval", "--rep", "direct", "--z", "2,0", "--n", "6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_full_device_is_a_usage_error(self, unbuffered):
+        # Buffered, the write fails at the flush; unbuffered, at the write.
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "zetasieve", "eval", "--rep", "direct",
+                 "--z", "2,0", "--n", "100"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(SRC),
+                     "PYTHONUNBUFFERED": unbuffered},
+            )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write output: [Errno 28]")
+        assert len(done.stderr.splitlines()) == 1
 
 
 class TestOutputFile:

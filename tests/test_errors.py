@@ -2,11 +2,13 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zetasieve import zeta_direct_partial
 from zetasieve.errors import MAX_HEIGHT, InputError, check_point, check_real
 
 
@@ -75,3 +77,15 @@ def test_the_height_limit_is_exact():
                 check_point(make(z))
     # Real parts have no such limit.
     assert check_point(complex(1.7e308, 0.0)).real == 1.7e308
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), Fraction(10**400)], ids=["int", "-int", "fraction"]
+)
+def test_numbers_too_large_for_a_float_are_refused(value):
+    # float() and complex() raise OverflowError on them, not ValueError.
+    with pytest.raises(InputError, match="x must be finite, got one too large"):
+        check_real(value, "x")
+    for check in (check_point, lambda z: zeta_direct_partial(z, 6)):
+        with pytest.raises(InputError, match="non-finite argument, too large"):
+            check(value)

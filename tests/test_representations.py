@@ -1250,6 +1250,30 @@ class TestBlockedSums:
         assert {name for i, name in spans if i >= split} == {"zetasieve-helper"}
 
 
+    @pytest.mark.parametrize("M", [7, 40, 199])
+    @pytest.mark.parametrize("per_group", [1, 2, None], ids=["one", "two", "default"])
+    def test_power_sums_are_np_sum_per_row(self, monkeypatch, per_group, M):
+        # Every summed order in every group, at prefixes on numpy's 8- and
+        # 128-element edges, has the bits of np.sum over its own row.
+        _, logs, _ = representations._base_data(20_000)
+        length = len(logs)
+        orders = [-1, *range(1, M + 1, 2)]
+        if per_group is not None:
+            monkeypatch.setattr(representations, "_GROUP_BYTES", 8 * length * per_group)
+        fit = representations._GROUP_BYTES // (8 * length)
+        rows = representations._power_rows(M, length)
+        assert rows.shape == (min(fit, len(orders)) + 1, length)
+        prefixes = [*range(1, 10), 63, 64, 65, 127, 128, 129, 1000, length]
+        got = representations._power_sums(logs, prefixes, M, rows)
+        powers, power = {-1: 1.0 / logs}, logs
+        for m in range(1, M + 1):
+            if m > 1:
+                power = power * logs
+            powers[m] = power
+        want = [[np.sum(powers[m][:p]) for m in orders] for p in prefixes]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestHelperThread:
     """Above one leaf the right half of a sum, and blocks of a table's
     terms, may run on one helper thread; the results keep the bits of a
@@ -1569,6 +1593,18 @@ class TestMemoryBound:
         zeta_bernoulli_partial(0.1, 6, 40)  # warms the Laurent coefficients
         representations._bernoulli_polynomial.cache_clear()
         assert self.peak(lambda: call(self.N)) < self.LIMIT
+
+    def test_bernoulli_table_keeps_two_rows_of_the_largest(self):
+        # A row over 3e5 bases is larger than a group's budget, so a group
+        # holds one order, beside the spare: two rows of 2.4 MB, and no third.
+        n = self.N
+        representations._base_data(n)  # the store is the caller's
+        zeta_bernoulli_partial(0.1, 6, 40)  # warms the Laurent coefficients
+        call = lambda: representations.partial_sum_table(
+            RepresentationKind.BERNOULLI_SERIES, complex(0.3, 0.2), n,
+            range(3000, n + 1, 3000), 40,
+        )
+        assert self.peak(call) <= 5 << 20
 
     @pytest.mark.parametrize("kind", COTH_KINDS)
     def test_coth_tables_take_one_buffer_per_block(self, kind):

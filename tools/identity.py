@@ -121,6 +121,13 @@ def tables(rng: random.Random) -> None:
         ):
             for rows in (ns, []):
                 record("partial_sum_table", partial_sum_table, kind, z, n_max, rows, M)
+    # The converge workload's Bernoulli tables, 100 evenly spaced rows at
+    # M = 40, whose orders span several groups; rows longer than a group's
+    # budget; and the top order.
+    z = complex(0.3, 0.2)
+    for n_max, M in ((5000, 40), (20_000, 40), (300_000, 40), (20_000, 199)):
+        ns = list(range(n_max // 100, n_max + 1, n_max // 100))
+        record("partial_sum_table", partial_sum_table, Kind.BERNOULLI_SERIES, z, n_max, ns, M)
 
 
 def newton_in_box(target, seed, box):
