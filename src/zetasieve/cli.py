@@ -26,7 +26,7 @@ from .reference import reference_zeta
 from .representations import (
     RepresentationKind,
     euler_even_zeta,
-    partial_sum_table,
+    partial_sum_columns,
     special_value,
     zeta_alt_coth_partial,
     zeta_alt_partial,
@@ -191,20 +191,20 @@ def _cmd_converge(args) -> str:
     except (DomainError, InputError):
         reference = None
     kind = RepresentationKind(args.rep)
-    rows = partial_sum_table(kind, args.z, n_max, ns, args.order)
+    ns, _, values, tails = partial_sum_columns(kind, args.z, n_max, ns, args.order)
     # Every row has an error and a tail bound, or none does: one format,
-    # each float as _g writes it, applied once to every row's fields.
-    has_error, has_tail = reference is not None, rows[0].tail_bound is not None
+    # each float as _g writes it, applied once to the columns interleaved.
+    has_error, has_tail = reference is not None, tails[0] is not None
     line = "\n%d,%.17g,%.17g," + "%.17g" * has_error + "," + "%.17g" * has_tail
-    fields = []
-    for row in rows:
-        value = row.value
-        fields += (row.truncation, value.real, value.imag)
-        if has_error:
-            fields.append(abs(value - reference))
-        if has_tail:
-            fields.append(row.tail_bound)
-    return "n,value_re,value_im,abs_error,tail_bound" + line * len(rows) % tuple(fields)
+    columns = [ns, [v.real for v in values], [v.imag for v in values]]
+    if has_error:
+        columns.append([abs(v - reference) for v in values])
+    if has_tail:
+        columns.append(tails)
+    fields = [None] * (len(columns) * len(ns))
+    for i, column in enumerate(columns):
+        fields[i :: len(columns)] = column
+    return "n,value_re,value_im,abs_error,tail_bound" + line * len(ns) % tuple(fields)
 
 
 def _zeros_target(args):

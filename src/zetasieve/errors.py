@@ -108,8 +108,18 @@ def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int
         raise InputError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum or (maximum is not None and value > maximum):
         bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise InputError(f"{name} must be {bound}, got {value}")
+        raise InputError(f"{name} must be {bound}, got {_shown(value)}")
     return value
+
+
+def _shown(value: int) -> str:
+    """value as text up to 100 digits, else its digit count: str() refuses
+    ints past 4300 digits, and a message need not hold thousands."""
+    if -(10**100) < value < 10**100:
+        return str(value)
+    digits = int(value.bit_length() * math.log10(2)) + 1  # or one too many
+    digits -= abs(value) < 10 ** (digits - 1)
+    return f"an integer of {digits} digits"
 
 
 def check_real(

@@ -510,16 +510,17 @@ def _prefix_sums(kind, z: complex, logs, signs, counts) -> list[complex]:
     return values.tolist()
 
 
-def _value(kind, acc: complex, l: int, p: complex) -> complex:
-    """The kind's constant and prefactor applied to its term sum acc."""
+def _values(kind, sums, counts, p: complex) -> list[complex]:
+    """The kind's constant and prefactor applied to each term sum, at its
+    term count; CPython's scalar arithmetic, whose complex division numpy
+    does not round alike."""
     if kind is RepresentationKind.DIRECT:
-        return 1.0 + acc
+        return [1.0 + acc for acc in sums]
     if kind is RepresentationKind.COTH:
-        return (2.0 - l) / 2.0 + 0.5 * acc
+        return [(2.0 - l) / 2.0 + 0.5 * acc for acc, l in zip(sums, counts)]
     if kind is RepresentationKind.ALTERNATING:
-        return (1.0 + acc) / p
-    constant = 1.0 if l % 2 == 0 else 0.5
-    return (constant + 0.5 * acc) / p
+        return [(1.0 + acc) / p for acc in sums]
+    return [((1.0 if l % 2 == 0 else 0.5) + 0.5 * acc) / p for acc, l in zip(sums, counts)]
 
 
 def _eta_prefactor(z: complex) -> complex:
@@ -563,14 +564,15 @@ def remainder_bound(n, sigma) -> float:
     sigma = check_real(sigma, "sigma")
     if sigma <= 1.0:
         raise DomainError(f"remainder bound needs sigma > 1, got {sigma}")
-    return _tail_or_none(sigma, n)
+    return _tails(sigma, [n])[0]
 
 
-def _tail_or_none(sigma: float, n: int, scale: float = 1.0) -> float | None:
-    """remainder_bound(n, sigma) * scale at a checked n; None if sigma <= 1."""
+def _tails(sigma: float, ns, scale: float = 1.0) -> list[float | None]:
+    """remainder_bound(n, sigma) * scale at each checked n; Nones if
+    sigma <= 1."""
     if sigma > 1.0:
-        return float(n) ** (1.0 - sigma) / (sigma - 1.0) * scale
-    return None
+        return [float(n) ** (1.0 - sigma) / (sigma - 1.0) * scale for n in ns]
+    return [None] * len(ns)
 
 
 def _evaluate(kind, z, n, M=None) -> EvalResult:
@@ -581,14 +583,21 @@ def _evaluate(kind, z, n, M=None) -> EvalResult:
         _bernoulli_checks(z, n, powers, logs)
         value = _bernoulli_value(z, _bernoulli_polynomial(n, M))
     else:
-        value = _value(kind, _term_sum(kind, z, logs, signs), l, p)
-    return EvalResult(value, n, l, _tail_or_none(z.real, n, 1.0 / abs(p)))
+        value = _values(kind, [_term_sum(kind, z, logs, signs)], [l], p)[0]
+    return EvalResult(value, n, l, _tails(z.real, [n], 1.0 / abs(p))[0])
 
 
 def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
+    """partial_sum_columns' rows, one EvalResult per truncation in ns."""
+    columns = partial_sum_columns(kind, z, n_max, ns, M)
+    return [EvalResult(v, n, l, t) for n, l, v, t in zip(*columns)]
+
+
+def partial_sum_columns(kind, z, n_max, ns, M=None) -> tuple[list, list, list, list]:
     """A form at every truncation in ns, in the order given, from one pass
-    over the bases up to n_max.  Every n in ns must be an integer in
-    [2, n_max]; an empty ns gives [].
+    over the bases up to n_max, as four lists: the truncations, the term
+    counts, the values and the tail bounds (None where Re z <= 1).  Every n
+    in ns must be an integer in [2, n_max]; an empty ns gives empty lists.
 
     The term-sum forms run the checks and the pole gate once, at n_max;
     each row then reads its prefix of np.cumsum over the terms, built block
@@ -607,7 +616,7 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
     except TypeError:
         raise InputError(f"ns must be an iterable of truncations, got {ns!r}") from None
     if not ns:
-        return []
+        return [], [], [], []
     counts = _counts(powers, ns)
     if kind is RepresentationKind.BERNOULLI_SERIES:
         for n, count in zip(ns, counts):
@@ -617,13 +626,8 @@ def partial_sum_table(kind, z, n_max, ns, M=None) -> list[EvalResult]:
         polys = _polynomials(sums, counts, _laurent_coefficients(M))
         values = [_bernoulli_value(z, poly) for poly in polys]
     else:
-        sums = _prefix_sums(kind, z, logs, signs, counts)
-        values = [_value(kind, acc, count, p) for acc, count in zip(sums, counts)]
-    scale = 1.0 / abs(p)
-    return [
-        EvalResult(value, n, count, _tail_or_none(z.real, n, scale))
-        for value, n, count in zip(values, ns, counts)
-    ]
+        values = _values(kind, _prefix_sums(kind, z, logs, signs, counts), counts, p)
+    return ns, counts, values, _tails(z.real, ns, 1.0 / abs(p))
 
 
 def zeta_direct_partial(z, n) -> EvalResult:
@@ -799,7 +803,8 @@ def special_value(kind, m, n) -> EvalResult:
             f"kind must be one of {sorted(_SPECIAL_KINDS)}, got {kind!r}"
         )
     m = check_int(m, "m", 2 if kind == "any" else 1)
-    return zeta_direct_partial(complex(_SPECIAL_KINDS[kind](m)), n)
+    # An argument too large for a float is refused as any point is.
+    return zeta_direct_partial(_SPECIAL_KINDS[kind](m), n)
 
 
 def derivative_partial(kind, z, n) -> complex:

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from zetasieve import admissible_up_to
+from zetasieve import RepresentationKind, admissible_up_to
 from zetasieve.cli import main
+from zetasieve.reference import reference_zeta
+from zetasieve.representations import partial_sum_table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -299,6 +301,51 @@ class TestConverge:
         assert (code, out) == (2, "")
         assert message in err
 
+    # (z, n-max, step, error column, tail column) for the term-sum forms and
+    # for the Bernoulli form, whose points must lie in its disk: all fields;
+    # |Im z| >= 337 or Re z <= 0, where reference_zeta refuses; Re z <= 1.
+    CSV_CASES = {
+        "term-sum": [
+            (complex(1.5, 7.0), 40_000, 1_333, True, True),
+            (complex(1.5, 400.0), 40_000, 1_333, False, True),
+            (complex(0.7, 14.0), 40_000, 1_333, True, False),
+        ],
+        "bernoulli": [
+            (complex(1.05, 0.1), 300, 23, True, True),
+            (complex(-0.5, 0.2), 300, 23, False, False),
+            (complex(0.5, 0.3), 300, 23, True, False),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("rep", [kind.value for kind in RepresentationKind])
+    def test_csv_is_the_table_formatted(self, capsys, rep, case):
+        # Byte for byte: each row of partial_sum_table at the same
+        # truncations, with %.17g floats and a blank field where the
+        # reference or the tail bound is undefined.
+        forms = "bernoulli" if rep == "bernoulli" else "term-sum"
+        z, n_max, step, has_error, has_tail = self.CSV_CASES[forms][case]
+        code, out, err = run(
+            capsys, "converge", "--rep", rep, "--z", f"{z.real!r},{z.imag!r}",
+            "--n-max", str(n_max), "--step", str(step),
+        )
+        assert (code, err) == (0, "")
+        ns = list(range(step, n_max + 1, step))
+        rows = partial_sum_table(RepresentationKind(rep), z, n_max, ns, 40)
+        reference = reference_zeta(z) if has_error else None
+        lines = ["n,value_re,value_im,abs_error,tail_bound"]
+        for row in rows:
+            error = "" if reference is None else f"{abs(row.value - reference):.17g}"
+            tail = "" if row.tail_bound is None else f"{row.tail_bound:.17g}"
+            lines.append(
+                f"{row.truncation},{row.value.real:.17g},{row.value.imag:.17g},"
+                f"{error},{tail}"
+            )
+        assert out == "\n".join(lines) + "\n"
+        fields = [line.split(",") for line in lines[1:]]
+        assert {f[3] != "" for f in fields} == {has_error}
+        assert {f[4] != "" for f in fields} == {has_tail}
+
     def test_rejects_empty_schedules(self, capsys):
         code, _, err = run(
             capsys, "converge", "--rep", "direct", "--z", "2,0",
@@ -499,6 +546,15 @@ class TestSpecial:
     def test_argument_below_two_rejected(self, capsys):
         code, _, err = run(capsys, "special", "--kind", "any", "--m", "1", "--n", "6")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["any", "even", "odd"])
+    def test_argument_too_large_for_a_float_is_a_usage_error(self, capsys, kind):
+        code, out, err = run(
+            capsys, "special", "--kind", kind, "--m", "1" + "0" * 400, "--n", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too large for a float" in err
+        assert err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetasieve import zeta_direct_partial
-from zetasieve.errors import MAX_HEIGHT, InputError, check_point, check_real
+from zetasieve import RepresentationKind, zeta_direct_partial
+from zetasieve.errors import MAX_HEIGHT, InputError, check_int, check_point, check_real
+from zetasieve.representations import partial_sum_table
 
 
 class _Float(float):
@@ -89,3 +90,27 @@ def test_numbers_too_large_for_a_float_are_refused(value):
     for check in (check_point, lambda z: zeta_direct_partial(z, 6)):
         with pytest.raises(InputError, match="non-finite argument, too large"):
             check(value)
+
+
+@pytest.mark.parametrize(
+    "value, digits",
+    [(10**5000, 5001), (10**5000 - 1, 5000), (-(10**5000), 5001), (2**20000, 6021)],
+    ids=["power-of-ten", "nines", "negative", "power-of-two"],
+)
+def test_integers_too_long_to_print_are_refused_by_their_digit_count(value, digits):
+    # str() of an int past 4300 digits raises ValueError; the message gives
+    # the digit count instead of the value.
+    message = f"n must be in [2, 10], got an integer of {digits} digits"
+    with pytest.raises(InputError, match=re.escape(message)):
+        check_int(value, "n", 2, 10)
+    with pytest.raises(InputError, match=f"n must be >= 2, got an integer of {digits}"):
+        check_int(-abs(value), "n", 2)
+    with pytest.raises(InputError, match=f"got an integer of {digits} digits"):
+        zeta_direct_partial(2, abs(value))
+    with pytest.raises(InputError, match=f"truncation must be .* {digits} digits"):
+        partial_sum_table(RepresentationKind.DIRECT, 2, 10, [abs(value)])
+
+
+def test_integers_short_enough_print_in_full():
+    with pytest.raises(InputError, match=re.escape(f"got {10**99}")):
+        check_int(10**99, "n", 2, 10)

@@ -26,6 +26,7 @@ from zetasieve import admissible, representations
 from zetasieve import (
     ConvergenceDomainError,
     DomainError,
+    EvalResult,
     InputError,
     PoleProximityError,
     RepresentationKind,
@@ -736,6 +737,14 @@ class TestSpecialValues:
         with pytest.raises(InputError):
             euler_even_zeta(101)
 
+    @pytest.mark.parametrize("kind", ["any", "even", "odd"])
+    def test_an_argument_too_large_for_a_float_is_refused(self, kind):
+        # complex(10**400) raises OverflowError; the argument is checked
+        # as every point is.
+        with pytest.raises(InputError, match="too large for a float"):
+            special_value(kind, 10**400, 10)
+        assert special_value(kind, 10**300, 10).value == 1.0
+
     def test_the_cap_is_fixed(self):
         # m up to DEFAULT_MAX_INDEX // 2 = 100, and no keyword lifts it.
         assert euler_even_zeta(100) == pytest.approx(1.0, abs=1e-13)
@@ -937,6 +946,24 @@ class TestInputChecking:
         tails = [r.tail_bound for r in rows]
         assert [t.hex() for t in tails] == [by_n[n].tail_bound.hex() for n in ns]
 
+    @pytest.mark.parametrize("z", [2 + 0.5j, 0.7 + 0.3j], ids=["tail", "no-tail"])
+    @pytest.mark.parametrize("kind", list(RepresentationKind))
+    def test_rows_are_the_columns_zipped(self, kind, z):
+        # Unsorted, with repeats: the columns keep the order given, and
+        # each row is its column entries, to the bit.
+        ns = [17, 2, 9, 17, 5, 12, 2]
+        columns = representations.partial_sum_columns(kind, z, 18, ns, 7)
+        truncations, counts, values, tails = columns
+        assert truncations == ns and all(type(n) is int for n in truncations)
+        assert counts == [admissible_up_to(n).term_count for n in ns]
+        assert all(type(c) is int for c in counts)
+        assert all(type(v) is complex for v in values)
+        assert all(t is None for t in tails) == (z.real <= 1.0)
+        rows = representations.partial_sum_table(kind, z, 18, ns, 7)
+        assert rows == [EvalResult(*fields) for fields in zip(values, ns, counts, tails)]
+        assert bits([r.value for r in rows]) == bits(values)
+        assert representations.partial_sum_columns(kind, z, 18, [], 7) == ([], [], [], [])
+
     def test_result_metadata(self):
         r = zeta_alt_coth_partial(complex(2, 1), 20)
         assert r.truncation == 20
@@ -976,7 +1003,7 @@ def one_shot_terms(kind, z, logs, signs):
 
 def one_shot_value(kind, z, acc, count):
     p = representations._eta_prefactor(z) if kind in ALT_KINDS else 1.0
-    return representations._value(kind, complex(acc), count, p)
+    return representations._values(kind, [complex(acc)], [count], p)[0]
 
 
 def one_shot_derivative(kind, z, logs, signs):

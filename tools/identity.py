@@ -6,8 +6,8 @@ Run it in two checkouts and compare the outputs with cmp: a change that
 keeps every result bit for bit prints the same bytes.  Each line is one
 record: what was called, its arguments and its result.  Floats print as
 float.hex, so signed zeros and the last bit show; a refusal prints as its
-error class and message; the terms command's output, as its exit code and
-sha256.  The last line counts the records.
+error class and message; the terms and converge commands' output, as
+their exit code and sha256.  The last line counts the records.
 
 It imports only numpy and the package from the checkout's src directory,
 takes no options, and runs in well under a minute on a laptop.
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import math
@@ -248,17 +249,47 @@ class Digest(io.TextIOBase):
         return len(chunk)
 
 
-def terms_digest(*argv):
+def cli_digest(command, *argv):
     stream = Digest()
     with contextlib.redirect_stdout(stream):
-        code = cli_main(["terms", *argv])
+        code = cli_main([command, *argv])
     return [code, stream.sha.hexdigest()]
+
+
+terms_digest = functools.partial(cli_digest, "terms")
+converge_digest = functools.partial(cli_digest, "converge")
 
 
 def terms_outputs() -> None:
     for n in (2, 12, 1000, 70_000, 10**6):
         record("terms sha256", terms_digest, "--n", str(n))
         record("terms sha256", terms_digest, "--n", str(n), "--json")
+
+
+def converge_outputs() -> None:
+    def converge(rep, z, n_max, rows, *order):
+        args = ("--rep", rep, "--z", z, "--n-max", str(n_max), "--step", str(n_max // rows))
+        record("converge sha256", converge_digest, *args, *order)
+
+    # The converge workload's tables: about 500 rows at n-max 1e5 and 5e5,
+    # and 100 Bernoulli rows at 5e3 and 2e4, inside the disk, at M = 40 and
+    # at the top order.
+    for rep, z in (("direct", "1.5,7"), ("coth", "1.05,-23"), ("alt", "0.6,12"),
+                   ("alt-coth", "1.7,-3.5")):
+        for n_max in (100_000, 500_000):
+            converge(rep, z, n_max, 500)
+        # A blank error column above |Im z| = 337, where the reference
+        # refuses, and a blank tail column at Re z <= 1.
+        converge(rep, "1.5,400", 20_000, 97)
+        converge(rep, "0.7,14", 20_000, 97)
+    for n_max in (5000, 20_000):
+        converge("bernoulli", "0.3,0.2", n_max, 100)
+        converge("bernoulli", "0.3,0.2", n_max, 100, "--order", "199")
+    # Both blank at Re z <= 0, and the Bernoulli form's blank tail column.
+    for rep in ("direct", "coth"):
+        converge(rep, "-0.5,3", 20_000, 97)
+    converge("bernoulli", "-0.5,0.2", 300, 13)
+    converge("bernoulli", "0.5,0.3", 300, 13)
 
 
 def values_of_list(target, points):
@@ -289,6 +320,7 @@ def main() -> None:
     sets()
     target_fields()
     terms_outputs()
+    converge_outputs()
     edges()
     print("records", RECORDS)
 
