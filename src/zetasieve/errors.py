@@ -105,21 +105,25 @@ def check_int(value, name: str, minimum: int, maximum: int | None = None) -> int
     try:
         value = operator.index(value)
     except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
+        raise InputError(f"{name} must be an integer, got {_shown(value)}") from None
     if value < minimum or (maximum is not None and value > maximum):
         bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise InputError(f"{name} must be {bound}, got {_shown(value)}")
     return value
 
 
-def _shown(value: int) -> str:
-    """value as text up to 100 digits, else its digit count: str() refuses
-    ints past 4300 digits, and a message need not hold thousands."""
-    if -(10**100) < value < 10**100:
-        return str(value)
-    digits = int(value.bit_length() * math.log10(2)) + 1  # or one too many
-    digits -= abs(value) < 10 ** (digits - 1)
-    return f"an integer of {digits} digits"
+def _shown(value) -> str:
+    """repr(value), but an int past 100 digits by its digit count and a
+    value that holds an int past 4300 digits, which repr() refuses, by its
+    type: a message need not hold thousands of digits."""
+    if isinstance(value, int) and not -(10**100) < value < 10**100:
+        digits = int(value.bit_length() * math.log10(2)) + 1  # or one too many
+        digits -= abs(value) < 10 ** (digits - 1)
+        return f"an integer of {digits} digits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
 
 
 def check_real(
@@ -136,7 +140,7 @@ def check_real(
         return value
     # float and int come first only because the ABC check alone is slow.
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-        raise InputError(f"{name} must be a real number, got {value!r}")
+        raise InputError(f"{name} must be a real number, got {_shown(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -159,7 +163,7 @@ def check_point(z) -> complex:
     # complex() would parse "2" and read numpy's bools, not Numbers, as 0 or
     # 1; complex, float and int come first only as the ABC check is slow.
     if isinstance(z, bool) or not isinstance(z, (complex, float, int, numbers.Number)):
-        raise InputError(f"expected a number, got {z!r}")
+        raise InputError(f"expected a number, got {_shown(z)}")
     try:
         z = complex(z)
     except (TypeError, ValueError) as exc:

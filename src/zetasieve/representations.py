@@ -33,14 +33,15 @@ nearest pole takes the first minimum instead), so a blocked sum has the
 bits of np.sum over the whole array.  That sum is deterministic and
 commutes with conjugation, which the conjugate-symmetry guarantee depends
 on.  Work above one block is shared with one helper thread through
-_in_order: the caller takes the first job and any other job nobody has
-started, so it waits only for a job the helper is running, never for the
-helper to wake.  A complex sum hands it the two halves of numpy's top
-split, each walked with a leaf of its own, and the sum is still
-left + right.  The prefix sums, np.cumsum over the whole array taken
-block by block, hand it the terms of successive blocks, which need no
-running sum, and the caller alone carries the running sum through them in
-block order.  numpy's loops release the interpreter lock, so both run on
+_in_order: each job carries its own lock, which the caller or the helper
+takes to run it, and the caller offers the helper each job only once it is
+within _AHEAD of the one it waits for, so it waits only for a job the
+helper is running, never for the helper to wake.  A complex sum hands it
+the two halves of numpy's top split, each walked with a leaf of its own,
+and the sum is still left + right.  The prefix sums, np.cumsum over the
+whole array taken block by block, hand it the terms of successive blocks,
+which need no running sum, and the caller alone carries the running sum
+through them in block order.  numpy's loops release the interpreter lock, so both run on
 two cores.  The Bernoulli power sums, whose many short float products ran
 slower in two halves than in one, stay on the caller's thread.
 """
@@ -131,80 +132,30 @@ def _split(count: int, real: bool) -> int:
     return (count - count % 8) // 2
 
 
-class _Jobs:
-    """Jobs 0..k-1 shared by their caller and the helper thread.
+class _Job:
+    """One job of _in_order.  Whichever thread takes its lock first runs
+    it, the helper in a copy of the caller's context, and holds the lock
+    until outcome, (raised, value), is set."""
 
-    Whoever is free claims the next job nobody has started (the caller
-    starts with job 0); the helper runs its jobs in a copy of the caller's
-    context and leaves each result, or the exception it raised, in done.
-    No job is claimed _AHEAD or more places past the one the caller is
-    waiting for, so a caller that reuses _AHEAD sets of buffers, job j
-    using set j % _AHEAD, never has two running jobs on one set.
-    """
-
-    def __init__(self, jobs):
-        self.jobs = jobs
-        self.context = contextvars.copy_context()
+    def __init__(self, fn, run):
+        self.fn, self.run, self.outcome = fn, run, None
         self.lock = threading.Lock()
-        self.done = [None] * len(jobs)  # (raised, value) of a job run ahead
-        self.running = [None] * len(jobs)  # locked while the helper runs it
-        self.next = 1
-        self.wanted = 0
-        self.parked = False  # the helper left at the window; offer it again
 
-    def claim(self, helper: bool):
-        """(j, job) for the next job nobody has started, or None."""
-        with self.lock:
-            j = self.next
-            if j >= len(self.jobs) or j >= self.wanted + _AHEAD:
-                if helper:
-                    self.parked = j < len(self.jobs)
-                return None
-            self.next = j + 1
-            if helper:
-                self.running[j] = threading.Lock()
-                self.running[j].acquire()
-            return j, self.jobs[j]
-
-    def help(self) -> None:
-        """The helper's side: run jobs until none is left to start."""
-        while (claimed := self.claim(helper=True)) is not None:
-            j, job = claimed
-            try:
-                self.done[j] = False, self.context.run(job)
-            except BaseException as exc:  # raised again on the caller
-                self.done[j] = True, exc
-            self.running[j].release()
-
-    def result(self, i: int):
-        """Job i's result, to the caller that took every job before it."""
-        with self.lock:
-            self.wanted = i
-            parked, self.parked = self.parked, False
-        if parked:
-            _HELPER.offer(self)
-        # Run jobs nobody has started until job i is done or running on the
-        # helper and the window holds no other.
-        while self.done[i] is None and (claimed := self.claim(helper=False)):
-            j, job = claimed
-            if j == i:
-                return job()
-            try:
-                self.done[j] = False, job()
-            except Exception as exc:  # raised in its turn
-                self.done[j] = True, exc
-        if self.running[i] is not None:
-            with self.running[i]:  # wait for the helper to finish job i
-                pass
-        (raised, value), self.done[i] = self.done[i], None
-        if raised:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Start no more jobs and drop them."""
-        with self.lock:
-            self.jobs = ()
+    def take(self, helper: bool) -> bool:
+        """Run the job here unless another thread holds it (False).  The
+        helper keeps any exception as the outcome, the caller an Exception,
+        and lets anything else propagate."""
+        if not self.lock.acquire(blocking=False):
+            return False
+        try:
+            if self.outcome is None:  # else another thread has finished it
+                try:
+                    self.outcome = False, self.run(self.fn) if helper else self.fn()
+                except BaseException if helper else Exception as exc:
+                    self.outcome = True, exc
+        finally:
+            self.lock.release()
+        return True
 
 
 class _Helper:
@@ -217,7 +168,7 @@ class _Helper:
         self.lock = threading.Lock()
         self.thread = None
 
-    def offer(self, jobs: _Jobs) -> None:
+    def offer(self, job: _Job) -> None:
         if self.thread is None:
             with self.lock:
                 if self.thread is None:
@@ -229,11 +180,11 @@ class _Helper:
                     except RuntimeError:  # at interpreter exit: no helper
                         return
                     self.thread = thread
-        self.offers.put(jobs)
+        self.offers.put(job)
 
     def serve(self) -> None:
         while True:
-            self.offers.get().help()
+            self.offers.get().take(helper=True)
 
 
 def _new_helper() -> None:
@@ -250,24 +201,37 @@ os.register_at_fork(after_in_child=_new_helper)
 def _in_order(jobs):
     """Yield job() for each of jobs, in order, on the caller's thread.
 
-    Meanwhile the helper thread runs jobs nobody has started, in a copy of
-    the caller's context (so np.errstate reaches it).  The caller runs any
-    job it needs that nobody has started, so it waits only for a job the
-    helper is running: a helper that is busy with another caller, slow to
-    wake or gone at interpreter exit holds nobody up.  A job that raises
-    raises on the caller in its turn.
+    Meanwhile the helper thread may run the jobs offered to it, in a copy
+    of the caller's context (so np.errstate reaches it).  The caller offers
+    job i + _AHEAD - 1 only when it comes to job i, so no job starts _AHEAD
+    or more places past the one it waits for.  It runs job i itself unless
+    the helper already holds it, and then runs the next jobs nobody holds
+    before it waits for job i: a helper that is busy with another caller,
+    slow to wake or gone at interpreter exit holds nobody up.  A job that
+    raises raises on the caller in its turn.
     """
     if len(jobs) < 2:
         yield from (job() for job in jobs)
         return
-    shared = _Jobs(jobs)
-    _HELPER.offer(shared)
+    jobs = [_Job(job, contextvars.copy_context().run) for job in jobs]
     try:
-        yield jobs[0]()
-        for i in range(1, len(jobs)):
-            yield shared.result(i)
+        for i, job in enumerate(jobs):
+            for ahead in jobs[i + _AHEAD - 1 if i else 1 : i + _AHEAD]:
+                _HELPER.offer(ahead)
+            if not job.take(helper=False):
+                for ahead in jobs[i + 1 : i + _AHEAD]:
+                    if job.outcome is None:
+                        ahead.take(helper=False)
+                with job.lock:  # the helper finishes job i
+                    pass
+            raised, value = job.outcome
+            if raised:
+                raise value
+            yield value
     finally:
-        shared.close()
+        for job in jobs:  # nobody starts a job the caller has left
+            if job.lock.acquire(blocking=False):
+                job.fn = job.outcome = None
 
 
 def _tree_sum(count: int, make_leaf, real: bool = False, combine=operator.add):
@@ -820,6 +784,5 @@ def derivative_partial(kind, z, n) -> complex:
             "derivative_partial supports DIRECT and ALTERNATING kinds,"
             f" got {kind!r}"
         )
-    z, _, logs, signs = check_point(z), *_base_data(n)
-    pole_gate(z, n)
+    z, _, _, logs, signs, _ = _prepare(RepresentationKind.DIRECT, z, n)
     return -_term_sum(kind, z, logs, signs, derivative=True)

@@ -111,6 +111,26 @@ def test_integers_too_long_to_print_are_refused_by_their_digit_count(value, digi
         partial_sum_table(RepresentationKind.DIRECT, 2, 10, [abs(value)])
 
 
+@pytest.mark.parametrize(
+    "value", [Fraction(10**5000), Fraction(10**5000, 3), [10**5000]],
+    ids=["whole", "third", "list"],
+)
+def test_values_holding_integers_too_long_to_print_are_refused_by_type(value):
+    # repr() of each raises ValueError past 4300 digits; the message names
+    # the type instead.
+    shown = f"got a {type(value).__name__} too long to print"
+    with pytest.raises(InputError, match=f"n must be an integer, {shown}"):
+        check_int(value, "n", 2)
+    if not isinstance(value, list):
+        with pytest.raises(InputError, match=f"n must be an integer, {shown}"):
+            zeta_direct_partial(2, value)
+    else:  # a Fraction is a number too large for a float
+        with pytest.raises(InputError, match=f"x must be a real number, {shown}"):
+            check_real(value, "x")
+        with pytest.raises(InputError, match=f"expected a number, {shown}"):
+            check_point(value)
+
+
 def test_integers_short_enough_print_in_full():
     with pytest.raises(InputError, match=re.escape(f"got {10**99}")):
         check_int(10**99, "n", 2, 10)

@@ -117,16 +117,14 @@ WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
 # Each sum that gates its own points, the only callers of the pole gate.
-GATED_SUMS = {
-    "pole_gate": {"_prepare", "_bernoulli_checks", "derivative_partial", "_gated"}
-}
+GATED_SUMS = {"pole_gate": {"_prepare", "_bernoulli_checks", "_gated"}}
 
 
-# The front door of the evaluators: every form checks its point and its
-# prefactor in _prepare; nearest_pole and derivative_partial, which take no
-# prefactor, check their own points.
+# The front door of the evaluators: every form and derivative_partial check
+# their point and prefactor in _prepare; nearest_pole, which takes no
+# prefactor, checks its own points.
 FRONT_DOOR = {
-    "check_point": {"_prepare", "nearest_pole", "derivative_partial"},
+    "check_point": {"_prepare", "nearest_pole"},
     "_eta_prefactor": {"_prepare"},
 }
 

@@ -1082,11 +1082,17 @@ class TestHeightLimit:
     @example(kind="alt", sigma=2.0, height=-(2.0**28), n=2000)
     @example(kind="direct", sigma=0.5, height=1e16, n=1000)
     @example(kind="alt", sigma=0.5, height=math.nextafter(2.0**28, 0.0) + 1.0, n=2)
+    @example(kind="alt", sigma=1.0, height=0.0, n=2)
     def test_answers_are_accurate_or_refused(self, kind, sigma, height, n):
         z = complex(sigma, height)
         evaluate = EVALUATORS[kind]
         if abs(height) > 2.0**28:
             with pytest.raises(InputError, match="height limit"):
+                evaluate(z, n)
+            return
+        # At z = 1 the eta prefactor vanishes, and the exact value with it.
+        if kind == "alt" and abs(1.0 - 2.0 ** (1.0 - z)) < representations.PREFACTOR_GATE:
+            with pytest.raises(SingularPrefactorError):
                 evaluate(z, n)
             return
         value, scale = self.exact(kind, z, n)
@@ -1562,6 +1568,80 @@ class TestHelperThread:
         assert not holder.is_alive()
         [(got, want)] = result
         assert got == want
+
+    @staticmethod
+    def drain():
+        """Wait until the helper has popped every job offered so far."""
+        drained = threading.Event()
+        representations._HELPER.offer(representations._Job(drained.set, lambda f: f()))
+        assert drained.wait(TestHelperThread.TIMEOUT)
+
+    @staticmethod
+    def counted(count, delays=None):
+        """count jobs that log (index, thread name) and sleep delays[i]."""
+        ran = []
+
+        def job(i):
+            ran.append((i, threading.current_thread().name))
+            if delays and delays[i]:
+                time.sleep(delays[i])
+            return i
+
+        return [lambda i=i: job(i) for i in range(count)], ran
+
+    @pytest.mark.parametrize("count", [2, representations._AHEAD, 9])
+    def test_every_job_runs_once_whichever_thread_takes_it(self, count):
+        rng, names = random.Random(count), set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(150):
+                delays = [rng.choice((0.0, 0.0, 1e-5, 2e-4)) for _ in range(count)]
+                jobs, ran = self.counted(count, delays)
+                assert list(representations._in_order(jobs)) == list(range(count))
+                self.drain()  # a job it pops now must not run again
+                assert sorted(i for i, _ in ran) == list(range(count))
+                names.update(name for _, name in ran)
+        finally:
+            sys.setswitchinterval(interval)
+        assert "zetasieve-helper" in names
+
+    def test_jobs_the_caller_finished_or_left_never_run_again(self):
+        # The helper is held on another caller's job while this caller runs
+        # every job of its own, and leaves a second set after its first
+        # job; the helper pops the jobs of both only afterwards.
+        held, release = threading.Event(), threading.Event()
+
+        def stall():
+            held.set()
+            release.wait(self.TIMEOUT)
+
+        holder = threading.Thread(
+            target=lambda: list(representations._in_order([held.wait, stall]))
+        )
+        holder.start()
+        try:
+            assert held.wait(self.TIMEOUT)
+            jobs, ran = self.counted(9)
+            assert list(representations._in_order(jobs)) == list(range(9))
+            left, ran_left = self.counted(9)
+            results = representations._in_order(left)
+            assert next(results) == 0
+            results.close()
+        finally:
+            release.set()
+            holder.join(self.TIMEOUT)
+        self.drain()
+        caller = threading.current_thread().name
+        assert ran == [(i, caller) for i in range(9)]
+        assert ran_left == [(0, caller)]
+
+    def test_one_job_never_touches_the_helper(self, monkeypatch):
+        monkeypatch.setattr(representations, "_HELPER", None)
+        jobs, ran = self.counted(1)
+        assert list(representations._in_order(jobs)) == [0]
+        assert list(representations._in_order([])) == []
+        assert ran == [(0, threading.current_thread().name)]
 
     def test_importing_starts_no_thread_and_no_executor(self):
         code = (
