@@ -41,9 +41,10 @@ the two halves of numpy's top split, each walked with a leaf of its own,
 and the sum is still left + right.  The prefix sums, np.cumsum over the
 whole array taken block by block, hand it the terms of successive blocks,
 which need no running sum, and the caller alone carries the running sum
-through them in block order.  numpy's loops release the interpreter lock, so both run on
-two cores.  The Bernoulli power sums, whose many short float products ran
-slower in two halves than in one, stay on the caller's thread.
+through them in block order.  numpy's loops release the interpreter lock,
+so both run on two cores.  The Bernoulli power sums, whose many short
+float products ran slower in two halves than in one, stay on the caller's
+thread.
 """
 
 from __future__ import annotations
@@ -216,6 +217,7 @@ def _in_order(jobs):
     jobs = [_Job(job, contextvars.copy_context().run) for job in jobs]
     try:
         for i, job in enumerate(jobs):
+            # The caller runs job 0; coming to it offers jobs 1 to _AHEAD - 1.
             for ahead in jobs[i + _AHEAD - 1 if i else 1 : i + _AHEAD]:
                 _HELPER.offer(ahead)
             if not job.take(helper=False):
@@ -578,7 +580,7 @@ def partial_sum_columns(kind, z, n_max, ns, M=None) -> tuple[list, list, list, l
     try:
         ns = [check_int(n, "truncation", 2, n_max) for n in ns]
     except TypeError:
-        raise InputError(f"ns must be an iterable of truncations, got {ns!r}") from None
+        raise InputError(f"ns must be an iterable of truncations, not {type(ns).__name__}") from None
     if not ns:
         return [], [], [], []
     counts = _counts(powers, ns)

@@ -935,7 +935,7 @@ class TestInputChecking:
         assert table([]) == [] and table(()) == []
         with pytest.raises(InputError, match="expected a number"):
             table([], "2")  # an empty table still checks its arguments
-        for bad in (5, None):
+        for bad in (5, None, Fraction(10**5000)):  # its repr() raises ValueError
             with pytest.raises(InputError, match="iterable of truncations"):
                 table(bad)
         ns = [17, 2, 9, 17, 5, 12]
