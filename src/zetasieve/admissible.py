@@ -260,17 +260,25 @@ class _PrefixStore:
 _STORE = _PrefixStore()
 
 
-# Typed: untyped, a cached key (np.int64(6),) equals (6.0,), so 6.0 would
-# get the set at 6 without being checked.
-@lru_cache(maxsize=32, typed=True)
 def admissible_up_to(n) -> AdmissibleSet:
     """All admissible bases r with 2 <= r <= n, ascending, plus the count l.
 
     The set holds a read-only prefix view of the perfect powers kept at the
     largest n asked for so far, so it is cheap to make; its ``bases`` are
     built from them only when read.  This is the only way to get a set.
+    The last 32 sets are cached by their checked n, so any n is checked
+    before it is hashed; cache_info and cache_clear are the cache's.
     """
-    return _STORE.admissible_up_to(check_int(n, "n", 2, MAX_LIMIT))
+    return _cached_set(check_int(n, "n", 2, MAX_LIMIT))
+
+
+@lru_cache(maxsize=32)
+def _cached_set(n: int) -> AdmissibleSet:
+    return _STORE.admissible_up_to(n)
+
+
+admissible_up_to.cache_info = _cached_set.cache_info
+admissible_up_to.cache_clear = _cached_set.cache_clear
 
 
 def base_logs_and_signs(n) -> tuple[np.ndarray, np.ndarray]:

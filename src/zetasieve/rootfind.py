@@ -13,6 +13,14 @@ in seed order: Newton is scalar per seed, pure-Python cmath bound by the
 interpreter lock, so find_zeros accepts a thread count but does not use
 threads.  Newton evaluates f and f' once per iterate, and the pair of the
 last iterate carries into the polish steps and the reported residual.
+Most seeds that converge re-find a root the search already has, through
+the same points bit for bit once their steps are below tol, so a search
+recalls the pairs of Newton's post-convergence evaluations (the |f| <= tol
+check after a step below tol, and each polish step) by exact point.  A
+recalled pair is the one a fresh evaluation gives at those bits, so every
+outcome keeps its bits.  The memo is a context variable find_zeros sets
+and resets, so a direct newton_refine call and every other path evaluate
+as before.
 
 Target evaluation at one point is a scalar cmath loop over the target's
 terms, one (log r, sign, sign*log r) triple per base built with the
@@ -44,6 +52,7 @@ one gate, POLE_GATE, serves them all.
 from __future__ import annotations
 
 import cmath
+import contextvars
 import math
 from dataclasses import dataclass, field, replace
 
@@ -329,6 +338,10 @@ class NewtonFailure:
 # Newton steps per seed before it is given up as "max-iter".
 _MAX_ITER = 60
 
+# The running search's (f, f') pairs at Newton's converged points, by
+# point; None outside find_zeros.
+_RECALLED = contextvars.ContextVar("_RECALLED", default=None)
+
 
 def newton_refine(
     target: Target,
@@ -360,6 +373,7 @@ def newton_refine(
             raise InputError(f"box {box!r} reaches above the height limit 2**28")
     lo_re, hi_re, lo_im, hi_im = box
     evaluate = target._gated  # every iterate is in the box: no check_point
+    memo = _RECALLED.get()
     iterations = 0
     pair = None  # (f, f') at z, once evaluated
     try:
@@ -378,9 +392,9 @@ def newton_refine(
                 z, pair = z_next, None
             if abs(step) < tol:
                 if pair is None:
-                    pair = evaluate(z)
+                    pair = _recalled(evaluate, z, memo)
                 if abs(pair[0]) <= tol:
-                    z, fz = _polish(target, z, pair, box)
+                    z, fz = _polish(evaluate, z, pair, box, memo)
                     return RootRecord(
                         location=z,
                         residual=abs(fz),
@@ -413,13 +427,27 @@ def _checked_target(target) -> Target:
     return target
 
 
-def _polish(target, z, pair, box):
+def _recalled(evaluate, z, memo):
+    """evaluate(z), or the pair memo holds at z, kept there once made.
+
+    No memo, or a point with a zero part, evaluates anew: == and hash take
+    0.0 and -0.0 for one value, and a pair is kept only by its point's
+    exact bits.  A refusal is raised again each time, never kept.
+    """
+    if memo is None or not (z.real and z.imag):
+        return evaluate(z)
+    pair = memo.get(z)
+    if pair is None:
+        pair = memo[z] = evaluate(z)
+    return pair
+
+
+def _polish(evaluate, z, pair, box, memo):
     """A couple of extra Newton steps to push the residual to rounding.
 
     pair is (f, f') at z.  Returns the final z and f(z).
     """
     lo_re, hi_re, lo_im, hi_im = box
-    evaluate = target._gated
     fz, dz = pair
     try:
         for _ in range(2):
@@ -430,7 +458,7 @@ def _polish(target, z, pair, box):
                 break
             if not (lo_re <= z_next.real <= hi_re and lo_im <= z_next.imag <= hi_im):
                 break
-            pair = evaluate(z_next)
+            pair = _recalled(evaluate, z_next, memo)
             if not abs(pair[0]) <= abs(fz):
                 break
             z, (fz, dz) = z_next, pair
@@ -565,6 +593,11 @@ def find_zeros(
     A side of the region that lies within POLE_GATE of a term pole is first
     moved one grid cell outward (at most two sides), so the search, and
     the roots it keeps, may cover one more cell on such a side.
+
+    The call recalls the (f, f') pairs of Newton's post-convergence
+    evaluations by exact point, for its own seeds only; a recalled pair has
+    the bits a fresh evaluation gives, so each seed's outcome is the one
+    newton_refine gives it alone.
     """
     target = _checked_target(target)
     if not isinstance(region, SearchRegion):
@@ -577,7 +610,11 @@ def find_zeros(
     ims = np.linspace(region.im_min, region.im_max, region.grid_im)
     seeds = [complex(a, b) for b in ims for a in res]
     box = _escape_box(region.re_min, region.re_max, region.im_min, region.im_max)
-    results = [newton_refine(target, seed, tol=tol, box=box) for seed in seeds]
+    token = _RECALLED.set({})
+    try:
+        results = [newton_refine(target, seed, tol=tol, box=box) for seed in seeds]
+    finally:
+        _RECALLED.reset(token)
 
     # Seed-order deduplication; keep the lowest residual per cluster.
     dedupe_radius = 10.0 * tol

@@ -177,6 +177,27 @@ class TestAdmissibleUpTo:
             with pytest.raises(InputError):
                 call()
 
+    def test_an_unhashable_limit_is_refused_before_the_cache_hashes_it(self):
+        calls = [
+            lambda: zeta_direct_partial(2, [5]),
+            lambda: nearest_pole(2.0, [5]),
+            lambda: derivative_partial(RepresentationKind.DIRECT, 2.0, [5]),
+            lambda: admissible_up_to({}),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="n must be an integer"):
+                call()
+
+    def test_the_cache_counts_checked_limits(self):
+        admissible_up_to.cache_clear()
+        assert admissible_up_to.cache_info().currsize == 0
+        first = admissible_up_to(12)
+        assert admissible_up_to(np.int64(12)) is first
+        with pytest.raises(InputError):
+            admissible_up_to(12.0)
+        info = admissible_up_to.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
 
 @functools.cache
 def admissible_by_decomposition(limit):

@@ -1,8 +1,10 @@
 """Newton refinement, winding counts, and the region search."""
 
 import cmath
+import contextvars
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
@@ -30,6 +32,7 @@ from zetasieve import (
     winding_count,
     zeta_direct_partial,
 )
+from zetasieve import rootfind
 from zetasieve.admissible import admissible_up_to, base_logs_and_signs
 from zetasieve.errors import MAX_HEIGHT
 from zetasieve.representations import POLE_GATE
@@ -881,6 +884,138 @@ class TestFindZeros:
 
         monkeypatch.setattr(Target, "values_at", scalar_values)
         assert [fingerprint(find_zeros(t, region)) for t in targets] == batched
+
+
+def newton_bits(outcome):
+    """A newton_refine outcome exactly: a root's location and residual, a
+    failure's reason, iteration count and last point."""
+    if isinstance(outcome, RootRecord):
+        return "root", bits(outcome.location), outcome.residual.hex()
+    return outcome.reason, outcome.iterations, bits(outcome.last)
+
+
+class Evaluations:
+    """Counts the target kernel's calls, which are the evaluations."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        kernel = Target._gated
+
+        def counted(target, z):
+            self.count += 1
+            return kernel(target, z)
+
+        monkeypatch.setattr(Target, "_gated", counted)
+
+
+def search_calls(monkeypatch, target, region):
+    """Each newton_refine call find_zeros makes, as (seed, tol, box, outcome
+    bits, evaluations the call made)."""
+    evaluations = Evaluations(monkeypatch)
+    calls = []
+    refine = rootfind.newton_refine
+
+    def recorded(t, seed, tol=1e-10, *, box=None):
+        assert t is target
+        before = evaluations.count
+        out = refine(t, seed, tol, box=box)
+        calls.append((seed, tol, box, newton_bits(out), evaluations.count - before))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rootfind, "newton_refine", recorded)
+        find_zeros(target, region)
+    return calls
+
+
+def refined_alone(target, seed, tol, box):
+    """newton_refine's outcome bits outside any search, in a fresh context."""
+    out = contextvars.Context().run(newton_refine, target, seed, tol, box=box)
+    return newton_bits(out)
+
+
+# A 9x9 grid over a rectangle symmetric about both axes: seeds on Re z = 0
+# and on Im z = 0, with either sign of zero reaching their iterates.
+AXES = SearchRegion(-1, 1, -3, 3, 9, 9)
+
+
+class TestRecall:
+    """A search recalls the (f, f') pairs of Newton's converged points, and
+    every seed's outcome keeps the bits it has outside a search."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_each_seed_refines_in_a_search_as_it_does_alone(self, monkeypatch, name):
+        target = PRESETS[name]
+        calls = search_calls(monkeypatch, target, AXES)
+        assert len(calls) == AXES.grid_re * AXES.grid_im
+        seeds = [call[0] for call in calls]
+        assert 0.0 in [z.real for z in seeds] and 0.0 in [z.imag for z in seeds]
+        for seed, tol, box, outcome, _ in calls:
+            assert outcome == refined_alone(target, seed, tol, box), seed
+
+    def test_a_search_evaluates_fewer_points_than_its_seeds_alone(self, monkeypatch):
+        target = PRESETS["paper-direct-6"]
+        calls = search_calls(monkeypatch, target, AXES)
+        evaluations = Evaluations(monkeypatch)
+        for seed, tol, box, _, _ in calls:
+            refined_alone(target, seed, tol, box)
+        assert sum(call[-1] for call in calls) < evaluations.count
+
+    def test_only_a_point_with_no_zero_part_is_recalled(self):
+        # == and hash take 0.0 and -0.0 for one value, so a point with a
+        # zero part is evaluated anew each time and never kept.
+        memo, seen = {}, []
+
+        def evaluate(z):
+            seen.append(z)
+            return z, z
+
+        recall = rootfind._recalled
+        signed = [complex(0.5, 0.0), complex(0.5, -0.0), 2j, complex(-0.0, 2.0)]
+        for z in signed * 2:
+            assert bits(recall(evaluate, z, memo)[0]) == bits(z)
+        assert memo == {} and len(seen) == 8
+        z = complex(0.5, 2.0)
+        assert recall(evaluate, z, memo) is recall(evaluate, z, memo)
+        assert len(seen) == 9 and list(memo) == [z]
+
+    def test_a_refusal_is_raised_each_time_and_never_kept(self):
+        target = PRESETS["paper-direct-6"]
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(PoleProximityError):
+                rootfind._recalled(target._gated, complex(1e-9, LATTICE_2), memo)
+        assert memo == {}
+
+    def test_no_memo_is_left_after_a_search(self, monkeypatch):
+        before = dict(contextvars.copy_context())
+        inside = []
+        refine = rootfind.newton_refine
+
+        def watched(*args, **kwargs):
+            inside.append(dict(contextvars.copy_context()))
+            if len(inside) == 5 and raising:
+                raise KeyboardInterrupt
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "newton_refine", watched)
+        for raising in (False, True):
+            inside.clear()
+            with pytest.raises(KeyboardInterrupt) if raising else nullcontext():
+                find_zeros(PRESETS["paper-alt-6"], AXES)
+            assert inside and all(seen != before for seen in inside)
+            assert dict(contextvars.copy_context()) == before
+
+    def test_back_to_back_searches_each_keep_their_own_targets_results(self):
+        # Constants one ulp apart: the two targets' Newton runs reach many
+        # of the same converged points with pairs that differ in the last
+        # bits, so a memo that outlived a search would change the next.
+        first = make_target(DIRECT, 6)
+        second = make_target(DIRECT, 6, math.nextafter(1.0, 2.0))
+        for a, b in ((first, second), (second, first)):
+            alone = contextvars.Context().run(find_zeros, b, AXES)
+            find_zeros(a, AXES)
+            assert fingerprint(find_zeros(b, AXES)) == fingerprint(alone)
 
 
 class TestAltThreeErratum:

@@ -196,6 +196,11 @@ def searches() -> None:
         region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=8, grid_im=8)
         record(f"find_zeros {kind.value} 200", zs.find_zeros,
                zs.make_target(kind, 200), region)
+    # Seed grids with exact zeros: a 9x9 grid over a rectangle symmetric
+    # about both axes has seeds on Re z = 0 and on Im z = 0.
+    for name, t in zs.PRESETS.items():
+        region = zs.SearchRegion(-2.0, 2.0, -8.0, 8.0, grid_re=9, grid_im=9)
+        record(f"find_zeros axes {name}", zs.find_zeros, t, region)
 
 
 def set_fields(n):
