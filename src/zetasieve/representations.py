@@ -90,6 +90,7 @@ __all__ = [
     "derivative_partial",
     "pole_distance",
     "nearest_pole",
+    "clear_of_poles",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -360,13 +361,23 @@ def pole_distance(z, n) -> float:
     return nearest_pole(z, n)[0]
 
 
+def clear_of_poles(re):
+    """Whether points with real part re, a float or an array of them, lie
+    farther than POLE_GATE from every term pole, decided without a scan.
+
+    Every pole lies on Re z = 0, so |Re z| > POLE_GATE clears them all; a
+    point it does not clear may still pass pole_gate's scan.
+    """
+    return abs(re) > POLE_GATE
+
+
 def pole_gate(z: complex, n) -> None:
     """Raise PoleProximityError when z lies within POLE_GATE of a term pole.
 
-    Every pole lies on Re z = 0, so |Re z| > POLE_GATE clears them all
-    without scanning the lattice; only points in the strip pay for the scan.
+    A point clear_of_poles clears passes without scanning the lattice;
+    only points in the strip |Re z| <= POLE_GATE pay for the scan.
     """
-    if abs(z.real) > POLE_GATE:
+    if clear_of_poles(z.real):
         return
     dist, base, k = nearest_pole(z, n)
     if dist <= POLE_GATE:

@@ -9,44 +9,57 @@ carries all the zeros.
 The pipeline is grid-seeded Newton refinement, deterministic deduplication,
 conjugate canonicalization, and an argument-principle verification on a
 pole-free circle around each candidate.  Seeds are refined in one loop,
-in seed order: Newton is scalar per seed, pure-Python cmath bound by the
-interpreter lock, so find_zeros accepts a thread count but does not use
-threads.  Newton evaluates f and f' once per iterate, and the pair of the
-last iterate carries into the polish steps and the reported residual.
-Most seeds that converge re-find a root the search already has, through
-the same points bit for bit once their steps are below tol, so a search
-recalls the pairs of Newton's post-convergence evaluations (the |f| <= tol
-check after a step below tol, and each polish step) by exact point.  A
-recalled pair is the one a fresh evaluation gives at those bits, so every
-outcome keeps its bits.  The memo is a context variable find_zeros sets
-and resets, so a direct newton_refine call and every other path evaluate
-as before.
+in seed order, one newton_refine call each, so find_zeros accepts a thread
+count but does not use threads.  Newton evaluates f and f' once per
+iterate, and the pair of the last iterate carries into the polish steps
+and the reported residual.
 
 Target evaluation at one point is a scalar cmath loop over the target's
 terms, one (log r, sign, sign*log r) triple per base built with the
-target, that gives the value and the derivative from one exp per base: at
-the handful of terms a search uses, one point costs less than half of what
-the same sums cost in numpy.  The loop keeps the plain loop's operations
-in their order, so every float keeps its bits.  The triples, the constant
-and the 1 in 1 - w and v - 1 are complex numbers, so every operation in
-the loop is complex by complex: CPython 3.11 would promote a float operand
-to complex(x, 0.0) on each mixed operation, with the same bits.  A target
-gates its own sum, as the evaluators do: its one kernel refuses a point
-within POLE_GATE of a term pole (PoleProximityError), and value_at and
-value_and_derivative_at put each point through check_point first.
-Newton, most of a search's time, binds that kernel and unpacks its box
-once per seed, and catches the pole refusal once.  A target takes n up to
-MAX_TARGET_N, a search at most MAX_SEEDS seeds, and a contour at most
-MAX_SAMPLES samples.  A point above the height limit |Im z| <= MAX_HEIGHT
-is refused, and so is a search rectangle's escape box, Newton's box or a
-contour's bounding box that reaches above it, so a search never meets a
-refused point.  A verification contour is evaluated as one array
-(values_at), one term at a time; it agrees with value_at to rounding, and
-only the winding count drawn from it is used.  The vectorized evaluators
-in the representations module are the tool for large n.  Everything about
-the pole lattice goes through the representations module (pole_gate,
-nearest_pole, pole_distance), so the lattice is written down once, and
-one gate, POLE_GATE, serves them all.
+target, that gives the value and the derivative from one exp per base.
+The loop keeps the plain loop's operations in their order, so every float
+keeps its bits.  The triples, the constant and the 1 in 1 - w and v - 1
+are complex numbers, so every operation in the loop is complex by
+complex: CPython 3.11 would promote a float operand to complex(x, 0.0) on
+each mixed operation, with the same bits.  A target gates its own sum, as
+the evaluators do: its one kernel refuses a point within POLE_GATE of a
+term pole (PoleProximityError), and value_at and value_and_derivative_at
+put each point through check_point first.
+
+A search does not leave its iterates to that loop.  Before the seed loop,
+find_zeros prefetches: every seed steps at once, in rounds, and each round
+evaluates all live iterates with an array kernel, then steps each as
+CPython computes z - f/f'.  The kernel writes each of the scalar loop's
+complex products and quotients out on float64 (terms x points) arrays in
+the form CPython's complex arithmetic uses (numpy's complex * and / round
+differently), takes exp from numpy's complex exp, which is libm's cexp as
+cmath.exp is, and adds each sum's terms one after another from the
+constant, so every pair it makes has the scalar loop's bits.  It takes
+only points with no zero part that clear the pole lattice without a scan
+(clear_of_poles), and its temporaries are bounded by _BATCH elements,
+whatever n and the seed count.  A search prefetches and refines at most
+_PREFETCHED_SEEDS seeds at a time, so its memo stays bounded too.  The
+pairs go into a memo by exact point, a context variable find_zeros sets
+and resets, and newton_refine reads it at every evaluation; a point it
+lacks, where a trajectory was guessed wrong or the rounds stopped, is
+evaluated by the scalar loop and kept.  A recalled pair is the one a fresh
+evaluation gives at those bits, so every seed's outcome is its outcome
+alone, a direct newton_refine call and every other path evaluate as
+before, and Newton's control flow is written once.
+
+Newton binds the scalar kernel and unpacks its box once per seed, and
+catches the pole refusal once.  A target takes n up to MAX_TARGET_N, a
+search at most MAX_SEEDS seeds, and a contour at most MAX_SAMPLES samples.
+A point above the height limit |Im z| <= MAX_HEIGHT is refused, and so is
+a search rectangle's escape box, Newton's box or a contour's bounding box
+that reaches above it, so a search never meets a refused point.  A
+verification contour is evaluated as one array (values_at), one term at a
+time; it agrees with value_at to rounding, and only the winding count
+drawn from it is used.  The vectorized evaluators in the representations
+module are the tool for large n.  Everything about the pole lattice goes
+through the representations module (pole_gate, clear_of_poles,
+nearest_pole, pole_distance), so the lattice is written down once, and one
+gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ import cmath
 import contextvars
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -73,6 +87,7 @@ from .representations import (
     POLE_GATE,
     TWO_PI,
     RepresentationKind,
+    clear_of_poles,
     nearest_pole,
     pole_distance,
     pole_gate,
@@ -338,8 +353,8 @@ class NewtonFailure:
 # Newton steps per seed before it is given up as "max-iter".
 _MAX_ITER = 60
 
-# The running search's (f, f') pairs at Newton's converged points, by
-# point; None outside find_zeros.
+# The running search's (f, f') pairs, by point: those its prefetch made
+# and those its seeds' Newton runs evaluated.  None outside find_zeros.
 _RECALLED = contextvars.ContextVar("_RECALLED", default=None)
 
 
@@ -379,7 +394,7 @@ def newton_refine(
     try:
         while iterations < _MAX_ITER:
             if pair is None:
-                pair = evaluate(z)
+                pair = _recalled(evaluate, z, memo)
             fz, dz = pair
             if abs(dz) < 1e-14:
                 return NewtonFailure("stagnation", z, iterations)
@@ -434,11 +449,13 @@ def _recalled(evaluate, z, memo):
     0.0 and -0.0 for one value, and a pair is kept only by its point's
     exact bits.  A refusal is raised again each time, never kept.
     """
-    if memo is None or not (z.real and z.imag):
+    if memo is None:
         return evaluate(z)
     pair = memo.get(z)
     if pair is None:
-        pair = memo[z] = evaluate(z)
+        pair = evaluate(z)
+        if z.real and z.imag:  # no key has a zero part, so none equals z
+            memo[z] = pair
     return pair
 
 
@@ -465,6 +482,167 @@ def _polish(evaluate, z, pair, box, memo):
     except PoleProximityError:  # z_next is at a pole: keep z
         pass
     return z, fz
+
+
+# Elements of one (terms x points) array in the prefetch's kernel, at most:
+# the kernel holds a few tens of such float64 arrays at once, a few MiB,
+# whatever the seed count and n.
+_BATCH = 2**14
+
+# Seeds a search prefetches and refines at once, at most: its memo holds
+# the pairs of their iterates, about 1.3 KB per seed, some 20 MB here.
+_PREFETCHED_SEEDS = 2**14
+
+# The prefetch stops once its live seeds hold fewer (seed, term) pairs than
+# this: a round's hundred-odd numpy calls cost about what the scalar kernel
+# takes for that many terms, so newton_refine evaluates the rest itself.
+_TAIL = 2**9
+
+
+def _prod(ar, ai, br, bi):
+    """a*b on real and imaginary parts, as CPython's complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    """a/b on real and imaginary parts, as CPython's complex quotient:
+    scaled by whichever part of b is larger in magnitude.  Both branches
+    are computed and one kept per element."""
+    big = abs(br) >= abs(bi)
+    ratio = bi / br
+    denom = br + bi * ratio
+    re, im = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+    ratio = br / bi
+    denom = br * ratio + bi
+    re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    return np.where(big, re, re2), np.where(big, im, im2)
+
+
+def _packed(re, im) -> np.ndarray:
+    """The complex array re + i*im, both parts exactly as given."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _exp(re, im):
+    """The parts of exp(re + i*im) by numpy's complex exp, which is libm's
+    cexp and has cmath.exp's bits (numpy's real exp does not)."""
+    w = _packed(re, im)
+    np.exp(w, out=w)
+    return w.real, w.imag
+
+
+def _add_rows(total, rows) -> None:
+    """total + rows[0] + rows[1] + ..., added in that order, into total.
+
+    A row at a time while rows are fewer than points, else through
+    np.add.accumulate, which is slower per element but makes one call."""
+    if len(rows) <= len(total):
+        for row in rows:
+            total += row
+    else:
+        rows[0] = total + rows[0]
+        total[...] = np.add.accumulate(rows, axis=0)[-1]
+
+
+def _array_kernel(target):
+    """pairs(zr, zi) -> (evaluated, fr, fi, dr, di): Target._gated at the
+    points zr + i*zi, bit for bit, where evaluated is True.
+
+    Each term runs _gated's complex operations written out on float64
+    (terms x points) arrays, its zero imaginary parts included, and each
+    sum adds its terms one after another from the constant, as _gated's
+    loop does.  A point with a zero part, one clear_of_poles does not
+    clear, and one whose pair is not finite (where _gated could raise) is
+    not evaluated.  The terms come from the store, as the target's did.
+    """
+    logs, signs = base_logs_and_signs(target.n)
+    direct = target.kind is RepresentationKind.DIRECT
+    step = min(len(logs), _BATCH)  # terms per block
+    width = max(1, _BATCH // step)  # points per block
+
+    def block(t):
+        """(log r, s_r, s_r*log r) as columns, for the terms from t on."""
+        lg = logs[t : t + step, None]
+        s = np.ones_like(lg) if direct else signs[t : t + step, None].astype(float)
+        return lg, s, s * lg
+
+    def right(zr, zi, lg, s, slg):
+        """Terms s*w/(1 - w) and slg*w/(1 - w)**2 with w = exp(-z*lg)."""
+        wr, wi = _exp(*_prod(-zr, -zi, lg, 0.0))
+        dr, di = 1.0 - wr, 0.0 - wi
+        return (*_quot(*_prod(s, 0.0, wr, wi), dr, di),
+                *_quot(*_prod(slg, 0.0, wr, wi), *_prod(dr, di, dr, di)))
+
+    def left(zr, zi, lg, s, slg):
+        """Terms s/(v - 1) and slg*v/(v - 1)**2 with v = exp(z*lg)."""
+        vr, vi = _exp(*_prod(zr, zi, lg, 0.0))
+        dr, di = vr - 1.0, vi - 0.0
+        return (*_quot(s, 0.0, dr, di),
+                *_quot(*_prod(slg, 0.0, vr, vi), *_prod(dr, di, dr, di)))
+
+    def pairs(zr, zi):
+        evaluated = (zr != 0.0) & (zi != 0.0) & clear_of_poles(zr)
+        out = np.zeros((4, len(zr)))
+        with np.errstate(all="ignore"):  # the branch _quot drops; non-finite pairs
+            for half, side in ((right, zr >= 0.0), (left, zr < 0.0)):
+                where = np.flatnonzero(evaluated & side)
+                for p in range(0, len(where), width):
+                    at = where[p : p + width]
+                    sums = [np.full(len(at), target.constant), *np.zeros((3, len(at)))]
+                    for t in range(0, len(logs), step):
+                        terms = half(zr[at], zi[at], *block(t))
+                        for total, term in zip(sums, terms):
+                            _add_rows(total, term)
+                    out[:, at] = sums
+            out[2:] = -out[2:]
+        evaluated &= np.isfinite(out).all(axis=0)
+        return evaluated, *out
+
+    return pairs
+
+
+def _prefetch(target, seeds, tol, box, memo) -> None:
+    """Put into memo (f, f') at the points newton_refine reaches from seeds.
+
+    All seeds step at once: each round evaluates every live iterate with
+    the array kernel and steps it as CPython computes z - f/f'.  A seed
+    retires at a point the kernel does not evaluate or memo already holds
+    (whose successors are another seed's), where |f'| < 1e-14, when its
+    step leaves the box or does not move it, after three steps below tol
+    (the convergence check and the two polish steps), or after _MAX_ITER
+    rounds; the rounds stop once the live seeds hold fewer than _TAIL
+    terms.  Only what the kernel evaluated is kept, so every pair has the
+    bits _gated gives at its point, and a trajectory guessed wrong costs
+    only the evaluations newton_refine then makes itself.
+    """
+    lo_re, hi_re, lo_im, hi_im = box
+    pairs = _array_kernel(target)
+    zr = np.array([z.real for z in seeds])
+    zi = np.array([z.imag for z in seeds])
+    below = np.zeros(len(seeds), dtype=np.int8)
+    for _ in range(_MAX_ITER):
+        keys = _packed(zr, zi).tolist()
+        fresh = ~np.fromiter(map(memo.__contains__, keys), bool, len(keys))
+        zr, zi, below = zr[fresh], zi[fresh], below[fresh]
+        if len(zr) * len(target.terms) < _TAIL:
+            break
+        evaluated, fr, fi, dr, di = pairs(zr, zi)
+        found = zip(_packed(fr, fi).tolist(), _packed(dr, di).tolist())
+        memo.update(compress(zip(compress(keys, fresh), found), evaluated))
+        with np.errstate(all="ignore"):  # the branch _quot drops; unevaluated points
+            sr, si = _quot(fr, fi, dr, di)
+            nr, ni = zr - sr, zi - si
+            live = (
+                evaluated
+                & (below < 3)
+                & (np.hypot(dr, di) >= 1e-14)
+                & (lo_re <= nr) & (nr <= hi_re) & (lo_im <= ni) & (ni <= hi_im)
+                & ((nr != zr) | (ni != zi))
+            )
+            below += np.hypot(sr, si) < tol
+        zr, zi, below = nr[live], ni[live], below[live]
 
 
 # Contour samples per winding count, at most: the contour is evaluated as
@@ -594,10 +772,14 @@ def find_zeros(
     moved one grid cell outward (at most two sides), so the search, and
     the roots it keeps, may cover one more cell on such a side.
 
-    The call recalls the (f, f') pairs of Newton's post-convergence
-    evaluations by exact point, for its own seeds only; a recalled pair has
-    the bits a fresh evaluation gives, so each seed's outcome is the one
-    newton_refine gives it alone.
+    A root within 10*tol of the real axis is moved onto it, unless the
+    pole gate refuses the point there; then it keeps Newton's location.
+
+    Before the seeds are refined one by one, the call evaluates the
+    Newton iterates of all of them at once, in numpy, and newton_refine
+    recalls those (f, f') pairs by exact point, for this call's seeds only;
+    a recalled pair has the bits a fresh evaluation gives, so each seed's
+    outcome is the one newton_refine gives it alone.
     """
     target = _checked_target(target)
     if not isinstance(region, SearchRegion):
@@ -610,9 +792,15 @@ def find_zeros(
     ims = np.linspace(region.im_min, region.im_max, region.grid_im)
     seeds = [complex(a, b) for b in ims for a in res]
     box = _escape_box(region.re_min, region.re_max, region.im_min, region.im_max)
-    token = _RECALLED.set({})
+    memo = {}
+    results = []
+    token = _RECALLED.set(memo)
     try:
-        results = [newton_refine(target, seed, tol=tol, box=box) for seed in seeds]
+        for start in range(0, len(seeds), _PREFETCHED_SEEDS):
+            block = seeds[start : start + _PREFETCHED_SEEDS]
+            memo.clear()
+            _prefetch(target, block, tol, box, memo)
+            results += [newton_refine(target, seed, tol=tol, box=box) for seed in block]
     finally:
         _RECALLED.reset(token)
 
@@ -634,7 +822,12 @@ def find_zeros(
 
     for rec in roots:
         if abs(rec.location.imag) <= dedupe_radius:
-            rec.location = complex(rec.location.real, 0.0)
+            snapped = complex(rec.location.real, 0.0)
+            try:
+                target.value_at(snapped)
+            except PoleProximityError:  # a pole on the axis: keep Newton's point
+                continue
+            rec.location = snapped
 
     _canonicalize_conjugates(roots, dedupe_radius)
     for rec in roots:

@@ -116,8 +116,13 @@ def two_pi_divisions(path: Path) -> list[str]:
 WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
-# Each sum that gates its own points, the only callers of the pole gate.
-GATED_SUMS = {"pole_gate": {"_prepare", "_bernoulli_checks", "_gated"}}
+# Each sum that gates its own points, the only callers of the pole gate;
+# the gate's no-scan test is called only by the gate and the prefetch's
+# array kernel, which evaluates no point it does not clear.
+GATED_SUMS = {
+    "pole_gate": {"_prepare", "_bernoulli_checks", "_gated"},
+    "clear_of_poles": {"pole_gate", "_array_kernel"},
+}
 
 
 # The front door of the evaluators: every form and derivative_partial check
@@ -230,9 +235,9 @@ def test_only_representations_spaces_the_pole_lattice(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_sums_call_the_pole_gate(path):
-    # The rule lives where the sum is computed: the evaluators' checks and
-    # a target's kernel.  Newton and its polish steps reach the gate only
-    # through the kernel.
+    # The rule lives where the sum is computed: the evaluators' checks, a
+    # target's kernel and the prefetch's array kernel.  Newton and its
+    # polish steps reach the gate only through the kernels.
     assert walker_calls(path, GATED_SUMS) == []
 
 
@@ -288,6 +293,12 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "def _gated(self, z):\n"
         "    pole_gate(z, self.n)\n"
         "representations.pole_gate(0j, 6)\n"
+        "def _array_kernel(target):\n"
+        "    def pairs(zr, zi):\n"
+        "        return clear_of_poles(zr)\n"
+        "def _polish(z):\n"
+        "    return clear_of_poles(z.real)\n"
+        "representations.clear_of_poles(0.5)\n"
         "top = admissible_up_to(9).bases[-1]\n"
         "first = aset.members[0]\n"
         "bases = getattr(aset, 'bases')\n"
@@ -311,7 +322,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
-    assert len(walker_calls(probe, GATED_SUMS)) == 2
+    assert len(walker_calls(probe, GATED_SUMS)) == 4
     assert len(base_reads(probe)) == 4
     assert len(set_constructions(probe)) == 4
     assert len(walker_calls(probe, FRONT_DOOR)) == 3

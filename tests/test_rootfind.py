@@ -4,8 +4,10 @@ import cmath
 import contextvars
 import math
 import random
+import warnings
 from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -885,6 +887,26 @@ class TestFindZeros:
         monkeypatch.setattr(Target, "values_at", scalar_values)
         assert [fingerprint(find_zeros(t, region)) for t in targets] == batched
 
+    @pytest.mark.parametrize(
+        "target, tol",
+        [
+            (PRESETS["paper-alt-5"], 0.1),
+            (PRESETS["paper-alt-5"], 0.5),
+            (make_target(ALT, 6, 0.0), 0.5),
+        ],
+    )
+    def test_a_root_is_not_snapped_onto_a_pole(self, target, tol):
+        # Newton finds roots on the imaginary axis within 10*tol of the
+        # real axis; snapped onto it they would sit on the pole at 0, so
+        # they keep Newton's location.
+        roots = find_zeros(target, AXES, tol=tol)
+        near = [rec for rec in roots if abs(rec.location.imag) <= 10 * tol]
+        assert near
+        for rec in near:
+            assert rec.location.imag != 0.0
+            assert pole_distance(rec.location, target.n) > POLE_GATE
+            assert rec.residual == abs(target.value_at(rec.location))
+
 
 def newton_bits(outcome):
     """A newton_refine outcome exactly: a root's location and residual, a
@@ -939,9 +961,28 @@ def refined_alone(target, seed, tol, box):
 AXES = SearchRegion(-1, 1, -3, 3, 9, 9)
 
 
+# The benchmark's strip: the default 40x40 grid on a 1.5 x 12 rectangle
+# right of the imaginary axis, whose Re z = 0 side a search moves out.
+STRIP = SearchRegion(0.0, 1.5, 10.0, 22.0)
+
+# A 25x25 grid over AXES's rectangle: seeds on both axes, and enough of
+# them that even n = 2's one term is worth a prefetch.
+AXES_25 = replace(AXES, grid_re=25, grid_im=25)
+
+# Small grids at n where the prefetch's batch splits its points (n = 1000)
+# and its terms (n = 17000, more terms than rootfind._BATCH).
+LARGE_N = [
+    (make_target(kind, n), SearchRegion(0.0, 1.0, 10.0, 13.0, grid, grid))
+    for kind in (DIRECT, ALT)
+    for n, grid in ((1000, 6), (17000, 3))
+]
+
+
 class TestRecall:
-    """A search recalls the (f, f') pairs of Newton's converged points, and
-    every seed's outcome keeps the bits it has outside a search."""
+    """A search prefetches the (f, f') pairs of its seeds' Newton iterates
+    with an array kernel that gives the scalar kernel's bits, and Newton
+    recalls them by exact point, so every seed's outcome keeps the bits it
+    has outside a search."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_each_seed_refines_in_a_search_as_it_does_alone(self, monkeypatch, name):
@@ -952,6 +993,32 @@ class TestRecall:
         assert 0.0 in [z.real for z in seeds] and 0.0 in [z.imag for z in seeds]
         for seed, tol, box, outcome, _ in calls:
             assert outcome == refined_alone(target, seed, tol, box), seed
+
+    @pytest.mark.parametrize(
+        "target, region",
+        [(PRESETS["paper-direct-6"], STRIP), (make_target(ALT, 9), STRIP), *LARGE_N],
+        ids=lambda x: x.describe() if isinstance(x, Target) else "",
+    )
+    def test_each_seed_of_a_strip_or_large_n_search_refines_as_alone(
+        self, monkeypatch, target, region
+    ):
+        calls = search_calls(monkeypatch, target, region)
+        assert len(calls) == region.grid_re * region.grid_im
+        for seed, tol, box, outcome, _ in calls:
+            assert outcome == refined_alone(target, seed, tol, box), seed
+
+    def test_a_strip_search_evaluates_few_points_with_the_scalar_kernel(
+        self, monkeypatch
+    ):
+        # The prefetch, not the scalar kernel, evaluates the iterates: the
+        # search's scalar evaluations are under 5% of its seeds' alone.
+        target = PRESETS["paper-direct-6"]
+        evaluations = Evaluations(monkeypatch)
+        calls = search_calls(monkeypatch, target, STRIP)
+        in_search = evaluations.count
+        for seed, tol, box, _, _ in calls:
+            refined_alone(target, seed, tol, box)
+        assert in_search < 0.05 * (evaluations.count - in_search)
 
     def test_a_search_evaluates_fewer_points_than_its_seeds_alone(self, monkeypatch):
         target = PRESETS["paper-direct-6"]
@@ -1016,6 +1083,159 @@ class TestRecall:
             alone = contextvars.Context().run(find_zeros, b, AXES)
             find_zeros(a, AXES)
             assert fingerprint(find_zeros(b, AXES)) == fingerprint(alone)
+
+
+def kernel_mismatches(target, points):
+    """(points at which the prefetch's array kernel evaluates but does not
+    give Target._gated's bits, the kernel's evaluated mask)."""
+    zr = np.array([z.real for z in points])
+    zi = np.array([z.imag for z in points])
+    evaluated, *parts = rootfind._array_kernel(target)(zr, zi)
+    wrong = []
+    for k in np.flatnonzero(evaluated):
+        f, d = target._gated(points[k])
+        want = [f.real.hex(), f.imag.hex(), d.real.hex(), d.imag.hex()]
+        if [part[k].hex() for part in parts] != want:
+            wrong.append(points[k])
+    return wrong, evaluated
+
+
+def signed(magnitudes):
+    return st.tuples(st.sampled_from((1.0, -1.0)), magnitudes).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+# Real parts: ordinary, up to where exp underflows in every term, and on
+# either side of the gate; imaginary parts: ordinary, up to 2**27, and
+# subnormal, where the kernel's quotients meet zero parts.
+REAL_PARTS = signed(
+    st.one_of(
+        st.floats(0.0, 3.0),
+        st.floats(1e-5, 2200.0),
+        st.floats(0.5 * POLE_GATE, 2.0 * POLE_GATE),
+        st.sampled_from((POLE_GATE, math.nextafter(POLE_GATE, 1.0))),
+    )
+)
+IMAG_PARTS = signed(
+    st.one_of(
+        st.floats(0.0, 40.0),
+        st.floats(0.0, 2.0**27),
+        st.floats(5e-324, 1e-300),
+        st.floats(1e-300, 1e-20),
+    )
+)
+
+# Extreme points, as a fixed list for the warning and planted-kernel checks.
+EXTREMES = [
+    complex(sign_re * x, sign_im * y)
+    for x in (1.0000001e-6, 1e-5, 0.3, 7.0, 800.0, 2200.0)
+    for y in (5e-324, 1e-310, 1e-160, 0.7, 14.134725, 3e5, 2.0**27)
+    for sign_re in (1.0, -1.0)
+    for sign_im in (1.0, -1.0)
+]
+
+
+class TestPrefetch:
+    """The array kernel find_zeros fills its memo with, and the memo."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from((DIRECT, ALT)),
+        n=st.sampled_from((2, 3, 6, 12, 47, 300)),
+        constant=st.sampled_from((1.0, 0.5, 0.0, -0.0)),
+        points=st.lists(st.builds(complex, REAL_PARTS, IMAG_PARTS), min_size=1, max_size=40),
+        batch=st.sampled_from((rootfind._BATCH, 64, 7)),
+    )
+    @example(kind=ALT, n=12, constant=-0.0, points=EXTREMES, batch=rootfind._BATCH)
+    def test_the_array_kernel_gives_the_scalar_kernels_bits(
+        self, kind, n, constant, points, batch
+    ):
+        # Smaller batches split the points and the terms into blocks, the
+        # running sums carried from one block of terms to the next.
+        target = make_target(kind, n, constant)
+        with mock.patch.object(rootfind, "_BATCH", batch):
+            wrong, evaluated = kernel_mismatches(target, points)
+        assert wrong == []
+        for z, done in zip(points, evaluated):
+            assert done == bool(z.real and z.imag and abs(z.real) > POLE_GATE), z
+
+    @pytest.mark.parametrize("kind", [DIRECT, ALT])
+    def test_the_array_kernel_carries_its_sums_past_one_block_of_terms(self, kind):
+        target = make_target(kind, 17000, 0.5)
+        assert len(target.terms) > rootfind._BATCH
+        points = [complex(0.3, 14.1), complex(-0.4, -7.5), complex(2.0, 1e-310)]
+        wrong, evaluated = kernel_mismatches(target, points)
+        assert wrong == [] and evaluated.all()
+
+    @pytest.mark.parametrize("op", ["product", "quotient"])
+    def test_a_kernel_on_numpys_complex_arithmetic_is_caught(self, monkeypatch, op):
+        # numpy's complex * (fused multiply-add) and / (another algorithm)
+        # round differently from CPython's, so the bit check must fail.
+        def numpy_op(ar, ai, br, bi):
+            a, b = rootfind._packed(ar, ai), rootfind._packed(br, bi)
+            out = a * b if op == "product" else a / b
+            return out.real, out.imag
+
+        monkeypatch.setattr(rootfind, "_prod" if op == "product" else "_quot", numpy_op)
+        rng = random.Random(7)
+        points = [complex(rng.uniform(-3, 3), rng.uniform(-40, 40)) for _ in range(200)]
+        wrong, _ = kernel_mismatches(make_target(ALT, 12), points)
+        assert wrong
+
+    @pytest.mark.parametrize(
+        "target, region",
+        [(PRESETS[name], AXES_25) for name in sorted(PRESETS)]
+        + [(PRESETS["paper-alt-6"], STRIP), LARGE_N[0]],
+        ids=lambda x: x.describe() if isinstance(x, Target) else "",
+    )
+    def test_the_memo_holds_only_gated_pairs_off_the_axes_and_the_strip(
+        self, monkeypatch, target, region
+    ):
+        # What the prefetch keeps, before any seed is refined: no point with
+        # a zero part (== and hash would merge 0.0 and -0.0), none inside
+        # the gate strip, and every pair the scalar kernel's bit for bit.
+        kept = {}
+        prefetch = rootfind._prefetch
+
+        def recorded(target, seeds, tol, box, memo):
+            prefetch(target, seeds, tol, box, memo)
+            kept.update(memo)
+
+        monkeypatch.setattr(rootfind, "_prefetch", recorded)
+        find_zeros(target, region)
+        assert kept
+        for z, pair in kept.items():
+            assert z.real and z.imag and abs(z.real) > POLE_GATE, z
+            assert [bits(w) for w in pair] == [bits(w) for w in target._gated(z)], z
+
+    def test_a_search_prefetches_its_seeds_a_block_at_a_time(self, monkeypatch):
+        # The memo holds one block's pairs at a time, and each seed's
+        # outcome is still its own.
+        monkeypatch.setattr(rootfind, "_PREFETCHED_SEEDS", 200)
+        blocks = []
+        prefetch = rootfind._prefetch
+
+        def recorded(target, seeds, tol, box, memo):
+            assert memo == {}
+            blocks.append(len(seeds))
+            prefetch(target, seeds, tol, box, memo)
+
+        monkeypatch.setattr(rootfind, "_prefetch", recorded)
+        target = PRESETS["paper-direct-6"]
+        calls = search_calls(monkeypatch, target, AXES_25)
+        assert blocks == [200, 200, 200, 25]
+        for seed, tol, box, outcome, _ in calls:
+            assert outcome == refined_alone(target, seed, tol, box), seed
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                for kind in (DIRECT, ALT):
+                    assert kernel_mismatches(make_target(kind, 47), EXTREMES)[0] == []
+                find_zeros(PRESETS["paper-alt-6"], STRIP)
+                find_zeros(PRESETS["paper-direct-5"], AXES)
 
 
 class TestAltThreeErratum:

@@ -196,6 +196,14 @@ def searches() -> None:
         region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=8, grid_im=8)
         record(f"find_zeros {kind.value} 200", zs.find_zeros,
                zs.make_target(kind, 200), region)
+    # Small grids at n where the search's prefetch splits its batch: into
+    # blocks of points at n = 3000, and at n = 17000, with more terms than
+    # one block holds, into blocks of terms whose sums carry over.
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        for n, grid in ((3000, 6), (17_000, 4)):
+            region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=grid, grid_im=grid)
+            record(f"find_zeros batch {kind.value} {n}", zs.find_zeros,
+                   zs.make_target(kind, n), region)
     # Seed grids with exact zeros: a 9x9 grid over a rectangle symmetric
     # about both axes has seeds on Re z = 0 and on Im z = 0.
     for name, t in zs.PRESETS.items():
