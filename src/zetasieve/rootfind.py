@@ -26,26 +26,33 @@ the evaluators do: its one kernel refuses a point within POLE_GATE of a
 term pole (PoleProximityError), and value_at and value_and_derivative_at
 put each point through check_point first.
 
-A search does not leave its iterates to that loop.  Before the seed loop,
-find_zeros prefetches: every seed steps at once, in rounds, and each round
-evaluates all live iterates with an array kernel, then steps each as
-CPython computes z - f/f'.  The kernel writes each of the scalar loop's
-complex products and quotients out on float64 (terms x points) arrays in
-the form CPython's complex arithmetic uses (numpy's complex * and / round
-differently), takes exp from numpy's complex exp, which is libm's cexp as
-cmath.exp is, and adds each sum's terms one after another from the
-constant, so every pair it makes has the scalar loop's bits.  It takes
+A search does not leave its iterates to that loop.  Before the seed
+loop, find_zeros prefetches: every seed steps at once, in rounds, and
+each round evaluates all live iterates with an array kernel, then steps
+each as CPython computes z - f/f'.  The kernel writes each of the scalar
+loop's complex products and quotients out on float64 (terms x points)
+arrays in the form CPython's complex arithmetic uses (numpy's complex *
+and / round differently), takes exp from numpy's complex exp, which is
+libm's cexp as cmath.exp is, and adds each sum's terms one after another
+from the constant, so every pair it makes has the scalar loop's bits.
+Those bits rest on the build: CPython's complex product compiled without
+fused multiply-add, and numpy's complex exp calling the cexp cmath.exp
+calls.  They are verified for CPython 3.11.7 and numpy 2.4.6 on x86-64;
+on any other platform the property
+test_the_array_kernel_gives_the_scalar_kernels_bits in
+tests/test_rootfind.py is the check that they hold.  The kernel takes
 only points with no zero part that clear the pole lattice without a scan
-(clear_of_poles), and its temporaries are bounded by _BATCH elements,
-whatever n and the seed count.  A search prefetches and refines at most
-_PREFETCHED_SEEDS seeds at a time, so its memo stays bounded too.  The
-pairs go into a memo by exact point, a context variable find_zeros sets
-and resets, and newton_refine reads it at every evaluation; a point it
-lacks, where a trajectory was guessed wrong or the rounds stopped, is
-evaluated by the scalar loop and kept.  A recalled pair is the one a fresh
-evaluation gives at those bits, so every seed's outcome is its outcome
-alone, a direct newton_refine call and every other path evaluate as
-before, and Newton's control flow is written once.
+(clear_of_poles), all of a round's points at once and the terms in
+blocks, so its temporaries are bounded by _BATCH elements whatever n.  A
+search prefetches and refines at most _PREFETCHED_SEEDS seeds at a time,
+so its memo stays bounded too.  The pairs go into a memo by exact point,
+a context variable find_zeros sets and resets, and newton_refine reads
+it at every evaluation; a point it lacks, where a trajectory was guessed
+wrong or the rounds stopped, is evaluated by the scalar loop and kept.
+A recalled pair is the one a fresh evaluation gives at those bits, so
+every seed's outcome is its outcome alone, a direct newton_refine call
+and every other path evaluate as before, and Newton's control flow is
+written once.
 
 Newton binds the scalar kernel and unpacks its box once per seed, and
 catches the pole refusal once.  A target takes n up to MAX_TARGET_N, a
@@ -486,16 +493,18 @@ def _polish(evaluate, z, pair, box, memo):
 
 # Elements of one (terms x points) array in the prefetch's kernel, at most:
 # the kernel holds a few tens of such float64 arrays at once, a few MiB,
-# whatever the seed count and n.
+# whatever n.  It takes a round's points in one block and splits the terms.
 _BATCH = 2**14
 
 # Seeds a search prefetches and refines at once, at most: its memo holds
-# the pairs of their iterates, about 1.3 KB per seed, some 20 MB here.
-_PREFETCHED_SEEDS = 2**14
+# the pairs of their iterates, about 1.3 KB per seed, some 20 MB here.  At
+# most _BATCH, so that a round's points fit in one of the kernel's arrays.
+_PREFETCHED_SEEDS = _BATCH
 
 # The prefetch stops once its live seeds hold fewer (seed, term) pairs than
-# this: a round's hundred-odd numpy calls cost about what the scalar kernel
-# takes for that many terms, so newton_refine evaluates the rest itself.
+# this: a round's hundred-odd numpy calls then cost more than the scalar
+# kernel takes for those terms, so newton_refine evaluates the rest itself.
+# Without the cut zeros-strip ran about 6% slower end to end.
 _TAIL = 2**9
 
 
@@ -533,17 +542,23 @@ def _exp(re, im):
     return w.real, w.imag
 
 
-def _add_rows(total, rows) -> None:
-    """total + rows[0] + rows[1] + ..., added in that order, into total.
+def _add_rows(total, rows):
+    """total + rows[0] + rows[1] + ..., added one row after another.
 
-    A row at a time while rows are fewer than points, else through
-    np.add.accumulate, which is slower per element but makes one call."""
+    Both ways give the same bits.  Where the rows are no more than the
+    points (small n, as on zeros-strip), a loop adds each row across all
+    points at once: np.add.accumulate, whose inner loop runs along one
+    point's rows, made zeros-strip about 4% slower end to end.  Where the
+    rows outnumber the points (n in the thousands, on no benchmark
+    workload), accumulate runs each point's chain in C: the loop's Python
+    step per row made a 4x4 search at n = 17000 twice as slow as the
+    scalar kernel alone.
+    """
     if len(rows) <= len(total):
         for row in rows:
-            total += row
-    else:
-        rows[0] = total + rows[0]
-        total[...] = np.add.accumulate(rows, axis=0)[-1]
+            total = total + row
+        return total
+    return np.add.accumulate(np.vstack([total, rows]), axis=0)[-1]
 
 
 def _array_kernel(target):
@@ -559,14 +574,6 @@ def _array_kernel(target):
     """
     logs, signs = base_logs_and_signs(target.n)
     direct = target.kind is RepresentationKind.DIRECT
-    step = min(len(logs), _BATCH)  # terms per block
-    width = max(1, _BATCH // step)  # points per block
-
-    def block(t):
-        """(log r, s_r, s_r*log r) as columns, for the terms from t on."""
-        lg = logs[t : t + step, None]
-        s = np.ones_like(lg) if direct else signs[t : t + step, None].astype(float)
-        return lg, s, s * lg
 
     def right(zr, zi, lg, s, slg):
         """Terms s*w/(1 - w) and slg*w/(1 - w)**2 with w = exp(-z*lg)."""
@@ -587,15 +594,18 @@ def _array_kernel(target):
         out = np.zeros((4, len(zr)))
         with np.errstate(all="ignore"):  # the branch _quot drops; non-finite pairs
             for half, side in ((right, zr >= 0.0), (left, zr < 0.0)):
-                where = np.flatnonzero(evaluated & side)
-                for p in range(0, len(where), width):
-                    at = where[p : p + width]
-                    sums = [np.full(len(at), target.constant), *np.zeros((3, len(at)))]
-                    for t in range(0, len(logs), step):
-                        terms = half(zr[at], zi[at], *block(t))
-                        for total, term in zip(sums, terms):
-                            _add_rows(total, term)
-                    out[:, at] = sums
+                at = np.flatnonzero(evaluated & side)
+                if not len(at):
+                    continue
+                step = max(1, _BATCH // len(at))  # terms per block
+                sums = [np.full(len(at), target.constant), *np.zeros((3, len(at)))]
+                for t in range(0, len(logs), step):
+                    lg = logs[t : t + step, None]
+                    s = np.ones_like(lg) if direct else signs[t : t + step, None]
+                    s = s.astype(float)
+                    terms = half(zr[at], zi[at], lg, s, s * lg)
+                    sums = [_add_rows(*pair) for pair in zip(sums, terms)]
+                out[:, at] = sums
             out[2:] = -out[2:]
         evaluated &= np.isfinite(out).all(axis=0)
         return evaluated, *out
@@ -823,11 +833,8 @@ def find_zeros(
     for rec in roots:
         if abs(rec.location.imag) <= dedupe_radius:
             snapped = complex(rec.location.real, 0.0)
-            try:
-                target.value_at(snapped)
-            except PoleProximityError:  # a pole on the axis: keep Newton's point
-                continue
-            rec.location = snapped
+            if pole_distance(snapped, target.n) > POLE_GATE:  # else keep Newton's
+                rec.location = snapped
 
     _canonicalize_conjugates(roots, dedupe_radius)
     for rec in roots:

@@ -969,8 +969,9 @@ STRIP = SearchRegion(0.0, 1.5, 10.0, 22.0)
 # them that even n = 2's one term is worth a prefetch.
 AXES_25 = replace(AXES, grid_re=25, grid_im=25)
 
-# Small grids at n where the prefetch's batch splits its points (n = 1000)
-# and its terms (n = 17000, more terms than rootfind._BATCH).
+# Small grids at n where the prefetch's kernel splits the terms into blocks
+# and carries its sums from one to the next: n = 1000 (36 seeds, blocks of
+# 455 terms) and n = 17000 (more terms than rootfind._BATCH).
 LARGE_N = [
     (make_target(kind, n), SearchRegion(0.0, 1.0, 10.0, 13.0, grid, grid))
     for kind in (DIRECT, ALT)
@@ -1151,8 +1152,8 @@ class TestPrefetch:
     def test_the_array_kernel_gives_the_scalar_kernels_bits(
         self, kind, n, constant, points, batch
     ):
-        # Smaller batches split the points and the terms into blocks, the
-        # running sums carried from one block of terms to the next.
+        # Smaller batches split the terms into blocks, the running sums
+        # carried from one block to the next.
         target = make_target(kind, n, constant)
         with mock.patch.object(rootfind, "_BATCH", batch):
             wrong, evaluated = kernel_mismatches(target, points)

@@ -196,9 +196,9 @@ def searches() -> None:
         region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=8, grid_im=8)
         record(f"find_zeros {kind.value} 200", zs.find_zeros,
                zs.make_target(kind, 200), region)
-    # Small grids at n where the search's prefetch splits its batch: into
-    # blocks of points at n = 3000, and at n = 17000, with more terms than
-    # one block holds, into blocks of terms whose sums carry over.
+    # Small grids at n where the search's prefetch splits the terms into
+    # blocks whose sums carry over: 36 seeds at n = 3000, and 16 at
+    # n = 17000, with more terms than one block holds for a single point.
     for kind in (Kind.DIRECT, Kind.ALTERNATING):
         for n, grid in ((3000, 6), (17_000, 4)):
             region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=grid, grid_im=grid)
