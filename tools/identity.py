@@ -153,6 +153,38 @@ def targets(rng: random.Random) -> None:
                 record("winding_count", zs.winding_count, t, center, radius, samples)
 
 
+def newton_outcomes() -> None:
+    # Seeds that end in each outcome but escape and a root, which the random
+    # seeds above do not reach.  Stagnation: far right, where |f'| < 1e-14.
+    direct2 = zs.make_target(Kind.DIRECT, 2)
+    for seed in (complex(50.0, 0.3), complex(50.0, -2.0)):
+        record("newton_refine stagnation", zs.newton_refine, direct2, seed)
+    # A pole: 1e-9 from a lattice pole, on and off the real axis.
+    alt6 = zs.make_target(Kind.ALTERNATING, 6)
+    lattice = 2.0 * math.pi / math.log(2.0)
+    for seed in (complex(1e-9, lattice), complex(-1e-9, 3.0 * lattice), complex(1e-9, 0.0)):
+        record("newton_refine pole", zs.newton_refine, alt6, seed)
+    # The 60-step cap: two seeds of strip searches at n = 12, in their boxes.
+    direct12 = zs.make_target(Kind.DIRECT, 12)
+    for seed, lo, hi in (
+        (complex(0.868836291913215, 48.92005032235982), 33.073896476205974, 57.073896476205974),
+        (complex(-0.038461538461538464, 45.0633052683371), 31.37099757602941, 55.37099757602941),
+    ):
+        box = (-1.0384615384615385, 2.5, lo, hi)
+        record("newton_refine max-iter", newton_in_box, direct12, seed, box)
+    # The stuck path: roots near Im z = 1000, where a step below one ulp
+    # leaves the point as it is; at the smaller tolerances the run spins
+    # on the pair in hand to the cap, at the larger it polishes.
+    direct6 = zs.make_target(Kind.DIRECT, 6)
+    for seed in (
+        complex(0.2265775093501481, 1000.2715108939617),
+        complex(0.4970109674648444, 1001.9638976363392),
+        complex(0.03340976182704302, 1003.1041811134118),
+    ):
+        for tol in (1e-15, 1e-14, 1e-13, 1e-12):
+            record("newton_refine stuck", zs.newton_refine, direct6, seed, tol)
+
+
 def values_on_circle(target, center, radius, samples):
     """Target.values_at on a circle sampled as winding_count samples it."""
     theta = np.linspace(0.0, 2.0 * math.pi, samples + 1)
@@ -328,6 +360,7 @@ def main() -> None:
     evaluators(rng)
     tables(rng)
     targets(rng)
+    newton_outcomes()
     circles()
     searches()
     sets()
