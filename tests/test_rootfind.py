@@ -2,6 +2,7 @@
 
 import cmath
 import contextvars
+import functools
 import math
 import random
 import warnings
@@ -13,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 import roots_frozen as frozen
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from zetasieve import (
@@ -979,11 +980,188 @@ LARGE_N = [
 ]
 
 
+def same_point(a, b):
+    """Whether a and b are one point bit for bit, signed zeros apart."""
+    return bits(a) == bits(b)
+
+
+def reference_newton(target, seed, tol, box):
+    """newton_refine as a scalar loop over one seed, as it was written
+    before the batch: the oracle whose outcomes the batch must give bit for
+    bit.  Each point is evaluated by the target's scalar kernel."""
+    lo_re, hi_re, lo_im, hi_im = box
+    evaluate = target._gated
+    z = seed
+    iterations = 0
+    pair = None  # (f, f') at z, once evaluated
+    try:
+        while iterations < 60:
+            if pair is None:
+                pair = evaluate(z)
+            fz, dz = pair
+            if abs(dz) < 1e-14:
+                return NewtonFailure("stagnation", z, iterations)
+            step = fz / dz
+            z_next = z - step
+            iterations += 1
+            if not (lo_re <= z_next.real <= hi_re and lo_im <= z_next.imag <= hi_im):
+                return NewtonFailure("escape", z_next, iterations)
+            if not same_point(z_next, z):
+                z, pair = z_next, None
+            if abs(step) < tol:
+                if pair is None:
+                    pair = evaluate(z)
+                if abs(pair[0]) <= tol:
+                    z, fz = reference_polish(evaluate, z, pair, box)
+                    return RootRecord(z, abs(fz), verified=False, conjugate_of=None)
+                # A tiny step at a large residual: iterate on from the pair
+                # in hand.
+    except PoleProximityError:
+        return NewtonFailure("pole", z, iterations)
+    return NewtonFailure("max-iter", z, 60)
+
+
+def reference_polish(evaluate, z, pair, box):
+    """Two more Newton steps at most, each kept only if |f| does not grow."""
+    lo_re, hi_re, lo_im, hi_im = box
+    fz, dz = pair
+    try:
+        for _ in range(2):
+            if abs(dz) < 1e-14:
+                break
+            z_next = z - fz / dz
+            if same_point(z_next, z):
+                break
+            if not (lo_re <= z_next.real <= hi_re and lo_im <= z_next.imag <= hi_im):
+                break
+            pair = evaluate(z_next)
+            if not abs(pair[0]) <= abs(fz):
+                break
+            z, (fz, dz) = z_next, pair
+    except PoleProximityError:
+        pass
+    return z, fz
+
+
+@functools.lru_cache(maxsize=None)
+def cached_target(kind, n, constant):
+    return make_target(kind, n, constant)
+
+
+def lattice_height(k, r=2):
+    return 2 * math.pi * k / math.log(r)
+
+
+# Seeds: mostly ordinary points, and special ones, whose parts may be a
+# zero of either sign (seeds on the axes), inside the gate strip
+# |Re z| <= POLE_GATE, subnormal, far right where |f'| < 1e-14, or at
+# lattice heights.
+ORDINARY_SEEDS = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-40.0, 40.0))
+SPECIAL_SEEDS = st.builds(
+    complex,
+    st.one_of(
+        st.floats(-3.0, 3.0),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310)),
+        st.floats(-POLE_GATE, POLE_GATE),
+        st.floats(40.0, 60.0),
+    ),
+    st.one_of(
+        st.floats(-40.0, 40.0),
+        st.sampled_from((0.0, -0.0, 5e-324, lattice_height(1), -lattice_height(3))),
+        st.floats(-1e-300, 1e-300),
+    ),
+)
+SEEDS = st.one_of(ORDINARY_SEEDS, ORDINARY_SEEDS, SPECIAL_SEEDS)
+
+
+@st.composite
+def boxes(draw, seeds):
+    """A box (re_min, re_max, im_min, im_max): around the seeds, by margins
+    from a little inside them to far out, or anywhere."""
+    if draw(st.booleans()):
+        re = sorted(draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2, unique=True)))
+        im = sorted(draw(st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=2, unique=True)))
+        return (*re, *im)
+    margin = st.floats(-0.5, 30.0)
+    re = [z.real for z in seeds]
+    im = [z.imag for z in seeds]
+    box = (
+        min(re) - draw(margin), max(re) + draw(margin),
+        min(im) - draw(margin), max(im) + draw(margin),
+    )
+    assume(box[0] < box[1] and box[2] < box[3])
+    return box
+
+
+# Tolerances from 1e-14 to 0.5, even in their logarithm.
+TOLS = st.floats(-14.0, math.log10(0.5)).map(lambda e: 10.0**e)
+
+
+# Roots near Im z = 1000 at n = 6, where a step below one ulp leaves the
+# point as it is, and a box around them.
+STUCK = [complex(0.2265775093501481, 1000.2715108939617),
+         complex(0.4970109674648444, 1001.9638976363392)]
+AT_1000 = (-1.0, 2.0, 990.0, 1010.0)
+
+
+class TestOracle:
+    """The batch against a scalar Newton loop over one seed at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from((DIRECT, ALT)),
+        n=st.sampled_from([*range(2, 61), 1000, 17000]),
+        constant=st.sampled_from((1.0, 0.5, 0.0)),
+        tol=TOLS,
+        seeds_and_box=st.lists(
+            SEEDS, min_size=1, max_size=6
+        ).flatmap(lambda seeds: st.tuples(st.just(seeds), boxes(seeds))),
+    )
+    # Each outcome: stagnation far right, a pole, the stuck path spinning to
+    # the cap and polishing in place (roots near Im z = 1000), and a strip
+    # seed that hits the cap.
+    @example(kind=DIRECT, n=2, constant=1.0, tol=1e-10, seeds_and_box=(
+        [50 + 0.3j, 1e-9 + 1j * lattice_height(1)], (-5.0, 80.0, -10.0, 10.0)))
+    @example(kind=DIRECT, n=6, constant=1.0, tol=1e-15, seeds_and_box=(STUCK, AT_1000))
+    @example(kind=DIRECT, n=6, constant=1.0, tol=1e-13, seeds_and_box=(STUCK, AT_1000))
+    @example(kind=DIRECT, n=12, constant=1.0, tol=1e-10, seeds_and_box=(
+        [complex(0.868836291913215, 48.92005032235982)],
+        (-1.0384615384615385, 2.5, 33.073896476205974, 57.073896476205974)))
+    def test_the_batch_and_a_direct_call_give_the_oracles_bits(
+        self, kind, n, constant, tol, seeds_and_box
+    ):
+        seeds, box = seeds_and_box
+        target = cached_target(kind, n, constant)
+        want = [newton_bits(reference_newton(target, z, tol, box)) for z in seeds]
+        for outcome in want:
+            event(outcome[0])
+        assert [newton_bits(out) for out in rootfind._newton(target, seeds, tol, box)] == want
+        direct = [newton_bits(newton_refine(target, z, tol, box=box)) for z in seeds]
+        assert direct == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from((DIRECT, ALT)),
+        n=st.integers(2, 60),
+        seed=SEEDS,
+    )
+    def test_the_default_box_gives_the_oracles_bits(self, kind, n, seed):
+        target = cached_target(kind, n, 1.0)
+        box = (seed.real - 25.0, seed.real + 25.0, seed.imag - 25.0, seed.imag + 25.0)
+        want = newton_bits(reference_newton(target, seed, 1e-10, box))
+        assert newton_bits(newton_refine(target, seed)) == want
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_a_search_gives_each_seed_the_oracles_outcome(self, monkeypatch, name):
+        target = PRESETS[name]
+        for seed, tol, box, outcome, _ in search_calls(monkeypatch, target, AXES):
+            assert outcome == newton_bits(reference_newton(target, seed, tol, box)), seed
+
+
 class TestRecall:
-    """A search prefetches the (f, f') pairs of its seeds' Newton iterates
-    with an array kernel that gives the scalar kernel's bits, and Newton
-    recalls them by exact point, so every seed's outcome keeps the bits it
-    has outside a search."""
+    """A search steps all its seeds at once, and its newton_refine calls
+    return the outcomes the batch holds, so every seed's outcome keeps the
+    bits it has outside a search."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_each_seed_refines_in_a_search_as_it_does_alone(self, monkeypatch, name):
@@ -1011,8 +1189,8 @@ class TestRecall:
     def test_a_strip_search_evaluates_few_points_with_the_scalar_kernel(
         self, monkeypatch
     ):
-        # The prefetch, not the scalar kernel, evaluates the iterates: the
-        # search's scalar evaluations are under 5% of its seeds' alone.
+        # The array kernel, not the scalar kernel, evaluates the iterates:
+        # the search's scalar evaluations are under 5% of its seeds' alone.
         target = PRESETS["paper-direct-6"]
         evaluations = Evaluations(monkeypatch)
         calls = search_calls(monkeypatch, target, STRIP)
@@ -1022,40 +1200,56 @@ class TestRecall:
         assert in_search < 0.05 * (evaluations.count - in_search)
 
     def test_a_search_evaluates_fewer_points_than_its_seeds_alone(self, monkeypatch):
+        # A round evaluates each distinct point once, and seeds that
+        # converge to one root meet at its points.
         target = PRESETS["paper-direct-6"]
+        distinct = rootfind._distinct
+        points = []
+
+        def counted(zr, zi):
+            first, inverse = distinct(zr, zi)
+            points.append(len(first))
+            return first, inverse
+
+        monkeypatch.setattr(rootfind, "_distinct", counted)
         calls = search_calls(monkeypatch, target, AXES)
-        evaluations = Evaluations(monkeypatch)
+        in_search = sum(points)
         for seed, tol, box, _, _ in calls:
             refined_alone(target, seed, tol, box)
-        assert sum(call[-1] for call in calls) < evaluations.count
+        assert in_search < sum(points) - in_search
 
-    def test_only_a_point_with_no_zero_part_is_recalled(self):
-        # == and hash take 0.0 and -0.0 for one value, so a point with a
-        # zero part is evaluated anew each time and never kept.
-        memo, seen = {}, []
-
-        def evaluate(z):
-            seen.append(z)
-            return z, z
-
-        recall = rootfind._recalled
-        signed = [complex(0.5, 0.0), complex(0.5, -0.0), 2j, complex(-0.0, 2.0)]
-        for z in signed * 2:
-            assert bits(recall(evaluate, z, memo)[0]) == bits(z)
-        assert memo == {} and len(seen) == 8
-        z = complex(0.5, 2.0)
-        assert recall(evaluate, z, memo) is recall(evaluate, z, memo)
-        assert len(seen) == 9 and list(memo) == [z]
-
-    def test_a_refusal_is_raised_each_time_and_never_kept(self):
+    def test_each_distinct_point_is_evaluated_once_signed_zeros_apart(
+        self, monkeypatch
+    ):
+        # == and hash take 0.0 and -0.0 for one value; a round tells points
+        # apart by their bits.
         target = PRESETS["paper-direct-6"]
-        memo = {}
-        for _ in range(2):
-            with pytest.raises(PoleProximityError):
-                rootfind._recalled(target._gated, complex(1e-9, LATTICE_2), memo)
-        assert memo == {}
+        evaluations = Evaluations(monkeypatch)
+        signed = [complex(0.5, 0.0), complex(0.5, -0.0), 2j, complex(-0.0, 2.0)]
+        points = [complex(0.5, 2.0), *signed] * 3
+        refused, *parts = rootfind._evaluator(target)(
+            np.array([z.real for z in points]), np.array([z.imag for z in points])
+        )
+        assert evaluations.count == 5 and not refused.any()
+        for k, z in enumerate(points):
+            want = [part for w in target._gated(z) for part in (w.real, w.imag)]
+            assert [part[k].hex() for part in parts] == [w.hex() for w in want], z
 
-    def test_no_memo_is_left_after_a_search(self, monkeypatch):
+    def test_a_refused_point_is_refused_for_every_seed_on_it(self):
+        target = PRESETS["paper-direct-6"]
+        near = complex(1e-9, LATTICE_2)
+        points = [near, complex(0.5, 2.0), near, complex(1e-9, -LATTICE_2)]
+        refused, *_ = rootfind._evaluator(target)(
+            np.array([z.real for z in points]), np.array([z.imag for z in points])
+        )
+        assert refused.tolist() == [True, False, True, True]
+        box = (-5.0, 5.0, -20.0, 20.0)
+        outcomes = rootfind._newton(target, points, 1e-10, box)
+        for z, out in zip(points, outcomes):
+            assert newton_bits(out) == newton_bits(reference_newton(target, z, 1e-10, box))
+        assert [newton_bits(out)[:2] for out in outcomes[::2]] == [("pole", 0)] * 2
+
+    def test_no_search_state_is_left_after_a_search(self, monkeypatch):
         before = dict(contextvars.copy_context())
         inside = []
         refine = rootfind.newton_refine
@@ -1137,8 +1331,8 @@ EXTREMES = [
 ]
 
 
-class TestPrefetch:
-    """The array kernel find_zeros fills its memo with, and the memo."""
+class TestBatch:
+    """The array kernel a search's rounds evaluate with, and the batch."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1190,44 +1384,118 @@ class TestPrefetch:
         + [(PRESETS["paper-alt-6"], STRIP), LARGE_N[0]],
         ids=lambda x: x.describe() if isinstance(x, Target) else "",
     )
-    def test_the_memo_holds_only_gated_pairs_off_the_axes_and_the_strip(
+    def test_every_pair_the_batch_uses_is_the_gated_pair(
         self, monkeypatch, target, region
     ):
-        # What the prefetch keeps, before any seed is refined: no point with
-        # a zero part (== and hash would merge 0.0 and -0.0), none inside
-        # the gate strip, and every pair the scalar kernel's bit for bit.
-        kept = {}
-        prefetch = rootfind._prefetch
+        # Every (f, f') a search's rounds step with, from the array kernel
+        # or the scalar one, is the scalar kernel's bit for bit, and every
+        # point refused is one the pole gate refuses.
+        used = []
+        evaluator = rootfind._evaluator
+        kernel = rootfind._array_kernel
+        from_kernel = []
 
-        def recorded(target, seeds, tol, box, memo):
-            prefetch(target, seeds, tol, box, memo)
-            kept.update(memo)
+        def recorded(target):
+            pairs = evaluator(target)
 
-        monkeypatch.setattr(rootfind, "_prefetch", recorded)
+            def recording(zr, zi):
+                out = pairs(zr, zi)
+                used.extend(zip(zr.tolist(), zi.tolist(), *(v.tolist() for v in out)))
+                return out
+
+            return recording
+
+        def counted(target):
+            pairs = kernel(target)
+
+            def counting(zr, zi):
+                out = pairs(zr, zi)
+                from_kernel.append(int(out[0].sum()))
+                return out
+
+            return counting
+
+        monkeypatch.setattr(rootfind, "_evaluator", recorded)
+        monkeypatch.setattr(rootfind, "_array_kernel", counted)
         find_zeros(target, region)
-        assert kept
-        for z, pair in kept.items():
-            assert z.real and z.imag and abs(z.real) > POLE_GATE, z
-            assert [bits(w) for w in pair] == [bits(w) for w in target._gated(z)], z
+        assert sum(from_kernel) > 0
+        for zr, zi, refused, *parts in used:
+            z = complex(zr, zi)
+            try:
+                f, d = target._gated(z)
+            except PoleProximityError:
+                assert refused, z
+                continue
+            assert not refused, z
+            assert [p.hex() for p in parts] == [
+                f.real.hex(), f.imag.hex(), d.real.hex(), d.imag.hex()
+            ], z
 
-    def test_a_search_prefetches_its_seeds_a_block_at_a_time(self, monkeypatch):
-        # The memo holds one block's pairs at a time, and each seed's
-        # outcome is still its own.
-        monkeypatch.setattr(rootfind, "_PREFETCHED_SEEDS", 200)
+    def test_a_search_steps_its_seeds_a_block_at_a_time(self, monkeypatch):
+        # The batch holds one block's seeds at a time, no seed is refined
+        # outside it, and each seed's outcome is still its own.
+        monkeypatch.setattr(rootfind, "_BATCHED_SEEDS", 200)
         blocks = []
-        prefetch = rootfind._prefetch
+        newton = rootfind._newton
 
-        def recorded(target, seeds, tol, box, memo):
-            assert memo == {}
+        def recorded(target, seeds, tol, box):
             blocks.append(len(seeds))
-            prefetch(target, seeds, tol, box, memo)
+            return newton(target, seeds, tol, box)
 
-        monkeypatch.setattr(rootfind, "_prefetch", recorded)
+        monkeypatch.setattr(rootfind, "_newton", recorded)
         target = PRESETS["paper-direct-6"]
         calls = search_calls(monkeypatch, target, AXES_25)
         assert blocks == [200, 200, 200, 25]
         for seed, tol, box, outcome, _ in calls:
             assert outcome == refined_alone(target, seed, tol, box), seed
+
+    def test_a_call_inside_a_search_with_other_arguments_refines_on_its_own(
+        self, monkeypatch
+    ):
+        # Another target, an equal tol or box that is not the search's own
+        # object, or a seed that is not one of its seeds: each such call
+        # computes its own outcome.
+        target = PRESETS["paper-direct-6"]
+        other = PRESETS["paper-alt-6"]
+        refine = rootfind.newton_refine
+        checked = []
+
+        def nested(t, seed, tol=1e-10, *, box=None):
+            out = refine(t, seed, tol, box=box)
+            if len(checked) < 12:
+                variants = [
+                    (other, seed, tol, box),
+                    (t, seed, float(repr(tol)), box),
+                    (t, seed, tol, tuple(box)[:2] + tuple(box)[2:]),
+                    (t, seed + 0.125, tol, box),
+                ]
+                for args in variants:
+                    got = newton_bits(refine(args[0], args[1], args[2], box=args[3]))
+                    assert got == refined_alone(*args), args
+                checked.append(seed)
+            return out
+
+        monkeypatch.setattr(rootfind, "newton_refine", nested)
+        find_zeros(target, AXES)
+        assert len(checked) == 12
+
+    def test_a_bad_box_or_tol_inside_a_search_is_refused(self, monkeypatch):
+        refine = rootfind.newton_refine
+        refused = []
+
+        def nested(t, seed, tol=1e-10, *, box=None):
+            if not refused:
+                for kwargs in ({"tol": -1.0}, {"tol": "1e-10"}, {"box": (1.0, 0.0, 0.0, 1.0)},
+                               {"box": (0.0, 1.0, 0.0, math.inf)}):
+                    kwargs = {"tol": tol, "box": box, **kwargs}
+                    with pytest.raises(InputError):
+                        refine(t, seed, **kwargs)
+                    refused.append(kwargs)
+            return refine(t, seed, tol, box=box)
+
+        monkeypatch.setattr(rootfind, "newton_refine", nested)
+        find_zeros(PRESETS["paper-direct-6"], AXES)
+        assert len(refused) == 4
 
     def test_no_runtime_warning(self):
         with warnings.catch_warnings():
