@@ -8,13 +8,15 @@ carries all the zeros.
 
 The pipeline is grid-seeded Newton refinement, deterministic deduplication,
 conjugate canonicalization, and an argument-principle verification on a
-pole-free circle around each candidate.  Seeds are refined in one loop,
-in seed order, one newton_refine call each, so find_zeros accepts a thread
-count but does not use threads.  Newton evaluates f and f' once per
-iterate, and the pair of the last iterate carries into the polish steps
-and the reported residual.
+pole-free circle around each candidate.  Newton is written once, on arrays
+(_newton): seeds step in rounds, each round evaluating every distinct point
+the live seeds wait on, and each seed's outcome has the bits of a scalar
+loop over it alone, which tests/test_rootfind.py keeps as the oracle.
+newton_refine is a batch of one seed; find_zeros runs the batch over its
+seeds and hands each outcome back through one newton_refine call per seed.
+It accepts a thread count but does not use threads.
 
-Target evaluation at one point is a scalar cmath loop over the target's
+The scalar kernel, Target._gated, is a cmath loop over the target's
 terms, one (log r, sign, sign*log r) triple per base built with the
 target, that gives the value and the derivative from one exp per base.
 The loop keeps the plain loop's operations in their order, so every float
@@ -26,43 +28,30 @@ the evaluators do: its one kernel refuses a point within POLE_GATE of a
 term pole (PoleProximityError), and value_at and value_and_derivative_at
 put each point through check_point first.
 
-A search does not leave its iterates to that loop.  Before the seed
-loop, find_zeros prefetches: every seed steps at once, in rounds, and
-each round evaluates all live iterates with an array kernel, then steps
-each as CPython computes z - f/f'.  The kernel writes each of the scalar
-loop's complex products and quotients out on float64 (terms x points)
-arrays in the form CPython's complex arithmetic uses (numpy's complex *
-and / round differently), takes exp from numpy's complex exp, which is
-libm's cexp as cmath.exp is, and adds each sum's terms one after another
-from the constant, so every pair it makes has the scalar loop's bits.
-Those bits rest on the build: CPython's complex product compiled without
-fused multiply-add, and numpy's complex exp calling the cexp cmath.exp
-calls.  They are verified for CPython 3.11.7 and numpy 2.4.6 on x86-64;
-on any other platform the property
+The array kernel (_array_kernel) writes each of the scalar loop's complex
+products and quotients out on float64 (terms x points) arrays as CPython's
+complex arithmetic computes them (numpy's complex * and / round
+differently), takes exp from numpy's complex exp, which is libm's cexp as
+cmath.exp is, and adds each sum's terms one after another from the
+constant, so every pair it makes has the scalar loop's bits.  Those bits
+rest on the build: CPython's complex product compiled without fused
+multiply-add, and numpy's complex exp calling the cexp cmath.exp calls.
+They are verified for CPython 3.11.7 and numpy 2.4.6 on x86-64; elsewhere
 test_the_array_kernel_gives_the_scalar_kernels_bits in
-tests/test_rootfind.py is the check that they hold.  The kernel takes
-only points with no zero part that clear the pole lattice without a scan
-(clear_of_poles), all of a round's points at once and the terms in
-blocks, so its temporaries are bounded by _BATCH elements whatever n.  A
-search prefetches and refines at most _PREFETCHED_SEEDS seeds at a time,
-so its memo stays bounded too.  The pairs go into a memo by exact point,
-a context variable find_zeros sets and resets, and newton_refine reads
-it at every evaluation; a point it lacks, where a trajectory was guessed
-wrong or the rounds stopped, is evaluated by the scalar loop and kept.
-A recalled pair is the one a fresh evaluation gives at those bits, so
-every seed's outcome is its outcome alone, a direct newton_refine call
-and every other path evaluate as before, and Newton's control flow is
-written once.
+tests/test_rootfind.py checks them.  The kernel takes only points with no
+zero part that clear the pole lattice without a scan (clear_of_poles), a
+round's points at once and the terms in blocks, so its temporaries are
+bounded by _BATCH elements whatever n.  A round evaluates its other points,
+and all of them when it holds fewer than _TAIL (point, term) pairs, with
+the scalar kernel.
 
-Newton binds the scalar kernel and unpacks its box once per seed, and
-catches the pole refusal once.  A target takes n up to MAX_TARGET_N, a
-search at most MAX_SEEDS seeds, and a contour at most MAX_SAMPLES samples.
-A point above the height limit |Im z| <= MAX_HEIGHT is refused, and so is
-a search rectangle's escape box, Newton's box or a contour's bounding box
-that reaches above it, so a search never meets a refused point.  A
-verification contour is evaluated as one array (values_at), one term at a
-time; it agrees with value_at to rounding, and only the winding count
-drawn from it is used.  The vectorized evaluators in the representations
+A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS seeds, and
+a contour at most MAX_SAMPLES samples.  A point above the height limit
+|Im z| <= MAX_HEIGHT is refused, and so is a search rectangle's escape box,
+Newton's box or a contour's bounding box that reaches above it, so a search
+never meets a refused point.  A verification contour is evaluated as one
+array (values_at), one term at a time; it agrees with value_at to rounding,
+and only the winding count drawn from it is used.  The vectorized evaluators in the representations
 module are the tool for large n.  Everything about the pole lattice goes
 through the representations module (pole_gate, clear_of_poles,
 nearest_pole, pole_distance), so the lattice is written down once, and one
@@ -360,13 +349,9 @@ class NewtonFailure:
 _MAX_ITER = 60
 
 # The running search's target, tol and box, the very objects find_zeros
-# checked, and its Newton outcomes as {seed: (seed, outcome)}.  None outside
-# find_zeros.
-_SEARCH = contextvars.ContextVar("_SEARCH", default=None)
-
-# What newton_refine compares its arguments with outside a search: objects
-# no caller holds.
-_NO_SEARCH = (object(), object(), object(), {})
+# checked, and its Newton outcomes by the id of their seed, which the search
+# holds; outside a search, objects no caller holds.
+_SEARCH = contextvars.ContextVar("_SEARCH", default=(object(), object(), object(), {}))
 
 
 def newton_refine(
@@ -387,20 +372,18 @@ def newton_refine(
     A box given that reaches above that height limit is refused
     (InputError), as a seed above it is.
 
-    A call is a batch of one seed (_newton), and pays a round's numpy
-    calls at each step: about 0.3 ms for a seed at n = 6 that converges,
-    where the scalar loop this replaced took about 0.03 ms.  No workload
-    calls it directly.  Inside find_zeros, a call with the search's own
-    target, tol and box objects at one of its seeds returns the outcome
-    the search's batch holds for that seed, which is the outcome of a call
-    outside; a tol or box that is the search's own object is not checked
-    again, and any other argument, even an equal one, is.
+    A call is a batch of one seed (_newton), which pays a round's numpy
+    calls per step: at n = 6 a seed that converges takes about 0.9 ms and
+    one that escapes 0.4 ms (0.02 and 0.01 ms in the scalar loop before),
+    at n = 1000 a root about 3 ms, as before.  No workload calls it
+    directly.  Inside find_zeros, a call with the search's own target, tol,
+    box and seed objects returns the outcome the search's batch holds; a
+    tol or box that is the search's own object is not checked again, and
+    any other argument, even an equal one, is.
     """
-    own_target, own_tol, own_box, outcomes = _SEARCH.get() or _NO_SEARCH
-    if target is own_target and tol is own_tol and box is own_box:
-        held = outcomes.get(seed) if type(seed) is complex else None
-        if held is not None and (held[0] is seed or _identical(held[0], seed)):
-            return held[1]
+    own_target, own_tol, own_box, outcomes = _SEARCH.get()
+    if target is own_target and tol is own_tol and box is own_box and id(seed) in outcomes:
+        return outcomes[id(seed)]
     target = _checked_target(target)
     z = check_point(seed)
     if tol is not own_tol:
@@ -415,19 +398,6 @@ def newton_refine(
     return _newton(target, [z], tol, box)[0]
 
 
-def _identical(a: complex, b: complex) -> bool:
-    """Whether a and b are the same point bit for bit.
-
-    == alone would equate 0.0 with -0.0, and the sign of a zero part
-    survives into a RootRecord's location.
-    """
-    return (
-        a == b
-        and math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
-        and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
-    )
-
-
 def _checked_target(target) -> Target:
     if not isinstance(target, Target):
         raise InputError(f"expected a Target (see make_target), got {target!r}")
@@ -438,21 +408,18 @@ def _newton(target, seeds, tol, box) -> list:
     """newton_refine's outcome from each seed, all seeds stepped at once.
 
     Each round evaluates the point every live seed waits on (_evaluator),
-    then runs newton_refine's loop on arrays up to each seed's next point
-    or outcome, with CPython's z - f/f' (_quot) and abs (hypot):
-    - at an iterate z: a point the pole gate refuses is a "pole" failure.
-      After a step below tol, |f| <= tol starts the polish; else Newton
-      iterates on from the pair in hand, or at the cap is "max-iter".
-    - a step: |f'| < 1e-14 is "stagnation", and z - f/f' outside the box an
-      "escape".  A step that leaves z as it is, bit for bit, would repeat
-      with the same pair to the cap, so it starts the polish if it is below
-      tol at |f| <= tol, and is "max-iter" else.  A step that moves waits
-      on the new point, unless it is the cap's step and not below tol
-      ("max-iter" there).
-    - the polish: at most two more steps, each taken only if |f'| >= 1e-14,
-      it moves z within the box and |f| does not grow at the new point; a
-      refused point ends it.  The root is the last point taken, with |f|
-      there as its residual.
+    then steps each seed on arrays, with CPython's z - f/f' (_quot) and abs
+    (hypot), to its next point or outcome.  At an iterate, a refused point
+    is a "pole"; after a step below tol, |f| <= tol starts the polish, else
+    Newton steps on from the pair in hand.  A step: |f'| < 1e-14 is
+    "stagnation", a new point outside the box an "escape", and the cap's
+    step ends there as "max-iter" unless it is below tol.  A step that
+    leaves z as it is, bit for bit, would repeat with the same pair up to
+    the cap, so it starts the polish if below tol at |f| <= tol and is
+    "max-iter" else.
+    The polish takes at most two more steps, each only if |f'| >= 1e-14,
+    it moves z within the box and |f| does not grow; a refused point ends
+    it.  The root is the last point taken, with |f| there as its residual.
     """
     lo_re, hi_re, lo_im, hi_im = box
     evaluate = _evaluator(target)
@@ -502,7 +469,6 @@ def _newton(target, seeds, tol, box) -> list:
             fail("escape", escaped, nr, ni, steps)
             fail("max-iter", capped, zr, zi, _MAX_ITER)
             fail("max-iter", moved & ~onward, nr, ni, _MAX_ITER)
-
             start = taken | converged
             polish = start
             if start.any():
@@ -513,22 +479,12 @@ def _newton(target, seeds, tol, box) -> list:
                 )
                 qr, qi = _quot(gr, gi, er, ei)
                 pr, pi = xr - qr, xi - qi
-                done |= start & (
-                    (polished == 2)
-                    | (np.hypot(er, ei) < 1e-14)
-                    | _same(pr, pi, xr, xi)
-                    | ~inside(pr, pi)
-                )
+                done |= start & ((polished == 2) | (np.hypot(er, ei) < 1e-14))
+                done |= start & (_same(pr, pi, xr, xi) | ~inside(pr, pi))
                 polish = start & ~done
                 nr, ni = np.where(polish, pr, nr), np.where(polish, pi, ni)
             for i, r, m, a, b in zip(*(v[done].tolist() for v in (seed, xr, xi, gr, gi))):
-                outcomes[i] = RootRecord(
-                    location=complex(r, m),
-                    residual=abs(complex(a, b)),
-                    verified=False,
-                    conjugate_of=None,
-                )
-
+                outcomes[i] = RootRecord(complex(r, m), abs(complex(a, b)), False, None)
             live = onward | polish
             zr, zi, seed, steps, below, polished = (
                 v[live] for v in (nr, ni, seed, steps, small, polished)
@@ -539,19 +495,15 @@ def _newton(target, seeds, tol, box) -> list:
 
 def _same(ar, ai, br, bi):
     """Where a and b are the same point bit for bit, signed zeros apart."""
-    return (ar.view(np.uint64) == br.view(np.uint64)) & (
-        ai.view(np.uint64) == bi.view(np.uint64)
-    )
+    same = ar.view(np.uint64) == br.view(np.uint64)
+    return same & (ai.view(np.uint64) == bi.view(np.uint64))
 
 
 # Elements of one (terms x points) array in the array kernel, at most: the
 # kernel holds a few tens of such float64 arrays at once, a few MiB,
-# whatever n.  It takes a round's points in one block and splits the terms.
+# whatever n.  It takes a round's points in one block and splits the terms,
+# and a search steps at most _BATCH seeds at a time.
 _BATCH = 2**14
-
-# Seeds a search steps at once, at most, so that a round's points fit in
-# one of the kernel's arrays.
-_BATCHED_SEEDS = _BATCH
 
 # A round with fewer (point, term) pairs than this evaluates its points with
 # the scalar kernel: its hundred-odd numpy calls would cost more.  Without
@@ -667,25 +619,19 @@ def _array_kernel(target):
 def _evaluator(target):
     """pairs(zr, zi) -> (refused, fr, fi, dr, di): at each point zr + i*zi,
     Target._gated's (f, f') bit for bit, or refused where its pole gate
-    refuses the point.
-
-    Each distinct point is evaluated once: by the array kernel where it
-    takes the point and the round holds at least _TAIL (point, term) pairs,
-    and by _gated itself otherwise.
-    """
-    kernel = _array_kernel(target)
-    gated = target._gated
-    terms = len(target.terms)
+    refuses the point.  Each distinct point is evaluated once, by the array
+    kernel where it takes the point and the round holds at least _TAIL
+    (point, term) pairs, and by _gated itself otherwise."""
+    kernel, gated, terms = _array_kernel(target), target._gated, len(target.terms)
 
     def pairs(zr, zi):
         first, inverse = _distinct(zr, zi)
         ur, ui = zr[first], zi[first]
-        evaluated = np.zeros(len(first), dtype=bool)
+        evaluated, refused = np.zeros((2, len(first)), dtype=bool)
         out = np.zeros((4, len(first)))
         if len(first) * terms >= _TAIL:
-            evaluated, *rows = kernel(ur, ui)
-            out = np.array(rows)
-        refused = np.zeros(len(first), dtype=bool)
+            evaluated, *out = kernel(ur, ui)
+            out = np.array(out)
         re, im = ur.tolist(), ui.tolist()
         for j in np.flatnonzero(~evaluated).tolist():
             try:
@@ -700,10 +646,9 @@ def _evaluator(target):
 
 
 def _distinct(zr, zi):
-    """(first, inverse): the index of one point per distinct point, bit for
-    bit, and each point's place among those.  The points are sorted by a
-    hash of their bits, so two points that share a hash but are apart in
-    the order are both kept."""
+    """(first, inverse): one index per distinct point, bit for bit, and each
+    point's place among them.  Points are sorted by a hash of their bits, so
+    two that share a hash but lie apart in that order are both kept."""
     rb, ib = zr.view(np.uint64), zi.view(np.uint64)
     order = np.argsort(rb ^ (ib * np.uint64(0x9E3779B97F4A7C15)))
     rb, ib = rb[order], ib[order]
@@ -831,7 +776,9 @@ def find_zeros(
     """All roots of the target inside the region, verified and sorted.
 
     Deterministic for a given (target, region, tol): seeds are refined
-    one after another in seed order, deduplicated at radius 10*tol,
+    all at once, each to the outcome newton_refine gives it alone, then
+    taken in seed order through one newton_refine call each, deduplicated
+    at radius 10*tol,
     canonicalized into exact conjugate pairs, sorted by (im, re), and each
     verified by a winding count on a pole-free circle.  Unverifiable
     candidates are kept with verified=False rather than dropped.  threads
@@ -843,12 +790,6 @@ def find_zeros(
 
     A root within 10*tol of the real axis is moved onto it, unless the
     pole gate refuses the point there; then it keeps Newton's location.
-
-    Before the seeds are refined one by one, the call evaluates the
-    Newton iterates of all of them at once, in numpy, and newton_refine
-    recalls those (f, f') pairs by exact point, for this call's seeds only;
-    a recalled pair has the bits a fresh evaluation gives, so each seed's
-    outcome is the one newton_refine gives it alone.
     """
     target = _checked_target(target)
     if not isinstance(region, SearchRegion):
@@ -865,10 +806,10 @@ def find_zeros(
     results = []
     token = _SEARCH.set((target, tol, box, held))
     try:
-        for start in range(0, len(seeds), _BATCHED_SEEDS):
-            block = seeds[start : start + _BATCHED_SEEDS]
+        for start in range(0, len(seeds), _BATCH):
+            block = seeds[start : start + _BATCH]
             held.clear()
-            held.update(zip(block, zip(block, _newton(target, block, tol, box))))
+            held.update(zip(map(id, block), _newton(target, block, tol, box)))
             results += [newton_refine(target, seed, tol=tol, box=box) for seed in block]
     finally:
         _SEARCH.reset(token)

@@ -1434,7 +1434,7 @@ class TestBatch:
     def test_a_search_steps_its_seeds_a_block_at_a_time(self, monkeypatch):
         # The batch holds one block's seeds at a time, no seed is refined
         # outside it, and each seed's outcome is still its own.
-        monkeypatch.setattr(rootfind, "_BATCHED_SEEDS", 200)
+        monkeypatch.setattr(rootfind, "_BATCH", 200)
         blocks = []
         newton = rootfind._newton
 
