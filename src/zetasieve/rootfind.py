@@ -51,11 +51,11 @@ a contour at most MAX_SAMPLES samples.  A point above the height limit
 Newton's box or a contour's bounding box that reaches above it, so a search
 never meets a refused point.  A verification contour is evaluated as one
 array (values_at), one term at a time; it agrees with value_at to rounding,
-and only the winding count drawn from it is used.  The vectorized evaluators in the representations
-module are the tool for large n.  Everything about the pole lattice goes
-through the representations module (pole_gate, clear_of_poles,
-nearest_pole, pole_distance), so the lattice is written down once, and one
-gate, POLE_GATE, serves them all.
+and only the winding count drawn from it is used.  The vectorized
+evaluators in the representations module are the tool for large n.
+Everything about the pole lattice goes through the representations module
+(pole_gate, clear_of_poles, nearest_pole, pole_distance), so the lattice is
+written down once, and one gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
@@ -381,9 +381,9 @@ def newton_refine(
     tol or box that is the search's own object is not checked again, and
     any other argument, even an equal one, is.
     """
-    own_target, own_tol, own_box, outcomes = _SEARCH.get()
-    if target is own_target and tol is own_tol and box is own_box and id(seed) in outcomes:
-        return outcomes[id(seed)]
+    own_target, own_tol, own_box, held = _SEARCH.get()
+    if target is own_target and tol is own_tol and box is own_box and id(seed) in held:
+        return held[id(seed)]
     target = _checked_target(target)
     z = check_point(seed)
     if tol is not own_tol:
@@ -416,10 +416,10 @@ def _newton(target, seeds, tol, box) -> list:
     step ends there as "max-iter" unless it is below tol.  A step that
     leaves z as it is, bit for bit, would repeat with the same pair up to
     the cap, so it starts the polish if below tol at |f| <= tol and is
-    "max-iter" else.
-    The polish takes at most two more steps, each only if |f'| >= 1e-14,
-    it moves z within the box and |f| does not grow; a refused point ends
-    it.  The root is the last point taken, with |f| there as its residual.
+    "max-iter" else.  The polish takes at most two more steps, each only if
+    |f'| >= 1e-14, it moves z within the box and |f| does not grow; a
+    refused point ends it.  The root is the last point taken, with |f|
+    there as its residual.
     """
     lo_re, hi_re, lo_im, hi_im = box
     evaluate = _evaluator(target)
@@ -430,7 +430,7 @@ def _newton(target, seeds, tol, box) -> list:
     steps = np.zeros(len(seeds), dtype=int)
     below = np.zeros(len(seeds), dtype=bool)  # the step to z was below tol
     polished = np.full(len(seeds), -1)  # polish steps taken; -1 before it
-    xr, xi, gr, gi, er, ei = np.zeros((6, len(seeds)))  # the polish's z, f, f'
+    kept = np.zeros((6, len(seeds)))  # the polish's z, f and f', parts as rows
 
     def inside(re, im):
         return (lo_re <= re) & (re <= hi_re) & (lo_im <= im) & (im <= hi_im)
@@ -446,7 +446,7 @@ def _newton(target, seeds, tol, box) -> list:
             refused, fr, fi, dr, di = evaluate(zr, zi)
             size = np.hypot(fr, fi)
             polishing = polished >= 0
-            taken = polishing & ~refused & (size <= np.hypot(gr, gi))
+            taken = polishing & ~refused & (size <= np.hypot(kept[2], kept[3]))
             done = polishing & ~taken
             main = ~polishing & ~refused
             converged = main & below & (size <= tol)
@@ -473,23 +473,21 @@ def _newton(target, seeds, tol, box) -> list:
             polish = start
             if start.any():
                 polished = np.where(converged, 0, polished + taken)
-                xr, xi, gr, gi, er, ei = (
-                    np.where(start, new, old)
-                    for new, old in zip((zr, zi, fr, fi, dr, di), (xr, xi, gr, gi, er, ei))
-                )
+                kept = np.where(start, np.array([zr, zi, fr, fi, dr, di]), kept)
+                xr, xi, gr, gi, er, ei = kept
                 qr, qi = _quot(gr, gi, er, ei)
                 pr, pi = xr - qr, xi - qi
                 done |= start & ((polished == 2) | (np.hypot(er, ei) < 1e-14))
                 done |= start & (_same(pr, pi, xr, xi) | ~inside(pr, pi))
                 polish = start & ~done
                 nr, ni = np.where(polish, pr, nr), np.where(polish, pi, ni)
-            for i, r, m, a, b in zip(*(v[done].tolist() for v in (seed, xr, xi, gr, gi))):
+            for i, (r, m, a, b) in zip(seed[done].tolist(), kept[:4, done].T.tolist()):
                 outcomes[i] = RootRecord(complex(r, m), abs(complex(a, b)), False, None)
             live = onward | polish
             zr, zi, seed, steps, below, polished = (
                 v[live] for v in (nr, ni, seed, steps, small, polished)
             )
-            xr, xi, gr, gi, er, ei = (v[live] for v in (xr, xi, gr, gi, er, ei))
+            kept = kept[:, live]
     return outcomes
 
 
@@ -507,7 +505,7 @@ _BATCH = 2**14
 
 # A round with fewer (point, term) pairs than this evaluates its points with
 # the scalar kernel: its hundred-odd numpy calls would cost more.  Without
-# the cut zeros-strip ran about 6% slower end to end.
+# the cut zeros-strip ran about 5% slower end to end, and at 2**10 slower too.
 _TAIL = 2**9
 
 

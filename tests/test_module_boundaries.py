@@ -117,8 +117,8 @@ WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
 # Each sum that gates its own points, the only callers of the pole gate;
-# the gate's no-scan test is called only by the gate and the prefetch's
-# array kernel, which evaluates no point it does not clear.
+# the gate's no-scan test is called only by the gate and Newton's array
+# kernel, which evaluates no point it does not clear.
 GATED_SUMS = {
     "pole_gate": {"_prepare", "_bernoulli_checks", "_gated"},
     "clear_of_poles": {"pole_gate", "_array_kernel"},
@@ -236,8 +236,8 @@ def test_only_representations_spaces_the_pole_lattice(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_sums_call_the_pole_gate(path):
     # The rule lives where the sum is computed: the evaluators' checks, a
-    # target's kernel and the prefetch's array kernel.  Newton and its
-    # polish steps reach the gate only through the kernels.
+    # target's kernel and the array kernel.  Newton and its polish steps
+    # reach the gate only through the kernels.
     assert walker_calls(path, GATED_SUMS) == []
 
 

@@ -918,7 +918,8 @@ def newton_bits(outcome):
 
 
 class Evaluations:
-    """Counts the target kernel's calls, which are the evaluations."""
+    """Counts the scalar kernel's calls, the evaluations outside the array
+    kernel."""
 
     def __init__(self, monkeypatch):
         self.count = 0
@@ -967,10 +968,10 @@ AXES = SearchRegion(-1, 1, -3, 3, 9, 9)
 STRIP = SearchRegion(0.0, 1.5, 10.0, 22.0)
 
 # A 25x25 grid over AXES's rectangle: seeds on both axes, and enough of
-# them that even n = 2's one term is worth a prefetch.
+# them that even n = 2's one term is worth a round on the array kernel.
 AXES_25 = replace(AXES, grid_re=25, grid_im=25)
 
-# Small grids at n where the prefetch's kernel splits the terms into blocks
+# Small grids at n where the array kernel splits the terms into blocks
 # and carries its sums from one to the next: n = 1000 (36 seeds, blocks of
 # 455 terms) and n = 17000 (more terms than rootfind._BATCH).
 LARGE_N = [
@@ -1079,16 +1080,17 @@ def boxes(draw, seeds):
     """A box (re_min, re_max, im_min, im_max): around the seeds, by margins
     from a little inside them to far out, or anywhere."""
     if draw(st.booleans()):
-        re = sorted(draw(st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2, unique=True)))
-        im = sorted(draw(st.lists(st.floats(-80.0, 80.0), min_size=2, max_size=2, unique=True)))
-        return (*re, *im)
-    margin = st.floats(-0.5, 30.0)
-    re = [z.real for z in seeds]
-    im = [z.imag for z in seeds]
-    box = (
-        min(re) - draw(margin), max(re) + draw(margin),
-        min(im) - draw(margin), max(im) + draw(margin),
-    )
+        ends = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True)
+        re, im = sorted(draw(ends)), sorted(draw(ends))
+        box = (30.0 * re[0], 30.0 * re[1], 80.0 * im[0], 80.0 * im[1])
+    else:
+        margin = st.floats(-0.5, 30.0)
+        re = [z.real for z in seeds]
+        im = [z.imag for z in seeds]
+        box = (
+            min(re) - draw(margin), max(re) + draw(margin),
+            min(im) - draw(margin), max(im) + draw(margin),
+        )
     assume(box[0] < box[1] and box[2] < box[3])
     return box
 
@@ -1135,7 +1137,8 @@ class TestOracle:
         want = [newton_bits(reference_newton(target, z, tol, box)) for z in seeds]
         for outcome in want:
             event(outcome[0])
-        assert [newton_bits(out) for out in rootfind._newton(target, seeds, tol, box)] == want
+        batch = rootfind._newton(target, seeds, tol, box)
+        assert [newton_bits(out) for out in batch] == want
         direct = [newton_bits(newton_refine(target, z, tol, box=box)) for z in seeds]
         assert direct == want
 
@@ -1155,7 +1158,8 @@ class TestOracle:
     def test_a_search_gives_each_seed_the_oracles_outcome(self, monkeypatch, name):
         target = PRESETS[name]
         for seed, tol, box, outcome, _ in search_calls(monkeypatch, target, AXES):
-            assert outcome == newton_bits(reference_newton(target, seed, tol, box)), seed
+            want = reference_newton(target, seed, tol, box)
+            assert outcome == newton_bits(want), seed
 
 
 class TestRecall:
@@ -1246,7 +1250,8 @@ class TestRecall:
         box = (-5.0, 5.0, -20.0, 20.0)
         outcomes = rootfind._newton(target, points, 1e-10, box)
         for z, out in zip(points, outcomes):
-            assert newton_bits(out) == newton_bits(reference_newton(target, z, 1e-10, box))
+            want = reference_newton(target, z, 1e-10, box)
+            assert newton_bits(out) == newton_bits(want)
         assert [newton_bits(out)[:2] for out in outcomes[::2]] == [("pole", 0)] * 2
 
     def test_no_search_state_is_left_after_a_search(self, monkeypatch):
@@ -1271,7 +1276,7 @@ class TestRecall:
     def test_back_to_back_searches_each_keep_their_own_targets_results(self):
         # Constants one ulp apart: the two targets' Newton runs reach many
         # of the same converged points with pairs that differ in the last
-        # bits, so a memo that outlived a search would change the next.
+        # bits, so outcomes that outlived a search would change the next.
         first = make_target(DIRECT, 6)
         second = make_target(DIRECT, 6, math.nextafter(1.0, 2.0))
         for a, b in ((first, second), (second, first)):
@@ -1281,7 +1286,7 @@ class TestRecall:
 
 
 def kernel_mismatches(target, points):
-    """(points at which the prefetch's array kernel evaluates but does not
+    """(points at which the array kernel evaluates but does not
     give Target._gated's bits, the kernel's evaluated mask)."""
     zr = np.array([z.real for z in points])
     zi = np.array([z.imag for z in points])
@@ -1485,8 +1490,12 @@ class TestBatch:
 
         def nested(t, seed, tol=1e-10, *, box=None):
             if not refused:
-                for kwargs in ({"tol": -1.0}, {"tol": "1e-10"}, {"box": (1.0, 0.0, 0.0, 1.0)},
-                               {"box": (0.0, 1.0, 0.0, math.inf)}):
+                for kwargs in (
+                    {"tol": -1.0},
+                    {"tol": "1e-10"},
+                    {"box": (1.0, 0.0, 0.0, 1.0)},
+                    {"box": (0.0, 1.0, 0.0, math.inf)},
+                ):
                     kwargs = {"tol": tol, "box": box, **kwargs}
                     with pytest.raises(InputError):
                         refine(t, seed, **kwargs)

@@ -162,15 +162,15 @@ def newton_outcomes() -> None:
     # A pole: 1e-9 from a lattice pole, on and off the real axis.
     alt6 = zs.make_target(Kind.ALTERNATING, 6)
     lattice = 2.0 * math.pi / math.log(2.0)
-    for seed in (complex(1e-9, lattice), complex(-1e-9, 3.0 * lattice), complex(1e-9, 0.0)):
+    for seed in (1e-9 + lattice * 1j, -1e-9 + 3.0 * lattice * 1j, complex(1e-9, 0.0)):
         record("newton_refine pole", zs.newton_refine, alt6, seed)
     # The 60-step cap: two seeds of strip searches at n = 12, in their boxes.
     direct12 = zs.make_target(Kind.DIRECT, 12)
-    for seed, lo, hi in (
-        (complex(0.868836291913215, 48.92005032235982), 33.073896476205974, 57.073896476205974),
-        (complex(-0.038461538461538464, 45.0633052683371), 31.37099757602941, 55.37099757602941),
+    for seed, lo in (
+        (0.868836291913215 + 48.92005032235982j, 33.073896476205974),
+        (-0.038461538461538464 + 45.0633052683371j, 31.37099757602941),
     ):
-        box = (-1.0384615384615385, 2.5, lo, hi)
+        box = (-1.0384615384615385, 2.5, lo, lo + 24.0)
         record("newton_refine max-iter", newton_in_box, direct12, seed, box)
     # The stuck path: roots near Im z = 1000, where a step below one ulp
     # leaves the point as it is; at the smaller tolerances the run spins
@@ -228,7 +228,7 @@ def searches() -> None:
         region = zs.SearchRegion(0.0, 1.0, 10.0, 13.0, grid_re=8, grid_im=8)
         record(f"find_zeros {kind.value} 200", zs.find_zeros,
                zs.make_target(kind, 200), region)
-    # Small grids at n where the search's prefetch splits the terms into
+    # Small grids at n where the search's array kernel splits the terms into
     # blocks whose sums carry over: 36 seeds at n = 3000, and 16 at
     # n = 17000, with more terms than one block holds for a single point.
     for kind in (Kind.DIRECT, Kind.ALTERNATING):
