@@ -1154,13 +1154,6 @@ class TestOracle:
         want = newton_bits(reference_newton(target, seed, 1e-10, box))
         assert newton_bits(newton_refine(target, seed)) == want
 
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_a_search_gives_each_seed_the_oracles_outcome(self, monkeypatch, name):
-        target = PRESETS[name]
-        for seed, tol, box, outcome, _ in search_calls(monkeypatch, target, AXES):
-            want = reference_newton(target, seed, tol, box)
-            assert outcome == newton_bits(want), seed
-
 
 class TestRecall:
     """A search steps all its seeds at once, and its newton_refine calls
