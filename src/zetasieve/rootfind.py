@@ -9,8 +9,8 @@ carries all the zeros.
 The pipeline is grid-seeded Newton refinement, deterministic deduplication,
 conjugate canonicalization, and an argument-principle verification on a
 pole-free circle around each candidate.  Newton is written once, on arrays
-(_newton): seeds step in rounds, each round evaluating every distinct point
-the live seeds wait on, and each seed's outcome has the bits of a scalar
+(_newton): seeds step in rounds, each round evaluating the point each live
+seed waits on, and each seed's outcome has the bits of a scalar
 loop over it alone, which tests/test_rootfind.py keeps as the oracle.
 newton_refine is a batch of one seed; find_zeros runs the batch over its
 seeds and hands each outcome back through one newton_refine call per seed.
@@ -377,21 +377,19 @@ def newton_refine(
     one that escapes 0.4 ms (0.02 and 0.01 ms in the scalar loop before),
     at n = 1000 a root about 3 ms, as before.  No workload calls it
     directly.  Inside find_zeros, a call with the search's own target, tol,
-    box and seed objects returns the outcome the search's batch holds; a
-    tol or box that is the search's own object is not checked again, and
-    any other argument, even an equal one, is.
+    box and seed objects returns the outcome the search's batch holds; any
+    other call, even with equal arguments, is checked and refined alone.
     """
     own_target, own_tol, own_box, held = _SEARCH.get()
     if target is own_target and tol is own_tol and box is own_box and id(seed) in held:
         return held[id(seed)]
     target = _checked_target(target)
     z = check_point(seed)
-    if tol is not own_tol:
-        tol = check_real(tol, "tol", 0.0, strict=True)
+    tol = check_real(tol, "tol", 0.0, strict=True)
     if box is None:
         lo, hi = max(z.imag - 25.0, -MAX_HEIGHT), min(z.imag + 25.0, MAX_HEIGHT)
         box = (z.real - 25.0, z.real + 25.0, lo, hi)
-    elif box is not own_box:
+    else:
         box = _checked_bounds(box)
         if max(-box[2], box[3]) > MAX_HEIGHT:
             raise InputError(f"box {box!r} reaches above the height limit 2**28")
@@ -617,20 +615,19 @@ def _array_kernel(target):
 def _evaluator(target):
     """pairs(zr, zi) -> (refused, fr, fi, dr, di): at each point zr + i*zi,
     Target._gated's (f, f') bit for bit, or refused where its pole gate
-    refuses the point.  Each distinct point is evaluated once, by the array
-    kernel where it takes the point and the round holds at least _TAIL
-    (point, term) pairs, and by _gated itself otherwise."""
+    refuses the point.  The array kernel evaluates the points it takes when
+    the round holds at least _TAIL (point, term) pairs, and _gated itself
+    the rest.  A point two seeds share is evaluated for each: finding the
+    repeats cost more than it saved (BENCH_29.json, satellite_ab)."""
     kernel, gated, terms = _array_kernel(target), target._gated, len(target.terms)
 
     def pairs(zr, zi):
-        first, inverse = _distinct(zr, zi)
-        ur, ui = zr[first], zi[first]
-        evaluated, refused = np.zeros((2, len(first)), dtype=bool)
-        out = np.zeros((4, len(first)))
-        if len(first) * terms >= _TAIL:
-            evaluated, *out = kernel(ur, ui)
+        evaluated, refused = np.zeros((2, len(zr)), dtype=bool)
+        out = np.zeros((4, len(zr)))
+        if len(zr) * terms >= _TAIL:
+            evaluated, *out = kernel(zr, zi)
             out = np.array(out)
-        re, im = ur.tolist(), ui.tolist()
+        re, im = zr.tolist(), zi.tolist()
         for j in np.flatnonzero(~evaluated).tolist():
             try:
                 f, d = gated(complex(re[j], im[j]))
@@ -638,23 +635,9 @@ def _evaluator(target):
                 refused[j] = True
             else:
                 out[:, j] = f.real, f.imag, d.real, d.imag
-        return refused[inverse], *out[:, inverse]
+        return refused, *out
 
     return pairs
-
-
-def _distinct(zr, zi):
-    """(first, inverse): one index per distinct point, bit for bit, and each
-    point's place among them.  Points are sorted by a hash of their bits, so
-    two that share a hash but lie apart in that order are both kept."""
-    rb, ib = zr.view(np.uint64), zi.view(np.uint64)
-    order = np.argsort(rb ^ (ib * np.uint64(0x9E3779B97F4A7C15)))
-    rb, ib = rb[order], ib[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (rb[1:] != rb[:-1]) | (ib[1:] != ib[:-1])
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 # Contour samples per winding count, at most: the contour is evaluated as

@@ -1196,41 +1196,30 @@ class TestRecall:
             refined_alone(target, seed, tol, box)
         assert in_search < 0.05 * (evaluations.count - in_search)
 
-    def test_a_search_evaluates_fewer_points_than_its_seeds_alone(self, monkeypatch):
-        # A round evaluates each distinct point once, and seeds that
-        # converge to one root meet at its points.
+    def test_a_search_evaluates_as_many_points_as_its_seeds_alone(
+        self, monkeypatch
+    ):
+        # A round evaluates the one point each live seed waits on, so no
+        # seed's point is evaluated twice or after its outcome.
         target = PRESETS["paper-direct-6"]
-        distinct = rootfind._distinct
+        evaluator = rootfind._evaluator
         points = []
 
-        def counted(zr, zi):
-            first, inverse = distinct(zr, zi)
-            points.append(len(first))
-            return first, inverse
+        def counted(t):
+            pairs = evaluator(t)
 
-        monkeypatch.setattr(rootfind, "_distinct", counted)
+            def count(zr, zi):
+                points.append(len(zr))
+                return pairs(zr, zi)
+
+            return count
+
+        monkeypatch.setattr(rootfind, "_evaluator", counted)
         calls = search_calls(monkeypatch, target, AXES)
         in_search = sum(points)
         for seed, tol, box, _, _ in calls:
             refined_alone(target, seed, tol, box)
-        assert in_search < sum(points) - in_search
-
-    def test_each_distinct_point_is_evaluated_once_signed_zeros_apart(
-        self, monkeypatch
-    ):
-        # == and hash take 0.0 and -0.0 for one value; a round tells points
-        # apart by their bits.
-        target = PRESETS["paper-direct-6"]
-        evaluations = Evaluations(monkeypatch)
-        signed = [complex(0.5, 0.0), complex(0.5, -0.0), 2j, complex(-0.0, 2.0)]
-        points = [complex(0.5, 2.0), *signed] * 3
-        refused, *parts = rootfind._evaluator(target)(
-            np.array([z.real for z in points]), np.array([z.imag for z in points])
-        )
-        assert evaluations.count == 5 and not refused.any()
-        for k, z in enumerate(points):
-            want = [part for w in target._gated(z) for part in (w.real, w.imag)]
-            assert [part[k].hex() for part in parts] == [w.hex() for w in want], z
+        assert in_search == sum(points) - in_search
 
     def test_a_refused_point_is_refused_for_every_seed_on_it(self):
         target = PRESETS["paper-direct-6"]
