@@ -32,25 +32,25 @@ The array kernel (_array_kernel) writes each of the scalar loop's complex
 products and quotients out on float64 (terms x points) arrays as CPython's
 complex arithmetic computes them (numpy's complex * and / round
 differently), takes exp from numpy's complex exp, which is libm's cexp as
-cmath.exp is, and adds each sum's terms one after another from the
-constant, so every pair it makes has the scalar loop's bits.  Those bits
-rest on the build: CPython's complex product compiled without fused
-multiply-add, and numpy's complex exp calling the cexp cmath.exp calls.
-They are verified for CPython 3.11.7 and numpy 2.4.6 on x86-64; elsewhere
-test_the_array_kernel_gives_the_scalar_kernels_bits in
-tests/test_rootfind.py checks them.  The kernel takes only points with no
-zero part that clear the pole lattice without a scan (clear_of_poles), a
-round's points at once and the terms in blocks, so its temporaries are
-bounded by _BATCH elements whatever n.  A round evaluates its other points,
-and all of them when it holds fewer than _TAIL (point, term) pairs, with
-the scalar kernel.
+cmath.exp is, and adds the terms of its four sums, stacked as one array,
+one after another from the constant, so every pair it makes has the scalar
+loop's bits.  Those bits rest on the build: CPython's complex product
+compiled without fused multiply-add, and numpy's complex exp calling the
+cexp cmath.exp calls.  They are verified for CPython 3.11.7 and numpy
+2.4.6 on x86-64; elsewhere test_the_array_kernel_gives_the_scalar_kernels_bits
+in tests/test_rootfind.py checks them.  The kernel takes only points with
+no zero part that clear the pole lattice without a scan (clear_of_poles),
+a round's points at once, both half-planes in one pass, and the terms in
+blocks, so its temporaries are bounded by a few _BATCH elements whatever
+n.  A round evaluates its other points, and all of them when it holds
+fewer than _TAIL (point, term) pairs, with the scalar kernel.
 
 A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS seeds, and
 a contour at most MAX_SAMPLES samples.  A point above the height limit
 |Im z| <= MAX_HEIGHT is refused, and so is a search rectangle's escape box,
 Newton's box or a contour's bounding box that reaches above it, so a search
-never meets a refused point.  A verification contour is evaluated as one
-array (values_at), one term at a time; it agrees with value_at to rounding,
+never meets a refused point.  A verification contour is evaluated in one
+(terms x samples) pass (values_at); it agrees with value_at to rounding,
 and only the winding count drawn from it is used.  The vectorized
 evaluators in the representations module are the tool for large n.
 Everything about the pole lattice goes through the representations module
@@ -133,9 +133,7 @@ class Target:
             )
         constant = check_real(self.constant, "constant")
         n = admissible_up_to(check_int(self.n, "n", 2, MAX_TARGET_N)).limit
-        logs, signs = base_logs_and_signs(n)
-        if self.kind is RepresentationKind.DIRECT:
-            signs = np.ones_like(signs)
+        logs, signs = _logs_and_signs(self.kind, n)
         terms = tuple(
             (complex(lg), complex(s), complex(s * lg))
             for lg, s in zip(logs.tolist(), signs.tolist())
@@ -181,9 +179,11 @@ class Target:
     def values_at(self, points) -> np.ndarray:
         """value_at at each point of an array of numbers, equal to rounding.
 
-        The same sum, one numpy pass per term in order.  Right of Re z = 0
-        a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
-        with v = exp(z*log r), as in value_and_derivative_at.  Integers are
+        The same sum, in one numpy pass over (terms x points) arrays, the
+        terms in blocks of at most _BATCH elements, each point's terms added
+        one after another from start (_add_rows).  Right of Re z = 0 a term
+        is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1) with
+        v = exp(z*log r), as in value_and_derivative_at.  Integers are
         read as floats.  Points that check_point refuses are refused, and so
         are bools, strings and other objects, a list's checked one by one
         (numpy reads a bool among numbers as 1); the pole gate is winding_count's.
@@ -198,13 +198,24 @@ class Target:
         ok = np.isfinite(points.real) & (np.abs(points.imag) <= MAX_HEIGHT)
         if not ok.all():
             check_point(complex(points[~ok].flat[0]))  # raises InputError
-        right = points.real >= 0.0
-        u = np.where(right, -points, points)
-        value = np.full(points.shape, self.start)
-        for lg, s, _ in self.terms:
-            e = np.exp(u * lg.real)
-            value += np.where(right, s.real * e, -s.real) / (1.0 - e)
-        return value
+        flat = points.ravel()
+        right = flat.real >= 0.0
+        u = np.where(right, -flat, flat)
+        value = np.full(flat.shape, self.start)
+        logs, signs = _logs_and_signs(self.kind, self.n)
+        step = max(1, _BATCH // max(1, len(flat)))  # terms per block
+        for t in range(0, len(logs), step):
+            s = signs[t : t + step, None]
+            e = np.exp(u * logs[t : t + step, None])
+            value = _add_rows(value, np.where(right, s * e, -s) / (1.0 - e))
+        return value.reshape(points.shape)
+
+
+def _logs_and_signs(kind, n):
+    """log r and s_r as float64 for the admissible bases r <= n, from the store."""
+    logs, signs = base_logs_and_signs(n)
+    direct = kind is RepresentationKind.DIRECT
+    return logs, np.ones(len(signs)) if direct else signs.astype(float)
 
 
 def make_target(kind, n, constant: float = 1.0) -> Target:
@@ -373,10 +384,10 @@ def newton_refine(
     (InputError), as a seed above it is.
 
     A call is a batch of one seed (_newton), which pays a round's numpy
-    calls per step: at n = 6 a seed that converges takes about 0.9 ms and
-    one that escapes 0.4 ms (0.02 and 0.01 ms in the scalar loop before),
-    at n = 1000 a root about 3 ms, as before.  No workload calls it
-    directly.  Inside find_zeros, a call with the search's own target, tol,
+    calls per step, about 70 us: at n = 6 a seed that converges in 13
+    rounds takes about 0.95 ms and one that escapes after 4 steps 0.3 ms
+    (0.02 and 0.01 ms in the scalar loop before), at n = 1000 a root about
+    2.6 ms.  No workload calls it directly.  Inside find_zeros, a call with the search's own target, tol,
     box and seed objects returns the outcome the search's batch holds; any
     other call, even with equal arguments, is checked and refined alone.
     """
@@ -434,7 +445,7 @@ def _newton(target, seeds, tol, box) -> list:
         return (lo_re <= re) & (re <= hi_re) & (lo_im <= im) & (im <= hi_im)
 
     def fail(reason, where, re, im, count):
-        if where.any():
+        if np.count_nonzero(where):  # cheaper than where.any()
             count = np.broadcast_to(count, where.shape)[where].tolist()
             for i, r, m, c in zip(*(v[where].tolist() for v in (seed, re, im)), count):
                 outcomes[i] = NewtonFailure(reason, complex(r, m), c)
@@ -444,8 +455,10 @@ def _newton(target, seeds, tol, box) -> list:
             refused, fr, fi, dr, di = evaluate(zr, zi)
             size = np.hypot(fr, fi)
             polishing = polished >= 0
-            taken = polishing & ~refused & (size <= np.hypot(kept[2], kept[3]))
-            done = polishing & ~taken
+            taken, done = np.zeros((2, len(seed)), dtype=bool)
+            if np.count_nonzero(polishing):
+                taken = polishing & ~refused & (size <= np.hypot(kept[2], kept[3]))
+                done = polishing & ~taken
             main = ~polishing & ~refused
             converged = main & below & (size <= tol)
             capped = main & below & ~converged & (steps >= _MAX_ITER)
@@ -467,18 +480,18 @@ def _newton(target, seeds, tol, box) -> list:
             fail("escape", escaped, nr, ni, steps)
             fail("max-iter", capped, zr, zi, _MAX_ITER)
             fail("max-iter", moved & ~onward, nr, ni, _MAX_ITER)
-            start = taken | converged
-            polish = start
-            if start.any():
+            polish = taken | converged  # the seeds that take a polish step, if it moves
+            if np.count_nonzero(polish):
+                at = polish.nonzero()[0]
                 polished = np.where(converged, 0, polished + taken)
-                kept = np.where(start, np.array([zr, zi, fr, fi, dr, di]), kept)
-                xr, xi, gr, gi, er, ei = kept
+                kept[:, at] = np.array((zr, zi, fr, fi, dr, di))[:, at]
+                xr, xi, gr, gi, er, ei = kept[:, at]
                 qr, qi = _quot(gr, gi, er, ei)
                 pr, pi = xr - qr, xi - qi
-                done |= start & ((polished == 2) | (np.hypot(er, ei) < 1e-14))
-                done |= start & (_same(pr, pi, xr, xi) | ~inside(pr, pi))
-                polish = start & ~done
-                nr, ni = np.where(polish, pr, nr), np.where(polish, pi, ni)
+                stop = (polished[at] == 2) | (np.hypot(er, ei) < 1e-14)
+                go = ~(stop | _same(pr, pi, xr, xi)) & inside(pr, pi)
+                done[at], polish[at] = ~go, go
+                nr[polish], ni[polish] = pr[go], pi[go]
             for i, (r, m, a, b) in zip(seed[done].tolist(), kept[:4, done].T.tolist()):
                 outcomes[i] = RootRecord(complex(r, m), abs(complex(a, b)), False, None)
             live = onward | polish
@@ -502,8 +515,9 @@ def _same(ar, ai, br, bi):
 _BATCH = 2**14
 
 # A round with fewer (point, term) pairs than this evaluates its points with
-# the scalar kernel: its hundred-odd numpy calls would cost more.  Without
-# the cut zeros-strip ran about 5% slower end to end, and at 2**10 slower too.
+# the scalar kernel: the array kernel's numpy calls would cost more.  Without
+# the cut zeros-strip ran about 5% slower end to end; on the one-pass kernel
+# 2**8 and 2**10 won 5 and 1 of 10 alternating pairs against 2**9.
 _TAIL = 2**9
 
 
@@ -542,7 +556,8 @@ def _exp(re, im):
 
 
 def _add_rows(total, rows):
-    """total + rows[0] + rows[1] + ..., added one row after another.
+    """total + rows[0] + rows[1] + ..., added one row after another; a row
+    has total's shape, the points along its last axis.
 
     Both ways give the same bits.  Where the rows are no more than the
     points (small n, as on zeros-strip), a loop adds each row across all
@@ -550,61 +565,61 @@ def _add_rows(total, rows):
     point's rows, made zeros-strip about 4% slower end to end.  Where the
     rows outnumber the points (n in the thousands, on no benchmark
     workload), accumulate runs each point's chain in C: the loop's Python
-    step per row made a 4x4 search at n = 17000 twice as slow as the
-    scalar kernel alone.
+    step per row made a 4x4 search at n = 17000 twice as slow as the scalar
+    kernel alone.  (Both measured when the kernel took a pass per half-plane.)
     """
-    if len(rows) <= len(total):
+    if len(rows) <= total.shape[-1]:
         for row in rows:
             total = total + row
         return total
-    return np.add.accumulate(np.vstack([total, rows]), axis=0)[-1]
+    return np.add.accumulate(np.concatenate((total[None], rows)), axis=0)[-1]
 
 
 def _array_kernel(target):
     """pairs(zr, zi) -> (evaluated, fr, fi, dr, di): Target._gated at the
     points zr + i*zi, bit for bit, where evaluated is True.
 
-    Each term runs _gated's complex operations written out on float64
-    (terms x points) arrays, its zero imaginary parts included, and each
-    sum adds its terms one after another from the constant, as _gated's
-    loop does.  A point with a zero part, one clear_of_poles does not
-    clear, and one whose pair is not finite (where _gated could raise) is
-    not evaluated.  The terms come from the store, as the target's did.
+    One pass takes both half-planes.  With u = -z right of Re z = 0, z
+    left of it, and e = exp(u*lg), a term is s*e/(1 - e) on the right and
+    s/(e - 1) on the left, and its slope slg*e/d**2 over either denominator
+    d; np.where picks the left's numerator and d, and a pass with no point
+    on the left has none.  The terms run _gated's complex operations written
+    out on float64 (terms x points) arrays, zero imaginary parts included,
+    but for the exp argument (u_re*lg, u_im*lg): no part of u is zero and
+    lg >= log 2, so its zero cross-terms change no bit.  The four sums are
+    one (4, points) array that adds the terms, stacked as (terms, 4, points),
+    one after another from the constant, as _gated's loop does.  A point
+    with a zero part, one clear_of_poles does not clear, and one whose pair
+    is not finite (where _gated could raise) is not evaluated.
     """
-    logs, signs = base_logs_and_signs(target.n)
-    direct = target.kind is RepresentationKind.DIRECT
-
-    def right(zr, zi, lg, s, slg):
-        """Terms s*w/(1 - w) and slg*w/(1 - w)**2 with w = exp(-z*lg)."""
-        wr, wi = _exp(*_prod(-zr, -zi, lg, 0.0))
-        dr, di = 1.0 - wr, 0.0 - wi
-        return (*_quot(*_prod(s, 0.0, wr, wi), dr, di),
-                *_quot(*_prod(slg, 0.0, wr, wi), *_prod(dr, di, dr, di)))
-
-    def left(zr, zi, lg, s, slg):
-        """Terms s/(v - 1) and slg*v/(v - 1)**2 with v = exp(z*lg)."""
-        vr, vi = _exp(*_prod(zr, zi, lg, 0.0))
-        dr, di = vr - 1.0, vi - 0.0
-        return (*_quot(s, 0.0, dr, di),
-                *_quot(*_prod(slg, 0.0, vr, vi), *_prod(dr, di, dr, di)))
+    logs, signs = _logs_and_signs(target.kind, target.n)
+    slgs = (signs * logs)[:, None]
+    logs, signs = logs[:, None], signs[:, None]
 
     def pairs(zr, zi):
         evaluated = (zr != 0.0) & (zi != 0.0) & clear_of_poles(zr)
         out = np.zeros((4, len(zr)))
-        with np.errstate(all="ignore"):  # the branch _quot drops; non-finite pairs
-            for half, side in ((right, zr >= 0.0), (left, zr < 0.0)):
-                at = np.flatnonzero(evaluated & side)
-                if not len(at):
-                    continue
-                step = max(1, _BATCH // len(at))  # terms per block
-                sums = [np.full(len(at), target.constant), *np.zeros((3, len(at)))]
+        at = np.flatnonzero(evaluated)
+        if len(at):
+            right = zr[at] > 0.0
+            left = not right.all()
+            flip = np.where(right, -1.0, 1.0) if left else -1.0  # u = -z on the right
+            ur, ui = flip * zr[at], flip * zi[at]
+            step = max(1, _BATCH // len(at))  # terms per block
+            sums = np.repeat([[target.constant], [0.0], [0.0], [0.0]], len(at), axis=1)
+            with np.errstate(all="ignore"):  # the branch _quot drops; non-finite pairs
                 for t in range(0, len(logs), step):
-                    lg = logs[t : t + step, None]
-                    s = np.ones_like(lg) if direct else signs[t : t + step, None]
-                    s = s.astype(float)
-                    terms = half(zr[at], zi[at], lg, s, s * lg)
-                    sums = [_add_rows(*pair) for pair in zip(sums, terms)]
-                out[:, at] = sums
+                    lg, s, slg = (v[t : t + step] for v in (logs, signs, slgs))
+                    er, ei = _exp(ur * lg, ui * lg)
+                    vr, vi = _prod(s, 0.0, er, ei)
+                    dr, di = 1.0 - er, 0.0 - ei
+                    if left:  # s/(e - 1), with e.imag - 0.0 as e.imag
+                        dr, di = np.where(right, dr, er - 1.0), np.where(right, di, ei)
+                        vr, vi = np.where(right, vr, s), np.where(right, vi, 0.0)
+                    slope = _quot(*_prod(slg, 0.0, er, ei), *_prod(dr, di, dr, di))
+                    terms = np.stack((*_quot(vr, vi, dr, di), *slope), axis=1)
+                    sums = _add_rows(sums, terms)
+            out[:, at] = sums
             out[2:] = -out[2:]
         evaluated &= np.isfinite(out).all(axis=0)
         return evaluated, *out
@@ -617,8 +632,9 @@ def _evaluator(target):
     Target._gated's (f, f') bit for bit, or refused where its pole gate
     refuses the point.  The array kernel evaluates the points it takes when
     the round holds at least _TAIL (point, term) pairs, and _gated itself
-    the rest.  A point two seeds share is evaluated for each: finding the
-    repeats cost more than it saved (BENCH_29.json, satellite_ab)."""
+    the rest, their pairs gathered and written in one assignment.  A point
+    two seeds share is evaluated for each: finding the repeats cost more
+    than it saved (BENCH_29.json, satellite_ab)."""
     kernel, gated, terms = _array_kernel(target), target._gated, len(target.terms)
 
     def pairs(zr, zi):
@@ -628,13 +644,17 @@ def _evaluator(target):
             evaluated, *out = kernel(zr, zi)
             out = np.array(out)
         re, im = zr.tolist(), zi.tolist()
-        for j in np.flatnonzero(~evaluated).tolist():
+        at, got = [], []  # the tail's points and their pairs
+        for j in (~evaluated).nonzero()[0].tolist():
             try:
                 f, d = gated(complex(re[j], im[j]))
             except PoleProximityError:
                 refused[j] = True
             else:
-                out[:, j] = f.real, f.imag, d.real, d.imag
+                at.append(j)
+                got.append((f.real, f.imag, d.real, d.imag))
+        if at:
+            out.T[at] = got
         return refused, *out
 
     return pairs

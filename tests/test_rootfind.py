@@ -169,6 +169,35 @@ class TestTarget:
                 scale = np.maximum(np.abs(scalar), 1.0)
                 assert np.all(np.abs(batch - scalar) <= 1e-13 * scale), (kind, n)
 
+    @pytest.mark.parametrize("batch", [rootfind._BATCH, 7])
+    def test_values_at_keeps_the_bits_of_a_pass_per_term(self, batch):
+        # One (terms x points) pass adds each point's terms in order from
+        # start, as a numpy pass per term does, on both sides of Re z = 0,
+        # on the axes and where exp underflows.  With _BATCH = 7 the sums
+        # carry across blocks, and a block of more terms than points is
+        # added by np.add.accumulate.
+        def per_term(t, points):
+            right = points.real >= 0.0
+            u = np.where(right, -points, points)
+            value = np.full(points.shape, t.start)
+            for lg, s, _ in t.terms:
+                e = np.exp(u * lg.real)
+                value += np.where(right, s.real * e, -s.real) / (1.0 - e)
+            return value
+
+        edges = [1.5 + 0j, complex(-0.0, -2.0), complex(-800.0, 3.0), 800.0 + 0j]
+        rng = random.Random(41)
+        with mock.patch.object(rootfind, "_BATCH", batch):
+            for kind in (DIRECT, ALT):
+                for n, size in ((2, 7), (12, 257), (300, 3), (300, 257), (3000, 1025)):
+                    t = make_target(kind, n, rng.choice((1.0, 0.5, -0.0)))
+                    center = complex(rng.uniform(-2, 2), rng.uniform(-30, 30))
+                    theta = np.linspace(0.0, 2.0 * math.pi, size)
+                    points = center + rng.choice((0.1, 3.0)) * np.exp(1j * theta)
+                    for z in (points, np.array(edges[: size])):
+                        got = t.values_at(z)
+                        assert got.tobytes() == per_term(t, z).tobytes(), (kind, n)
+
     @settings(max_examples=400, deadline=None)
     @given(
         kind=st.sampled_from([DIRECT, ALT]),
@@ -1318,6 +1347,21 @@ EXTREMES = [
 ]
 
 
+# Both half-planes, the gate strip and zero parts in one list: ten points
+# the kernel evaluates, so at n = 12 (8 terms) one block of rows is no more
+# than the points and the row loop adds it, and at n = 300 (276 terms)
+# np.add.accumulate does; MIXED_TWO keeps two of them, so a block of three
+# terms (_BATCH = 7) outnumbers its points.
+MIXED = [
+    complex(0.3, 14.1), complex(-0.4, -7.5), complex(0.0, 2.0), complex(2.0, -0.7),
+    complex(-1.5, 0.9), complex(1.5, 0.0), complex(7.0, 1e-310), complex(-0.0, -3.0),
+    complex(-800.0, 14.134725), complex(1e-5, 3e5), complex(-2.0, -0.0),
+    complex(5e-7, 1.0), complex(0.5, 25.01), complex(-3.0, -(2.0**27)), 0j,
+    complex(-1e-5, 5e-324),
+]
+MIXED_TWO = MIXED[:3] + MIXED[10:12]
+
+
 class TestBatch:
     """The array kernel a search's rounds evaluate with, and the batch."""
 
@@ -1330,6 +1374,11 @@ class TestBatch:
         batch=st.sampled_from((rootfind._BATCH, 64, 7)),
     )
     @example(kind=ALT, n=12, constant=-0.0, points=EXTREMES, batch=rootfind._BATCH)
+    @example(kind=ALT, n=12, constant=0.5, points=MIXED, batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=300, constant=-0.0, points=MIXED, batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=12, constant=1.0, points=MIXED, batch=7)
+    @example(kind=ALT, n=300, constant=0.0, points=MIXED, batch=7)
+    @example(kind=ALT, n=300, constant=1.0, points=MIXED_TWO, batch=7)
     def test_the_array_kernel_gives_the_scalar_kernels_bits(
         self, kind, n, constant, points, batch
     ):
