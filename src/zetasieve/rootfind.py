@@ -12,6 +12,7 @@ pole-free circle around each candidate.  Newton is written once, on arrays
 (_newton): seeds step in rounds, each round evaluating the point each live
 seed waits on, and each seed's outcome has the bits of a scalar
 loop over it alone, which tests/test_rootfind.py keeps as the oracle.
+Seeds that converge at one point, bit for bit, polish from it once.
 newton_refine is a batch of one seed; find_zeros runs the batch over its
 seeds and hands each outcome back through one newton_refine call per seed.
 It accepts a thread count but does not use threads.
@@ -38,8 +39,8 @@ loop's bits.  Those bits rest on the build: CPython's complex product
 compiled without fused multiply-add, and numpy's complex exp calling the
 cexp cmath.exp calls.  They are verified for CPython 3.11.7 and numpy
 2.4.6 on x86-64; elsewhere test_the_array_kernel_gives_the_scalar_kernels_bits
-in tests/test_rootfind.py checks them.  The kernel takes only points with
-no zero part that clear the pole lattice without a scan (clear_of_poles),
+in tests/test_rootfind.py checks them.  The kernel drops products by zero,
+so it takes only points inside a guard where no part of an exp is zero,
 a round's points at once, both half-planes in one pass, and the terms in
 blocks, so its temporaries are bounded by a few _BATCH elements whatever
 n.  A round evaluates its other points, and all of them when it holds
@@ -62,6 +63,7 @@ from __future__ import annotations
 
 import cmath
 import contextvars
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -200,14 +202,16 @@ class Target:
             check_point(complex(points[~ok].flat[0]))  # raises InputError
         flat = points.ravel()
         right = flat.real >= 0.0
-        u = np.where(right, -flat, flat)
+        left = not right.all()  # with every point on the right, no np.where
+        u = np.where(right, -flat, flat) if left else -flat
         value = np.full(flat.shape, self.start)
         logs, signs = _logs_and_signs(self.kind, self.n)
         step = max(1, _BATCH // max(1, len(flat)))  # terms per block
         for t in range(0, len(logs), step):
             s = signs[t : t + step, None]
             e = np.exp(u * logs[t : t + step, None])
-            value = _add_rows(value, np.where(right, s * e, -s) / (1.0 - e))
+            top = np.where(right, s * e, -s) if left else s * e
+            value = _add_rows(value, top / (1.0 - e))
         return value.reshape(points.shape)
 
 
@@ -429,10 +433,17 @@ def _newton(target, seeds, tol, box) -> list:
     |f'| >= 1e-14, it moves z within the box and |f| does not grow; a
     refused point ends it.  The root is the last point taken, with |f|
     there as its residual.
+
+    Seeds that converge at one point, bit for bit, polish alike: the polish
+    reads only (z, f, f'), its step count and the box.  The first seed to
+    converge there polishes; a later one leaves the batch (is folded) and
+    at the end gets a RootRecord of its own, equal to the first one's.
     """
     lo_re, hi_re, lo_im, hi_im = box
     evaluate = _evaluator(target)
     outcomes = [None] * len(seeds)
+    first = {}  # a converged point's bits -> the seed that polishes from it
+    folded = []  # (seed, the seed whose root it takes)
     seed = np.arange(len(seeds))
     zr = np.array([z.real for z in seeds])
     zi = np.array([z.imag for z in seeds])
@@ -480,6 +491,13 @@ def _newton(target, seeds, tol, box) -> list:
             fail("escape", escaped, nr, ni, steps)
             fail("max-iter", capped, zr, zi, _MAX_ITER)
             fail("max-iter", moved & ~onward, nr, ni, _MAX_ITER)
+            if np.count_nonzero(converged):
+                at = converged.nonzero()[0]
+                keys = zip(zr.view(np.uint64)[at].tolist(), zi.view(np.uint64)[at].tolist())
+                for j, i, key in zip(at.tolist(), seed[at].tolist(), keys):
+                    if first.setdefault(key, i) != i:
+                        folded.append((i, first[key]))
+                        converged[j] = False
             polish = taken | converged  # the seeds that take a polish step, if it moves
             if np.count_nonzero(polish):
                 at = polish.nonzero()[0]
@@ -499,6 +517,8 @@ def _newton(target, seeds, tol, box) -> list:
                 v[live] for v in (nr, ni, seed, steps, small, polished)
             )
             kept = kept[:, live]
+    for i, j in folded:
+        outcomes[i] = RootRecord(outcomes[j].location, outcomes[j].residual, False, None)
     return outcomes
 
 
@@ -520,6 +540,8 @@ _BATCH = 2**14
 # 2**8 and 2**10 won 5 and 1 of 10 alternating pairs against 2**9.
 _TAIL = 2**9
 
+_REACH, _LOW = 24.0, 2.0**-1030  # the array kernel's guard (see there)
+
 
 def _prod(ar, ai, br, bi):
     """a*b on real and imaginary parts, as CPython's complex product."""
@@ -538,21 +560,6 @@ def _quot(ar, ai, br, bi):
     denom = br * ratio + bi
     re2, im2 = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
     return np.where(big, re, re2), np.where(big, im, im2)
-
-
-def _packed(re, im) -> np.ndarray:
-    """The complex array re + i*im, both parts exactly as given."""
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
-def _exp(re, im):
-    """The parts of exp(re + i*im) by numpy's complex exp, which is libm's
-    cexp and has cmath.exp's bits (numpy's real exp does not)."""
-    w = _packed(re, im)
-    np.exp(w, out=w)
-    return w.real, w.imag
 
 
 def _add_rows(total, rows):
@@ -576,30 +583,43 @@ def _add_rows(total, rows):
 
 
 def _array_kernel(target):
-    """pairs(zr, zi) -> (evaluated, fr, fi, dr, di): Target._gated at the
-    points zr + i*zi, bit for bit, where evaluated is True.
+    """pairs(zr, zi) -> (evaluated, out): Target._gated's (f, f') at the
+    points zr + i*zi, bit for bit, as out's rows (f.real, f.imag, f'.real,
+    f'.imag), where evaluated is True.
 
     One pass takes both half-planes.  With u = -z right of Re z = 0, z
     left of it, and e = exp(u*lg), a term is s*e/(1 - e) on the right and
     s/(e - 1) on the left, and its slope slg*e/d**2 over either denominator
     d; np.where picks the left's numerator and d, and a pass with no point
-    on the left has none.  The terms run _gated's complex operations written
-    out on float64 (terms x points) arrays, zero imaginary parts included,
-    but for the exp argument (u_re*lg, u_im*lg): no part of u is zero and
-    lg >= log 2, so its zero cross-terms change no bit.  The four sums are
-    one (4, points) array that adds the terms, stacked as (terms, 4, points),
-    one after another from the constant, as _gated's loop does.  A point
-    with a zero part, one clear_of_poles does not clear, and one whose pair
-    is not finite (where _gated could raise) is not evaluated.
+    on the left has none.  u*lg is written into the complex array exp runs
+    in, s*e and slg*e are real products (for DIRECT, s*e is e), and d*d
+    (_prod) and the quotients (_quot) are _gated's complex operations on
+    float64 (terms x points) arrays.  The four sums are one (4, points)
+    array adding the terms, as (terms, 4, points), in turn from the constant.
+
+    The real products drop _gated's products by the zero imaginary parts of
+    s and slg, exact while no part of e is zero or non-finite: each is then
+    a signed zero, and x - 0 = x + 0 = x for x != 0.  So the kernel takes
+    z = x + iy only inside the guard POLE_GATE < |x| <= _REACH/log n,
+    |y| >= _LOW.  There, with a + ib = u*lg, cexp gives exp(a)*cos b and
+    exp(a)*sin b, and -24 <= a < 0.  |cos b| and |sin b| are at least 2/pi
+    times b's distance from the nearest multiple of pi/2 where they vanish;
+    no double lies within 4.68e-19 of a nonzero multiple (Muller, Elementary
+    Functions: 6381956970095103 * 2**797), and |b| >= |y| log 2 > 6e-311.
+    So each part of e exceeds exp(-24) * (2/pi) * 6e-311, 290 times the
+    least subnormal, and with |s| = 1 and |slg| >= log 2 > 1/2 so do those
+    of s*e and slg*e.  |e| < 1 keeps d from zero: every pair is finite.
     """
     logs, signs = _logs_and_signs(target.kind, target.n)
     slgs = (signs * logs)[:, None]
     logs, signs = logs[:, None], signs[:, None]
+    direct = target.kind is RepresentationKind.DIRECT
+    reach = _REACH / math.log(target.n)
 
     def pairs(zr, zi):
-        evaluated = (zr != 0.0) & (zi != 0.0) & clear_of_poles(zr)
-        out = np.zeros((4, len(zr)))
+        evaluated = clear_of_poles(zr) & (abs(zr) <= reach) & (abs(zi) >= _LOW)
         at = np.flatnonzero(evaluated)
+        out = np.zeros((4, len(zr)))
         if len(at):
             right = zr[at] > 0.0
             left = not right.all()
@@ -607,22 +627,24 @@ def _array_kernel(target):
             ur, ui = flip * zr[at], flip * zi[at]
             step = max(1, _BATCH // len(at))  # terms per block
             sums = np.repeat([[target.constant], [0.0], [0.0], [0.0]], len(at), axis=1)
-            with np.errstate(all="ignore"):  # the branch _quot drops; non-finite pairs
+            with np.errstate(all="ignore"):  # the branch _quot drops
                 for t in range(0, len(logs), step):
                     lg, s, slg = (v[t : t + step] for v in (logs, signs, slgs))
-                    er, ei = _exp(ur * lg, ui * lg)
-                    vr, vi = _prod(s, 0.0, er, ei)
+                    e = np.empty((len(lg), len(at)), dtype=complex)
+                    np.multiply(ur, lg, out=e.real)
+                    np.multiply(ui, lg, out=e.imag)
+                    er, ei = np.exp(e, out=e).real, e.imag  # libm's cexp, as cmath.exp
+                    vr, vi = (er, ei) if direct else (s * er, s * ei)
                     dr, di = 1.0 - er, 0.0 - ei
                     if left:  # s/(e - 1), with e.imag - 0.0 as e.imag
                         dr, di = np.where(right, dr, er - 1.0), np.where(right, di, ei)
                         vr, vi = np.where(right, vr, s), np.where(right, vi, 0.0)
-                    slope = _quot(*_prod(slg, 0.0, er, ei), *_prod(dr, di, dr, di))
+                    slope = _quot(slg * er, slg * ei, *_prod(dr, di, dr, di))
                     terms = np.stack((*_quot(vr, vi, dr, di), *slope), axis=1)
                     sums = _add_rows(sums, terms)
+            sums[2:] = -sums[2:]
             out[:, at] = sums
-            out[2:] = -out[2:]
-        evaluated &= np.isfinite(out).all(axis=0)
-        return evaluated, *out
+        return evaluated, out
 
     return pairs
 
@@ -632,22 +654,22 @@ def _evaluator(target):
     Target._gated's (f, f') bit for bit, or refused where its pole gate
     refuses the point.  The array kernel evaluates the points it takes when
     the round holds at least _TAIL (point, term) pairs, and _gated itself
-    the rest, their pairs gathered and written in one assignment.  A point
-    two seeds share is evaluated for each: finding the repeats cost more
-    than it saved (BENCH_29.json, satellite_ab)."""
+    the rest, the tail, whose points alone it lists and whose pairs it
+    writes in one assignment.  A point two seeds share is evaluated for
+    each: finding the repeats cost more than it saved (BENCH_29.json)."""
     kernel, gated, terms = _array_kernel(target), target._gated, len(target.terms)
 
     def pairs(zr, zi):
-        evaluated, refused = np.zeros((2, len(zr)), dtype=bool)
-        out = np.zeros((4, len(zr)))
         if len(zr) * terms >= _TAIL:
-            evaluated, *out = kernel(zr, zi)
-            out = np.array(out)
-        re, im = zr.tolist(), zi.tolist()
+            evaluated, out = kernel(zr, zi)
+            tail = np.flatnonzero(~evaluated)
+        else:
+            out, tail = np.zeros((4, len(zr))), np.arange(len(zr))
+        refused = np.zeros(len(zr), dtype=bool)
         at, got = [], []  # the tail's points and their pairs
-        for j in (~evaluated).nonzero()[0].tolist():
+        for j, r, m in zip(tail.tolist(), zr[tail].tolist(), zi[tail].tolist()):
             try:
-                f, d = gated(complex(re[j], im[j]))
+                f, d = gated(complex(r, m))
             except PoleProximityError:
                 refused[j] = True
             else:
@@ -664,6 +686,14 @@ def _evaluator(target):
 # arrays of samples + 1 points, some tens of bytes each.  _verify goes up to
 # 4096.
 MAX_SAMPLES = 2**20
+
+
+@functools.lru_cache(maxsize=8)  # 16 MiB each at MAX_SAMPLES; _verify uses 5
+def _unit_circle(samples):
+    """exp(i*theta) at samples + 1 angles from 0 to 2*pi, read-only."""
+    circle = np.exp(1j * np.linspace(0.0, TWO_PI, samples + 1))
+    circle.flags.writeable = False
+    return circle
 
 
 def winding_count(
@@ -705,8 +735,7 @@ def winding_count(
             f" {POLE_GATE:g} of it"
         )
 
-    theta = np.linspace(0.0, TWO_PI, samples + 1)
-    pts = center + radius * np.exp(1j * theta)
+    pts = center + radius * _unit_circle(samples)
     if np.any(pts[1:] == pts[:-1]):
         raise ResolutionError(f"radius {radius} too small: adjacent samples coincide")
     values = target.values_at(pts)

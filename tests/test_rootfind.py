@@ -1015,12 +1015,14 @@ def same_point(a, b):
     return bits(a) == bits(b)
 
 
-def reference_newton(target, seed, tol, box):
+def reference_newton(target, seed, tol, box, evaluate=None, polish=None):
     """newton_refine as a scalar loop over one seed, as it was written
     before the batch: the oracle whose outcomes the batch must give bit for
-    bit.  Each point is evaluated by the target's scalar kernel."""
+    bit.  Each point is evaluated by the target's scalar kernel, or by
+    evaluate, and the polish is reference_polish, or polish, given."""
     lo_re, hi_re, lo_im, hi_im = box
-    evaluate = target._gated
+    evaluate = evaluate or target._gated
+    polish = polish or reference_polish
     z = seed
     iterations = 0
     pair = None  # (f, f') at z, once evaluated
@@ -1042,7 +1044,7 @@ def reference_newton(target, seed, tol, box):
                 if pair is None:
                     pair = evaluate(z)
                 if abs(pair[0]) <= tol:
-                    z, fz = reference_polish(evaluate, z, pair, box)
+                    z, fz = polish(evaluate, z, pair, box)
                     return RootRecord(z, abs(fz), verified=False, conjugate_of=None)
                 # A tiny step at a large residual: iterate on from the pair
                 # in hand.
@@ -1071,6 +1073,70 @@ def reference_polish(evaluate, z, pair, box):
     except PoleProximityError:
         pass
     return z, fz
+
+
+def solo_runs(target, seeds, tol, box):
+    """Each seed's run alone, by the scalar loop: (the bits of the points it
+    evaluates, in order; how many of them its polish evaluates; the bits of
+    the point its polish starts from, None if it fails)."""
+    runs = []
+    for seed in seeds:
+        points, start = [], []
+
+        def evaluate(z):
+            points.append(bits(z))
+            return target._gated(z)
+
+        def polish(evaluate, z, pair, box):
+            start.append((bits(z), len(points)))
+            return reference_polish(evaluate, z, pair, box)
+
+        reference_newton(target, seed, tol, box, evaluate=evaluate, polish=polish)
+        at, before = start[0] if start else (None, len(points))
+        runs.append((points, len(points) - before, at))
+    return runs
+
+
+def folded_seeds(runs):
+    """The seeds one batch folds: those that converge at a point, bit for
+    bit, where another seed converged in an earlier round, or in the same
+    round with a lower index.  A seed converges in the round that evaluates
+    the point its polish starts from."""
+    first = {}
+    for i, (points, polish, at) in enumerate(runs):
+        if at is not None:
+            first.setdefault(at, []).append((len(points) - polish, i))
+    return sorted(i for group in first.values() for _, i in sorted(group)[1:])
+
+
+def batch_rounds(runs, folded):
+    """The sorted bits of the points one batch evaluates in each round: each
+    seed's points alone, a folded seed's up to the point it converges at."""
+    points = [
+        p[: len(p) - polish] if i in folded else p
+        for i, (p, polish, _) in enumerate(runs)
+    ]
+    rounds = max(map(len, points), default=0)
+    return [sorted(p[r] for p in points if len(p) > r) for r in range(rounds)]
+
+
+class Rounds:
+    """The sorted bits of the points each _evaluator call is given."""
+
+    def __init__(self, monkeypatch):
+        self.seen = []
+        evaluator = rootfind._evaluator
+
+        def recorded(target):
+            pairs = evaluator(target)
+
+            def recording(zr, zi):
+                self.seen.append(sorted(map(bits, map(complex, zr.tolist(), zi.tolist()))))
+                return pairs(zr, zi)
+
+            return recording
+
+        monkeypatch.setattr(rootfind, "_evaluator", recorded)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1225,30 +1291,74 @@ class TestRecall:
             refined_alone(target, seed, tol, box)
         assert in_search < 0.05 * (evaluations.count - in_search)
 
-    def test_a_search_evaluates_as_many_points_as_its_seeds_alone(
+    def test_a_search_evaluates_no_more_points_than_its_seeds_alone(
         self, monkeypatch
     ):
         # A round evaluates the one point each live seed waits on, so no
-        # seed's point is evaluated twice or after its outcome.
+        # seed's point is evaluated after its outcome, and a seed that
+        # converges where another seed already did skips its polish: the
+        # search evaluates its seeds' points alone, less the folded seeds'
+        # polish evaluations.
         target = PRESETS["paper-direct-6"]
-        evaluator = rootfind._evaluator
-        points = []
-
-        def counted(t):
-            pairs = evaluator(t)
-
-            def count(zr, zi):
-                points.append(len(zr))
-                return pairs(zr, zi)
-
-            return count
-
-        monkeypatch.setattr(rootfind, "_evaluator", counted)
+        rounds = Rounds(monkeypatch)
         calls = search_calls(monkeypatch, target, AXES)
-        in_search = sum(points)
-        for seed, tol, box, _, _ in calls:
-            refined_alone(target, seed, tol, box)
-        assert in_search == sum(points) - in_search
+        seeds = [call[0] for call in calls]
+        tol, box = calls[0][1:3]
+        runs = solo_runs(target, seeds, tol, box)
+        folded = folded_seeds(runs)
+        assert rounds.seen == batch_rounds(runs, folded)
+        in_search = sum(map(len, rounds.seen))
+        alone = sum(len(points) for points, _, _ in runs)
+        saved = sum(runs[i][1] for i in folded)
+        assert in_search == alone - saved < alone
+
+    def test_a_folded_seed_gets_the_oracles_root_as_a_record_of_its_own(
+        self, monkeypatch
+    ):
+        # Seeds on one Newton path converge at one point in different rounds:
+        # the seed two steps along it first (with a copy of it, the same
+        # round), then the one a step along it, then the path's seed twice.
+        target, tol, box = PRESETS["paper-direct-6"], 1e-10, (-5.0, 5.0, -20.0, 20.0)
+        path, polish, _ = solo_runs(target, [complex(0.4, 2.5)], tol, box)[0]
+        assert len(path) - polish >= 3 and polish
+        ahead = [complex(*map(float.fromhex, path[k])) for k in (1, 2)]
+        seeds = [complex(0.4, 2.5), ahead[0], complex(0.4, 2.5), ahead[1], ahead[1]]
+        runs = solo_runs(target, seeds, tol, box)
+        assert folded_seeds(runs) == [0, 1, 2, 4]
+        rounds = Rounds(monkeypatch)
+        outcomes = rootfind._newton(target, seeds, tol, box)
+        assert rounds.seen == batch_rounds(runs, [0, 1, 2, 4])
+        for z, out in zip(seeds, outcomes):
+            assert newton_bits(out) == newton_bits(reference_newton(target, z, tol, box))
+        assert len(set(map(id, outcomes))) == len(seeds)
+
+    def test_seeds_folded_in_blocks_get_the_oracles_roots(self, monkeypatch):
+        # Blocks of 10 seeds: some points are converged at in one block and
+        # again in another, where a seed of that block polishes anew.
+        monkeypatch.setattr(rootfind, "_BATCH", 10)
+        target = PRESETS["paper-direct-6"]
+        refine = rootfind.newton_refine
+        calls = []
+
+        def recorded(t, seed, tol=1e-10, *, box=None):
+            out = refine(t, seed, tol, box=box)
+            calls.append((seed, tol, box, newton_bits(out), out))
+            return out
+
+        monkeypatch.setattr(rootfind, "newton_refine", recorded)
+        find_zeros(target, AXES)
+        seeds = [call[0] for call in calls]
+        tol, box = calls[0][1:3]
+        runs = solo_runs(target, seeds, tol, box)
+        blocks = [runs[k : k + 10] for k in range(0, len(runs), 10)]
+        folded = [folded_seeds(block) for block in blocks]
+        assert sum(map(len, folded)) > 0
+        leaders = [{at for i, (_, _, at) in enumerate(b) if at and i not in f}
+                   for b, f in zip(blocks, folded)]
+        assert any(a & b for a, b in zip(leaders, leaders[1:]))
+        for seed, _, _, outcome, _ in calls:
+            assert outcome == newton_bits(reference_newton(target, seed, tol, box))
+        assert len({id(call[4]) for call in calls}) == len(calls)
 
     def test_a_refused_point_is_refused_for_every_seed_on_it(self):
         target = PRESETS["paper-direct-6"]
@@ -1301,12 +1411,12 @@ def kernel_mismatches(target, points):
     give Target._gated's bits, the kernel's evaluated mask)."""
     zr = np.array([z.real for z in points])
     zi = np.array([z.imag for z in points])
-    evaluated, *parts = rootfind._array_kernel(target)(zr, zi)
+    evaluated, out = rootfind._array_kernel(target)(zr, zi)
     wrong = []
     for k in np.flatnonzero(evaluated):
         f, d = target._gated(points[k])
         want = [f.real.hex(), f.imag.hex(), d.real.hex(), d.imag.hex()]
-        if [part[k].hex() for part in parts] != want:
+        if [part.hex() for part in out[:, k].tolist()] != want:
             wrong.append(points[k])
     return wrong, evaluated
 
@@ -1362,6 +1472,23 @@ MIXED = [
 MIXED_TWO = MIXED[:3] + MIXED[10:12]
 
 
+def guard_edges(n):
+    """Points on the array kernel's guard at n, on both sides of it and in
+    both half-planes: |Re z| at _REACH/log n and one ulp past it, |Im z| at
+    _LOW and one ulp below it; with |Im z| = 0.7 and 5e-324, and Re z = 0.5
+    and 1100, where at n = 2 exp underflows to 0 in both parts."""
+    reach, low = rootfind._REACH / math.log(n), rootfind._LOW
+    xs = (reach, math.nextafter(reach, math.inf), 0.5, 1100.0)
+    ys = (low, math.nextafter(low, 0.0), 0.7, 5e-324)
+    return [complex(a * x, b * y) for x in xs for y in ys for a in (1, -1) for b in (1, -1)]
+
+
+def in_guard(z, n):
+    """Whether the array kernel takes z at n."""
+    x, y = abs(z.real), abs(z.imag)
+    return POLE_GATE < x <= rootfind._REACH / math.log(n) and y >= rootfind._LOW
+
+
 class TestBatch:
     """The array kernel a search's rounds evaluate with, and the batch."""
 
@@ -1379,17 +1506,24 @@ class TestBatch:
     @example(kind=DIRECT, n=12, constant=1.0, points=MIXED, batch=7)
     @example(kind=ALT, n=300, constant=0.0, points=MIXED, batch=7)
     @example(kind=ALT, n=300, constant=1.0, points=MIXED_TWO, batch=7)
+    @example(kind=ALT, n=2, constant=-0.0, points=guard_edges(2), batch=rootfind._BATCH)
+    @example(kind=ALT, n=2, constant=0.0, points=guard_edges(2), batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=2, constant=-0.0, points=guard_edges(2), batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=12, constant=-0.0, points=guard_edges(12), batch=7)
+    @example(kind=ALT, n=300, constant=0.0, points=guard_edges(300), batch=rootfind._BATCH)
     def test_the_array_kernel_gives_the_scalar_kernels_bits(
         self, kind, n, constant, points, batch
     ):
         # Smaller batches split the terms into blocks, the running sums
-        # carried from one block to the next.
+        # carried from one block to the next.  The kernel takes exactly the
+        # points inside its guard; at alt n = 2 with constant -0.0, a
+        # kernel without it gives other bits at Re z = 1100.
         target = make_target(kind, n, constant)
         with mock.patch.object(rootfind, "_BATCH", batch):
             wrong, evaluated = kernel_mismatches(target, points)
         assert wrong == []
         for z, done in zip(points, evaluated):
-            assert done == bool(z.real and z.imag and abs(z.real) > POLE_GATE), z
+            assert done == in_guard(z, n), z
 
     @pytest.mark.parametrize("kind", [DIRECT, ALT])
     def test_the_array_kernel_carries_its_sums_past_one_block_of_terms(self, kind):
@@ -1403,8 +1537,13 @@ class TestBatch:
     def test_a_kernel_on_numpys_complex_arithmetic_is_caught(self, monkeypatch, op):
         # numpy's complex * (fused multiply-add) and / (another algorithm)
         # round differently from CPython's, so the bit check must fail.
+        def packed(re, im):
+            z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+            z.real, z.imag = re, im
+            return z
+
         def numpy_op(ar, ai, br, bi):
-            a, b = rootfind._packed(ar, ai), rootfind._packed(br, bi)
+            a, b = packed(ar, ai), packed(br, bi)
             out = a * b if op == "product" else a / b
             return out.real, out.imag
 
