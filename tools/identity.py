@@ -355,6 +355,37 @@ def edges() -> None:
     record("values_at list", values_of_list, target, [0.5 + 1j, True])
 
 
+def kernel_edges() -> None:
+    # Points a target evaluates outside the plain cases above: imaginary
+    # parts at the least subnormal and just below 2**-1030; real parts at
+    # 24/log n and one ulp past it, past where r**z underflows, at 1e300
+    # and where z*log r overflows; and a point of the gate strip
+    # |Re z| <= 1e-6 that the gate clears.  Every sign of each part, on
+    # targets with constants of either sign.
+    tiny, below = 5e-324, math.nextafter(2.0**-1030, 0.0)
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        for n in (2, 12, 1000):
+            reach = 24.0 / math.log(n)
+            xs = (reach, math.nextafter(reach, math.inf), 0.5, 1100.0, 1e300, 1.7e308, 0.0)
+            ys = (tiny, below, 0.7, 0.0)
+            for constant in (1.0, -0.0):
+                t = zs.make_target(kind, n, constant)
+                for x in xs:
+                    for y in ys:
+                        for z in (complex(a * x, b * y) for a in (1, -1) for b in (1, -1)):
+                            record("value_and_derivative_at edges",
+                                   t.value_and_derivative_at, z)
+                record("value_and_derivative_at edges", t.value_and_derivative_at,
+                       complex(5e-7, 1.0))
+    # Newton from seeds on the real axis, whose iterates stay on it.
+    for kind in (Kind.DIRECT, Kind.ALTERNATING):
+        for n in (2, 3, 6, 12):
+            t = zs.make_target(kind, n)
+            for x in (-2.5, -0.7, 0.3, 0.9, 2.0):
+                for seed in (complex(x, 0.0), complex(x, -0.0)):
+                    record("newton_refine real axis", zs.newton_refine, t, seed)
+
+
 def main() -> None:
     rng = random.Random(15)
     evaluators(rng)
@@ -368,6 +399,7 @@ def main() -> None:
     terms_outputs()
     converge_outputs()
     edges()
+    kernel_edges()
     print("records", RECORDS)
 
 
