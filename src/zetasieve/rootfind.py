@@ -17,59 +17,50 @@ newton_refine is a batch of one seed; find_zeros runs the batch over its
 seeds and hands each outcome back through one newton_refine call per seed.
 It accepts a thread count but does not use threads.
 
-The scalar kernel, Target._gated, is a cmath loop over the target's
-terms, one (log r, sign, sign*log r) triple per base built with the
-target, that gives the value and the derivative from one exp per base.
-The loop keeps the plain loop's operations in their order, so every float
-keeps its bits.  The triples, the constant and the 1 in 1 - w and v - 1
-are complex numbers, so every operation in the loop is complex by
-complex: CPython 3.11 would promote a float operand to complex(x, 0.0) on
-each mixed operation, with the same bits.  A target gates its own sum, as
-the evaluators do: its one kernel refuses a point within POLE_GATE of a
-term pole (PoleProximityError), and value_at and value_and_derivative_at
-put each point through check_point first.
+One kernel (_array_kernel) evaluates every point of a target: Newton's
+rounds, value_at, value_and_derivative_at and find_zeros's residuals.  It
+gives f and f' with the bits of a plain loop over the terms in Python
+complex numbers (reference_value_and_derivative in tests/test_rootfind.py):
+it writes the loop's complex products and quotients out on float64
+(terms x points) arrays as CPython's complex arithmetic computes them
+(numpy's complex * and / round differently), takes exp from numpy's
+complex exp, which is libm's cexp and has the bits of Python's, and adds
+the terms of its four sums, stacked as one array, one after another from
+the constant.  Those bits rest on the build: CPython's complex product
+compiled without fused multiply-add, and numpy's complex exp calling
+libm's cexp.  They are verified for CPython 3.11.7 and numpy 2.4.6 on
+x86-64; elsewhere test_the_array_kernel_gives_the_scalar_kernels_bits in
+tests/test_rootfind.py checks them.  The kernel takes a call's points at
+once, both half-planes in one pass, and the terms in blocks, so its
+temporaries are bounded by a few _BATCH elements whatever n.  A target
+gates its own sum, as the evaluators do: the kernel refuses a point within
+POLE_GATE of a term pole, and value_at and value_and_derivative_at put
+each point through check_point first and raise the gate's
+PoleProximityError.
 
-The array kernel (_array_kernel) writes each of the scalar loop's complex
-products and quotients out on float64 (terms x points) arrays as CPython's
-complex arithmetic computes them (numpy's complex * and / round
-differently), takes exp from numpy's complex exp, which is libm's cexp as
-cmath.exp is, and adds the terms of its four sums, stacked as one array,
-one after another from the constant, so every pair it makes has the scalar
-loop's bits.  Those bits rest on the build: CPython's complex product
-compiled without fused multiply-add, and numpy's complex exp calling the
-cexp cmath.exp calls.  They are verified for CPython 3.11.7 and numpy
-2.4.6 on x86-64; elsewhere test_the_array_kernel_gives_the_scalar_kernels_bits
-in tests/test_rootfind.py checks them.  The kernel drops products by zero,
-so it takes only points inside a guard where no part of an exp is zero,
-a round's points at once, both half-planes in one pass, and the terms in
-blocks, so its temporaries are bounded by a few _BATCH elements whatever
-n.  A round evaluates its other points, and all of them when it holds
-fewer than _TAIL (point, term) pairs, with the scalar kernel.
-
-A target takes n up to MAX_TARGET_N, a search at most MAX_SEEDS seeds, and
-a contour at most MAX_SAMPLES samples.  A point above the height limit
-|Im z| <= MAX_HEIGHT is refused, and so is a search rectangle's escape box,
-Newton's box or a contour's bounding box that reaches above it, so a search
-never meets a refused point.  A verification contour is evaluated in one
-(terms x samples) pass (values_at); it agrees with value_at to rounding,
-and only the winding count drawn from it is used.  The vectorized
-evaluators in the representations module are the tool for large n.
-Everything about the pole lattice goes through the representations module
-(pole_gate, clear_of_poles, nearest_pole, pole_distance), so the lattice is
-written down once, and one gate, POLE_GATE, serves them all.
+A target takes n up to MAX_LIMIT, as the evaluators do, a search at most
+MAX_SEEDS seeds, and a contour at most MAX_SAMPLES samples.  A point above
+the height limit |Im z| <= MAX_HEIGHT is refused, and so is a search
+rectangle's escape box, Newton's box or a contour's bounding box that
+reaches above it, so a search never meets a refused point.  A verification
+contour is evaluated in one (terms x samples) pass (values_at); it agrees
+with value_at to rounding, and only the winding count drawn from it is
+used.  Everything about the pole lattice goes through the representations
+module (pole_gate, clear_of_poles, nearest_pole, pole_distance), so the
+lattice is written down once, and one gate, POLE_GATE, serves them all.
 """
 
 from __future__ import annotations
 
-import cmath
 import contextvars
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .admissible import admissible_up_to, base_logs_and_signs
+from .admissible import MAX_LIMIT, admissible_up_to, base_logs_and_signs
 from .errors import (
     MAX_HEIGHT,
     ContourError,
@@ -103,30 +94,18 @@ __all__ = [
 ]
 
 
-# Largest n a target takes: it holds 168 bytes of Python objects per base,
-# about 170 MB at this cap.
-MAX_TARGET_N = 10**6
-
-
 @dataclass(frozen=True)
 class Target:
-    """Partial-sum descriptor: kind, truncation, and additive constant.
+    """Partial-sum descriptor: kind, truncation n and additive constant.
 
-    The rest follows from these and is built with the target, read-only and
-    out of repr and equality: terms, one (log r, s_r, s_r*log r) triple per
-    admissible base r <= n, with log r read from the store the evaluators
-    sum over and s_r = (-1)**(r-1) for ALTERNATING, 1 for DIRECT, and
-    start, the constant, all as complex numbers for the scalar loop.
-    n is at most MAX_TARGET_N.
+    n is at most MAX_LIMIT, as in the evaluators.  Each evaluation reads
+    log r and s_r = (-1)**(r-1) for ALTERNATING, 1 for DIRECT, for the
+    admissible bases r <= n from the store the evaluators sum over.
     """
 
     kind: RepresentationKind
     n: int
     constant: float
-    terms: tuple[tuple[complex, complex, complex], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    start: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (RepresentationKind.DIRECT, RepresentationKind.ALTERNATING):
@@ -134,58 +113,28 @@ class Target:
                 f"targets exist for DIRECT and ALTERNATING kinds, got {self.kind!r}"
             )
         constant = check_real(self.constant, "constant")
-        n = admissible_up_to(check_int(self.n, "n", 2, MAX_TARGET_N)).limit
-        logs, signs = _logs_and_signs(self.kind, n)
-        terms = tuple(
-            (complex(lg), complex(s), complex(s * lg))
-            for lg, s in zip(logs.tolist(), signs.tolist())
-        )
-        # Through object.__setattr__, not vars(self): a __dict__ once made
-        # slows every attribute read in the scalar loop by a few percent.
-        for name, value in dict(
-            n=n, constant=constant, terms=terms, start=complex(constant)
-        ).items():
-            object.__setattr__(self, name, value)
+        n = admissible_up_to(check_int(self.n, "n", 2, MAX_LIMIT)).limit
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "n", n)
 
     def describe(self) -> str:
         return f"{self.kind.value} n={self.n} constant={self.constant:g}"
 
-    def _gated(self, z: complex) -> tuple[complex, complex]:
-        """f(z) and f'(z) behind the pole gate, at a point check_point passed."""
-        pole_gate(z, self.n)
-        exp = cmath.exp
-        value = self.start
-        slope = 0j
-        if z.real >= 0.0:
-            nz = -z
-            for lg, s, slg in self.terms:
-                w = exp(nz * lg)
-                d = (1 + 0j) - w
-                value += s * w / d
-                slope += slg * w / (d * d)
-        else:
-            for lg, s, slg in self.terms:
-                v = exp(z * lg)
-                d = v - (1 + 0j)
-                value += s / d
-                slope += slg * v / (d * d)
-        return value, -slope
-
     def value_and_derivative_at(self, z) -> tuple[complex, complex]:
         """f(z) and f'(z); refuses what check_point and the pole gate refuse."""
-        return self._gated(check_point(z))
+        return _gated_pairs(self, [check_point(z)])[0]
 
     def value_at(self, z) -> complex:
-        return self._gated(check_point(z))[0]
+        return _gated_pairs(self, [check_point(z)])[0][0]
 
     def values_at(self, points) -> np.ndarray:
         """value_at at each point of an array of numbers, equal to rounding.
 
         The same sum, in one numpy pass over (terms x points) arrays, the
         terms in blocks of at most _BATCH elements, each point's terms added
-        one after another from start (_add_rows).  Right of Re z = 0 a term
-        is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1) with
-        v = exp(z*log r), as in value_and_derivative_at.  Integers are
+        one after another from the constant (_add_rows).  Right of Re z = 0
+        a term is s*w/(1 - w) with w = exp(-z*log r), left of it s/(v - 1)
+        with v = exp(z*log r), as in value_and_derivative_at.  Integers are
         read as floats.  Points that check_point refuses are refused, and so
         are bools, strings and other objects, a list's checked one by one
         (numpy reads a bool among numbers as 1); the pole gate is winding_count's.
@@ -204,7 +153,7 @@ class Target:
         right = flat.real >= 0.0
         left = not right.all()  # with every point on the right, no np.where
         u = np.where(right, -flat, flat) if left else -flat
-        value = np.full(flat.shape, self.start)
+        value = np.full(flat.shape, complex(self.constant))
         logs, signs = _logs_and_signs(self.kind, self.n)
         step = max(1, _BATCH // max(1, len(flat)))  # terms per block
         for t in range(0, len(logs), step):
@@ -420,7 +369,7 @@ def _checked_target(target) -> Target:
 def _newton(target, seeds, tol, box) -> list:
     """newton_refine's outcome from each seed, all seeds stepped at once.
 
-    Each round evaluates the point every live seed waits on (_evaluator),
+    Each round evaluates the point every live seed waits on (_array_kernel),
     then steps each seed on arrays, with CPython's z - f/f' (_quot) and abs
     (hypot), to its next point or outcome.  At an iterate, a refused point
     is a "pole"; after a step below tol, |f| <= tol starts the polish, else
@@ -440,7 +389,7 @@ def _newton(target, seeds, tol, box) -> list:
     at the end gets a RootRecord of its own, equal to the first one's.
     """
     lo_re, hi_re, lo_im, hi_im = box
-    evaluate = _evaluator(target)
+    evaluate = _array_kernel(target)
     outcomes = [None] * len(seeds)
     first = {}  # a converged point's bits -> the seed that polishes from it
     folded = []  # (seed, the seed whose root it takes)
@@ -528,19 +477,13 @@ def _same(ar, ai, br, bi):
     return same & (ai.view(np.uint64) == bi.view(np.uint64))
 
 
-# Elements of one (terms x points) array in the array kernel, at most: the
-# kernel holds a few tens of such float64 arrays at once, a few MiB,
-# whatever n.  It takes a round's points in one block and splits the terms,
-# and a search steps at most _BATCH seeds at a time.
+# Elements of one (terms x points) array in the kernel, at most: the kernel
+# holds a few tens of such float64 arrays at once, a few MiB, whatever n.
+# It takes a call's points in one block and splits the terms, and a search
+# steps at most _BATCH seeds at a time.
 _BATCH = 2**14
 
-# A round with fewer (point, term) pairs than this evaluates its points with
-# the scalar kernel: the array kernel's numpy calls would cost more.  Without
-# the cut zeros-strip ran about 5% slower end to end; on the one-pass kernel
-# 2**8 and 2**10 won 5 and 1 of 10 alternating pairs against 2**9.
-_TAIL = 2**9
-
-_REACH, _LOW = 24.0, 2.0**-1030  # the array kernel's guard (see there)
+_REACH, _LOW = 24.0, 2.0**-1030  # the kernel's guard (see there)
 
 
 def _prod(ar, ai, br, bi):
@@ -583,32 +526,39 @@ def _add_rows(total, rows):
 
 
 def _array_kernel(target):
-    """pairs(zr, zi) -> (evaluated, out): Target._gated's (f, f') at the
-    points zr + i*zi, bit for bit, as out's rows (f.real, f.imag, f'.real,
-    f'.imag), where evaluated is True.
+    """pairs(zr, zi) -> (refused, fr, fi, dr, di): at each point zr + i*zi
+    that check_point passed, f and f' with the plain complex loop's bits, or
+    refused where the pole gate refuses the point.  A point in the gate
+    strip (clear_of_poles false) goes through pole_gate one by one; the
+    others pass without a scan.
 
-    One pass takes both half-planes.  With u = -z right of Re z = 0, z
-    left of it, and e = exp(u*lg), a term is s*e/(1 - e) on the right and
-    s/(e - 1) on the left, and its slope slg*e/d**2 over either denominator
-    d; np.where picks the left's numerator and d, and a pass with no point
-    on the left has none.  u*lg is written into the complex array exp runs
-    in, s*e and slg*e are real products (for DIRECT, s*e is e), and d*d
-    (_prod) and the quotients (_quot) are _gated's complex operations on
-    float64 (terms x points) arrays.  The four sums are one (4, points)
-    array adding the terms, as (terms, 4, points), in turn from the constant.
+    One pass takes the points the gate passes, both half-planes at once.
+    With u = -z where Re z >= 0 (-0.0 included), z elsewhere, and
+    e = exp(u*lg), a term is s*e/(1 - e) on the right and s/(e - 1) on the
+    left, and its slope slg*e/d**2 over either denominator d, with
+    slg = s*lg; np.where picks the left's numerator and d, and a pass with
+    no point on the left has none.  d*d (_prod) and the quotients (_quot)
+    are the loop's complex operations on float64 (terms x points) arrays.
+    The four sums are one (4, points) array adding the terms, as
+    (terms, 4, points), in turn from the constant.
 
-    The real products drop _gated's products by the zero imaginary parts of
-    s and slg, exact while no part of e is zero or non-finite: each is then
-    a signed zero, and x - 0 = x + 0 = x for x != 0.  So the kernel takes
-    z = x + iy only inside the guard POLE_GATE < |x| <= _REACH/log n,
-    |y| >= _LOW.  There, with a + ib = u*lg, cexp gives exp(a)*cos b and
-    exp(a)*sin b, and -24 <= a < 0.  |cos b| and |sin b| are at least 2/pi
-    times b's distance from the nearest multiple of pi/2 where they vanish;
-    no double lies within 4.68e-19 of a nonzero multiple (Muller, Elementary
-    Functions: 6381956970095103 * 2**797), and |b| >= |y| log 2 > 6e-311.
-    So each part of e exceeds exp(-24) * (2/pi) * 6e-311, 290 times the
-    least subnormal, and with |s| = 1 and |slg| >= log 2 > 1/2 so do those
-    of s*e and slg*e.  |e| < 1 keeps d from zero: every pair is finite.
+    The loop's u*lg, s*e and slg*e are complex products with the zero
+    imaginary parts of lg, s and slg.  A call whose points all lie inside
+    the guard POLE_GATE < |x| <= _REACH/log n, |y| >= _LOW (z = x + iy)
+    drops those products by zero: it writes u*lg straight into the complex
+    array exp runs in, and s*e and slg*e as real products (for DIRECT, s*e
+    is e).  A call with any other point keeps every product whole (_prod).
+    Dropping is exact while no part of u*lg or of e is zero or non-finite:
+    each dropped product is then a signed zero, and x - 0 = x + 0 = x for
+    x != 0.  Inside the guard both parts of u*lg are nonzero, and with
+    a + ib = u*lg, cexp gives exp(a)*cos b and exp(a)*sin b, and
+    -24 <= a < 0.  |cos b| and |sin b| are at least 2/pi times b's distance
+    from the nearest multiple of pi/2 where they vanish; no double lies
+    within 4.68e-19 of a nonzero multiple (Muller, Elementary Functions:
+    6381956970095103 * 2**797), and |b| >= |y| log 2 > 6e-311.  So each
+    part of e exceeds exp(-24) * (2/pi) * 6e-311, 290 times the least
+    subnormal, and with |s| = 1 and |slg| >= log 2 > 1/2 so do those of
+    s*e and slg*e.  |e| < 1 keeps d from zero: every pair is finite.
     """
     logs, signs = _logs_and_signs(target.kind, target.n)
     slgs = (signs * logs)[:, None]
@@ -617,69 +567,66 @@ def _array_kernel(target):
     reach = _REACH / math.log(target.n)
 
     def pairs(zr, zi):
-        evaluated = clear_of_poles(zr) & (abs(zr) <= reach) & (abs(zi) >= _LOW)
-        at = np.flatnonzero(evaluated)
+        clear = clear_of_poles(zr)
+        refused = np.zeros(len(zr), dtype=bool)
+        for j in np.flatnonzero(~clear).tolist():
+            try:
+                pole_gate(complex(zr[j], zi[j]), target.n)
+            except PoleProximityError:
+                refused[j] = True
+        inside = clear & (abs(zr) <= reach) & (abs(zi) >= _LOW)
+        whole = not (inside | refused).all()
+        at = np.flatnonzero(~refused)
         out = np.zeros((4, len(zr)))
         if len(at):
-            right = zr[at] > 0.0
+            right = zr[at] >= 0.0
             left = not right.all()
             flip = np.where(right, -1.0, 1.0) if left else -1.0  # u = -z on the right
             ur, ui = flip * zr[at], flip * zi[at]
             step = max(1, _BATCH // len(at))  # terms per block
             sums = np.repeat([[target.constant], [0.0], [0.0], [0.0]], len(at), axis=1)
-            with np.errstate(all="ignore"):  # the branch _quot drops
+            with np.errstate(all="ignore"):  # the branch _quot drops; underflow
                 for t in range(0, len(logs), step):
                     lg, s, slg = (v[t : t + step] for v in (logs, signs, slgs))
                     e = np.empty((len(lg), len(at)), dtype=complex)
-                    np.multiply(ur, lg, out=e.real)
-                    np.multiply(ui, lg, out=e.imag)
-                    er, ei = np.exp(e, out=e).real, e.imag  # libm's cexp, as cmath.exp
-                    vr, vi = (er, ei) if direct else (s * er, s * ei)
+                    if whole:
+                        e.real, e.imag = _prod(ur, ui, lg, 0.0)
+                    else:
+                        np.multiply(ur, lg, out=e.real)
+                        np.multiply(ui, lg, out=e.imag)
+                    er, ei = np.exp(e, out=e).real, e.imag  # libm's cexp
+                    if whole:
+                        vr, vi = _prod(s, 0.0, er, ei)
+                    else:
+                        vr, vi = (er, ei) if direct else (s * er, s * ei)
                     dr, di = 1.0 - er, 0.0 - ei
                     if left:  # s/(e - 1), with e.imag - 0.0 as e.imag
                         dr, di = np.where(right, dr, er - 1.0), np.where(right, di, ei)
                         vr, vi = np.where(right, vr, s), np.where(right, vi, 0.0)
-                    slope = _quot(slg * er, slg * ei, *_prod(dr, di, dr, di))
+                    slope = _quot(
+                        *(_prod(slg, 0.0, er, ei) if whole else (slg * er, slg * ei)),
+                        *_prod(dr, di, dr, di),
+                    )
                     terms = np.stack((*_quot(vr, vi, dr, di), *slope), axis=1)
                     sums = _add_rows(sums, terms)
             sums[2:] = -sums[2:]
             out[:, at] = sums
-        return evaluated, out
-
-    return pairs
-
-
-def _evaluator(target):
-    """pairs(zr, zi) -> (refused, fr, fi, dr, di): at each point zr + i*zi,
-    Target._gated's (f, f') bit for bit, or refused where its pole gate
-    refuses the point.  The array kernel evaluates the points it takes when
-    the round holds at least _TAIL (point, term) pairs, and _gated itself
-    the rest, the tail, whose points alone it lists and whose pairs it
-    writes in one assignment.  A point two seeds share is evaluated for
-    each: finding the repeats cost more than it saved (BENCH_29.json)."""
-    kernel, gated, terms = _array_kernel(target), target._gated, len(target.terms)
-
-    def pairs(zr, zi):
-        if len(zr) * terms >= _TAIL:
-            evaluated, out = kernel(zr, zi)
-            tail = np.flatnonzero(~evaluated)
-        else:
-            out, tail = np.zeros((4, len(zr))), np.arange(len(zr))
-        refused = np.zeros(len(zr), dtype=bool)
-        at, got = [], []  # the tail's points and their pairs
-        for j, r, m in zip(tail.tolist(), zr[tail].tolist(), zi[tail].tolist()):
-            try:
-                f, d = gated(complex(r, m))
-            except PoleProximityError:
-                refused[j] = True
-            else:
-                at.append(j)
-                got.append((f.real, f.imag, d.real, d.imag))
-        if at:
-            out.T[at] = got
         return refused, *out
 
     return pairs
+
+
+def _gated_pairs(target, points) -> list[tuple[complex, complex]]:
+    """(f, f') at each of a list of points check_point passed, from one
+    kernel call; the first point the kernel refuses raises the pole gate's
+    PoleProximityError."""
+    zr = np.array([z.real for z in points])
+    zi = np.array([z.imag for z in points])
+    refused, *parts = _array_kernel(target)(zr, zi)
+    for z in itertools.compress(points, refused.tolist()):
+        pole_gate(z, target.n)  # raises PoleProximityError
+    fr, fi, dr, di = (v.tolist() for v in parts)
+    return [(complex(a, b), complex(c, d)) for a, b, c, d in zip(fr, fi, dr, di)]
 
 
 # Contour samples per winding count, at most: the contour is evaluated as
@@ -867,8 +814,9 @@ def find_zeros(
                 rec.location = snapped
 
     _canonicalize_conjugates(roots, dedupe_radius)
-    for rec in roots:
-        rec.residual = abs(target.value_at(rec.location))
+    pairs = _gated_pairs(target, [rec.location for rec in roots])
+    for rec, (f, _) in zip(roots, pairs):
+        rec.residual = abs(f)
     roots.sort(key=lambda r: (r.location.imag, r.location.real))
 
     # The first index per location; 0.0 and -0.0 are one key, as under ==.

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from zetasieve import RepresentationKind, admissible_up_to
+from zetasieve.admissible import MAX_LIMIT
 from zetasieve.cli import main
 from zetasieve.reference import reference_zeta
 from zetasieve.representations import partial_sum_table
@@ -402,10 +403,11 @@ class TestZeros:
         assert done.returncode == 2
         assert "seeds" in done.stderr and "MemoryError" not in done.stderr
 
-    @pytest.mark.parametrize("n, cap", [(100_000_000, 1 << 30), (3_000_000, 512 << 20)])
+    @pytest.mark.parametrize("n, cap", [(100_000_001, 1 << 30), (10**10, 512 << 20)])
     def test_target_above_the_cap_is_refused_before_any_base(self, n, cap):
-        # A target holds some 200 bytes per base; the child's address space
-        # is capped so a target built past the cap fails fast.
+        # A target takes n up to MAX_LIMIT, as the evaluators do; the
+        # child's address space is capped so one that read base data past
+        # the cap would fail fast.
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
@@ -416,7 +418,7 @@ class TestZeros:
             env={**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit,
         )
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr == f"error: n must be in [2, 1000000], got {n}\n"
+        assert done.stderr == f"error: n must be in [2, {MAX_LIMIT}], got {n}\n"
 
     def test_region_above_the_height_limit_is_refused(self, capsys):
         code, out, err = run(

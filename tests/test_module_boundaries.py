@@ -116,11 +116,13 @@ def two_pi_divisions(path: Path) -> list[str]:
 WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
-# Each sum that gates its own points, the only callers of the pole gate;
-# the gate's no-scan test is called only by the gate and Newton's array
-# kernel, which evaluates no point it does not clear.
+# Each sum that gates its own points, the only callers of the pole gate:
+# the evaluators' checks and the targets' one kernel, with _gated_pairs,
+# which raises the refusal the kernel marks; the gate's no-scan test is
+# called only by the gate and the kernel, which puts every point it does
+# not clear through the gate.
 GATED_SUMS = {
-    "pole_gate": {"_prepare", "_bernoulli_checks", "_gated"},
+    "pole_gate": {"_prepare", "_bernoulli_checks", "_array_kernel", "_gated_pairs"},
     "clear_of_poles": {"pole_gate", "_array_kernel"},
 }
 
@@ -235,9 +237,9 @@ def test_only_representations_spaces_the_pole_lattice(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_sums_call_the_pole_gate(path):
-    # The rule lives where the sum is computed: the evaluators' checks, a
-    # target's kernel and the array kernel.  Newton and its polish steps
-    # reach the gate only through the kernels.
+    # The rule lives where the sum is computed: the evaluators' checks and
+    # the targets' kernel.  Newton, its polish steps and a target's
+    # value_at reach the gate only through the kernel.
     assert walker_calls(path, GATED_SUMS) == []
 
 
@@ -295,6 +297,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
         "representations.pole_gate(0j, 6)\n"
         "def _array_kernel(target):\n"
         "    def pairs(zr, zi):\n"
+        "        pole_gate(complex(zr[0], zi[0]), target.n)\n"
         "        return clear_of_poles(zr)\n"
         "def _polish(z):\n"
         "    return clear_of_poles(z.real)\n"
@@ -322,7 +325,7 @@ def test_the_walkers_see_planted_cases(tmp_path):
     assert len(bool_checks(probe)) == 2
     assert len(two_pi_divisions(probe)) == 2
     assert len(walker_calls(probe)) == 5
-    assert len(walker_calls(probe, GATED_SUMS)) == 4
+    assert len(walker_calls(probe, GATED_SUMS)) == 5
     assert len(base_reads(probe)) == 4
     assert len(set_constructions(probe)) == 4
     assert len(walker_calls(probe, FRONT_DOOR)) == 3

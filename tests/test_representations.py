@@ -220,6 +220,54 @@ class TestFamilyIdentities:
         assert abs(a - b) > 1e-3
 
 
+# Unit roundoff of float64.
+UNIT = 2.0**-53
+
+# Nonzero real parts, from subnormal to where exp(-z*log r) underflows in
+# every term: at Re z = +-0.0, z and -z both lie right of Re z = 0, where
+# each takes its own exp and the two need not be conjugate to the last bit.
+NONZERO_REAL = st.tuples(
+    st.sampled_from((1.0, -1.0)),
+    st.one_of(st.floats(5e-324, 1e-5), st.floats(1e-5, 3.0), st.floats(3.0, 40.0)),
+).map(lambda pair: pair[0] * pair[1])
+
+
+class TestReflection:
+    """1/(r**z - 1) + 1/(r**-z - 1) = -1 for each base, so a form's value
+    at z and at -z add to 2 - l, l the term count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        form=st.sampled_from(["direct", "coth"]),
+        re=NONZERO_REAL,
+        im=st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0])),
+        n=st.integers(2, 300),
+    )
+    @example("direct", 0.5, 14.134725, 300)
+    @example("coth", -1e-300, 3.0, 12)
+    @example("direct", 40.0, -0.0, 2)
+    def test_values_at_z_and_minus_z_add_to_2_minus_l(self, form, re, im, n):
+        # Within (l + 8) unit roundoffs of the constants and terms added:
+        # each term is within a few of its exact value, and a sum of l + 1
+        # numbers adds at most l more.
+        z = complex(re, im)
+        evaluate = EVALUATORS[form]
+        try:
+            total = evaluate(z, n).value + evaluate(-z, n).value
+        except PoleProximityError:
+            return
+        logs = base_data(n)[1]
+        l = len(logs)
+        if form == "direct":
+            constant = 1.0
+            terms = [1.0 / (np.exp(w * logs) - 1.0) for w in (z, -z)]
+        else:
+            constant = (2.0 - l) / 2.0
+            terms = [0.5 / np.tanh(0.5 * w * logs) for w in (z, -z)]
+        size = 2.0 * abs(constant) + sum(np.abs(t).sum() for t in terms)
+        assert abs(total - (2.0 - l)) <= (l + 8) * UNIT * size, (z, n)
+
+
 class TestConjugateSymmetry:
     @pytest.mark.parametrize(
         "evaluate",

@@ -5,6 +5,7 @@ import contextvars
 import functools
 import math
 import random
+import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import FrozenInstanceError, fields, replace
@@ -36,10 +37,10 @@ from zetasieve import (
     zeta_direct_partial,
 )
 from zetasieve import rootfind
-from zetasieve.admissible import admissible_up_to, base_logs_and_signs
+from zetasieve.admissible import MAX_LIMIT, admissible_up_to, base_logs_and_signs
 from zetasieve.errors import MAX_HEIGHT
-from zetasieve.representations import POLE_GATE
-from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, MAX_TARGET_N, _nudged
+from zetasieve.representations import POLE_GATE, pole_gate
+from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, _logs_and_signs, _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -76,6 +77,7 @@ def assert_matches_frozen(roots, expected_pairs, reals=(), tol=1e-9):
         assert abs(rec.location - w) <= tol, f"{rec.location} vs {w}"
 
 
+@functools.lru_cache(maxsize=64)
 def store_floats(kind, n):
     """log r and the term sign s_r per admissible base r <= n, as Python
     floats read from the store: s_r = (-1)**(r-1) for ALT, 1 for DIRECT."""
@@ -107,6 +109,13 @@ def reference_value_and_derivative(target, z):
     return value, -slope
 
 
+def reference_pair(target, z):
+    """The oracle for every target evaluation: the pole gate's refusal, or
+    reference_value_and_derivative's (f, f')."""
+    pole_gate(z, target.n)
+    return reference_value_and_derivative(target, z)
+
+
 def outcome_bits(evaluate, z):
     """(f, f') at z as hex text, or the class of what the call raised."""
     try:
@@ -133,7 +142,7 @@ class TestTarget:
         )
         t = PRESETS["paper-direct-3"]
         assert (t.kind, t.n) == (DIRECT, 3)
-        assert [lg.real for lg, _, _ in t.terms] == [math.log(2), math.log(3)]
+        assert store_floats(t.kind, t.n)[0] == [math.log(2), math.log(3)]
 
     def test_value_matches_direct_evaluator(self):
         from zetasieve import zeta_direct_partial
@@ -179,10 +188,10 @@ class TestTarget:
         def per_term(t, points):
             right = points.real >= 0.0
             u = np.where(right, -points, points)
-            value = np.full(points.shape, t.start)
-            for lg, s, _ in t.terms:
-                e = np.exp(u * lg.real)
-                value += np.where(right, s.real * e, -s.real) / (1.0 - e)
+            value = np.full(points.shape, complex(t.constant))
+            for lg, s in zip(*store_floats(t.kind, t.n)):
+                e = np.exp(u * lg)
+                value += np.where(right, s * e, -s) / (1.0 - e)
             return value
 
         edges = [1.5 + 0j, complex(-0.0, -2.0), complex(-800.0, 3.0), 800.0 + 0j]
@@ -293,32 +302,24 @@ class TestTarget:
         want = [t.value_at(2), t.value_at(3)]
         assert floats.tolist() == pytest.approx(want, rel=1e-15)
 
-    def test_terms_are_built_once_from_the_stores_logs_and_signs(self):
-        # Exact complex numbers with a +0.0 imaginary part, so that the
-        # scalar loop does no float/complex promotion; == alone would let
-        # floats pass.
-        def exact(w, x):
-            return (
-                type(w) is complex
-                and w.real.hex() == x.hex()
-                and bits(w)[1] == (0.0).hex()
-            )
-
+    def test_the_kernel_reads_the_stores_logs_and_signs(self):
+        # float64 arrays, the logs and signs bit for bit as the store holds
+        # them; the constant keeps its sign.
         for kind, constant in ((ALT, 1.0), (DIRECT, 0.5), (ALT, -0.0)):
             t = make_target(kind, 47, constant)
-            assert len(t.terms) == admissible_up_to(47).term_count
-            for (lg, s, slg), lg0, s0 in zip(t.terms, *store_floats(kind, 47)):
-                assert exact(lg, lg0) and exact(s, s0) and exact(slg, s0 * lg0)
-            assert exact(t.start, constant)
+            logs, signs = _logs_and_signs(kind, 47)
+            assert logs.dtype == signs.dtype == np.float64
+            assert len(logs) == len(signs) == admissible_up_to(47).term_count
+            assert [x.hex() for x in logs.tolist()] == [x.hex() for x in store_floats(kind, 47)[0]]
+            assert signs.tolist() == store_floats(kind, 47)[1]
+            assert t.constant.hex() == constant.hex()
             assert t == make_target(kind, 47, constant)
-            assert "terms" not in repr(t) and "start" not in repr(t)
 
     def test_alternating_signs(self):
         # Bases 2, 3, 5, 6: s_r = (-1)**(r-1).
         t = make_target(ALT, 6)
-        assert [bits(s) for _, s, _ in t.terms] == [
-            bits(complex(s)) for s in (-1.0, 1.0, 1.0, -1.0)
-        ]
+        signs = _logs_and_signs(t.kind, t.n)[1]
+        assert [s.hex() for s in signs.tolist()] == [s.hex() for s in (-1.0, 1.0, 1.0, -1.0)]
 
     @pytest.mark.parametrize("kind", [DIRECT, ALT])
     def test_term_logs_are_the_stores_bit_for_bit(self, kind):
@@ -326,15 +327,13 @@ class TestTarget:
         # the store's float, as the evaluators do.
         t = make_target(kind, 10**4)
         logs = base_logs_and_signs(10**4)[0]
-        assert len(t.terms) == len(logs)
-        assert [lg.real.hex() for lg, _, _ in t.terms] == [x.hex() for x in logs.tolist()]
+        got = _logs_and_signs(t.kind, t.n)[0]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in logs.tolist()]
 
-    def test_target_holds_only_its_terms_and_start(self):
-        assert [f.name for f in fields(Target)] == [
-            "kind", "n", "constant", "terms", "start"
-        ]
+    def test_target_holds_only_kind_n_and_constant(self):
+        assert [f.name for f in fields(Target)] == ["kind", "n", "constant"]
         t = make_target(ALT, 12)
-        for name in ("members", "logs", "signs"):
+        for name in ("members", "logs", "signs", "terms", "start"):
             assert not hasattr(t, name)
 
     def test_n_above_the_cap_is_refused_before_any_base_data(self, monkeypatch):
@@ -344,8 +343,8 @@ class TestTarget:
         monkeypatch.setattr("zetasieve.rootfind.admissible_up_to", unread)
         monkeypatch.setattr("zetasieve.rootfind.base_logs_and_signs", unread)
         for kind in (DIRECT, ALT):
-            with pytest.raises(InputError, match=f"n must be in \\[2, {MAX_TARGET_N}\\]"):
-                make_target(kind, MAX_TARGET_N + 1)
+            with pytest.raises(InputError, match=f"n must be in \\[2, {MAX_LIMIT}\\]"):
+                make_target(kind, MAX_LIMIT + 1)
 
     def test_rejects_unsupported_kinds(self):
         with pytest.raises(InputError):
@@ -370,13 +369,12 @@ class TestTarget:
         t = Target(ALT, np.int64(6), 1)
         assert t == make_target(ALT, 6) and hash(t) == hash(make_target(ALT, 6))
         assert type(t.n) is int and type(t.constant) is float
-        assert len(t.terms) == 4
         assert repr(t) == (
             "Target(kind=<RepresentationKind.ALTERNATING: 'alt'>,"
             " n=6, constant=1.0)"
         )
         with pytest.raises(FrozenInstanceError):
-            t.terms = ()
+            t.n = 7
 
     @pytest.mark.parametrize(
         "kind, n, constant",
@@ -405,10 +403,10 @@ class TestTarget:
         t = replace(make_target(kind, 6, 0.5), n=7)
         want = make_target(kind, 7, 0.5)
         assert t == want and t.describe() == want.describe()
-        assert len(t.terms) == len(want.terms) == 5
-        assert [[bits(w) for w in term] for term in t.terms] == [
-            [bits(w) for w in term] for term in want.terms
-        ]
+        z = complex(0.3, 14.1)
+        assert outcome_bits(t.value_and_derivative_at, z) == outcome_bits(
+            lambda w: reference_value_and_derivative(want, w), z
+        )
         with pytest.raises(InputError):
             replace(t, n=1)
 
@@ -516,16 +514,21 @@ class TestNewtonRefine:
                 newton_refine(target, 0.5 + 1j)
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        # Newton and value_at reach the sum through the target's one gated
-        # kernel, so its calls are the evaluations.
+        # Newton and value_at reach the sum through the one kernel, so the
+        # points its calls are given are the evaluations.
         seen = []
-        original = Target._gated
+        kernel = rootfind._array_kernel
 
-        def counted(self, z):
-            seen.append(z)
-            return original(self, z)
+        def counted(target):
+            pairs = kernel(target)
 
-        monkeypatch.setattr(Target, "_gated", counted)
+            def counting(zr, zi):
+                seen.extend(map(complex, zr.tolist(), zi.tolist()))
+                return pairs(zr, zi)
+
+            return counting
+
+        monkeypatch.setattr(rootfind, "_array_kernel", counted)
         # Seeds next to known roots.  Each Newton iterate is evaluated once
         # and never twice in a row; only the two polish steps, which at
         # rounding level can step back onto an earlier point, may repeat one.
@@ -947,23 +950,27 @@ def newton_bits(outcome):
 
 
 class Evaluations:
-    """Counts the scalar kernel's calls, the evaluations outside the array
-    kernel."""
+    """Counts the kernel's calls."""
 
     def __init__(self, monkeypatch):
         self.count = 0
-        kernel = Target._gated
+        kernel = rootfind._array_kernel
 
-        def counted(target, z):
-            self.count += 1
-            return kernel(target, z)
+        def counted(target):
+            pairs = kernel(target)
 
-        monkeypatch.setattr(Target, "_gated", counted)
+            def counting(zr, zi):
+                self.count += 1
+                return pairs(zr, zi)
+
+            return counting
+
+        monkeypatch.setattr(rootfind, "_array_kernel", counted)
 
 
 def search_calls(monkeypatch, target, region):
     """Each newton_refine call find_zeros makes, as (seed, tol, box, outcome
-    bits, evaluations the call made)."""
+    bits, kernel calls the call made)."""
     evaluations = Evaluations(monkeypatch)
     calls = []
     refine = rootfind.newton_refine
@@ -1018,10 +1025,10 @@ def same_point(a, b):
 def reference_newton(target, seed, tol, box, evaluate=None, polish=None):
     """newton_refine as a scalar loop over one seed, as it was written
     before the batch: the oracle whose outcomes the batch must give bit for
-    bit.  Each point is evaluated by the target's scalar kernel, or by
+    bit.  Each point is evaluated by the oracle (reference_pair), or by
     evaluate, and the polish is reference_polish, or polish, given."""
     lo_re, hi_re, lo_im, hi_im = box
-    evaluate = evaluate or target._gated
+    evaluate = evaluate or functools.partial(reference_pair, target)
     polish = polish or reference_polish
     z = seed
     iterations = 0
@@ -1085,7 +1092,7 @@ def solo_runs(target, seeds, tol, box):
 
         def evaluate(z):
             points.append(bits(z))
-            return target._gated(z)
+            return reference_pair(target, z)
 
         def polish(evaluate, z, pair, box):
             start.append((bits(z), len(points)))
@@ -1121,14 +1128,15 @@ def batch_rounds(runs, folded):
 
 
 class Rounds:
-    """The sorted bits of the points each _evaluator call is given."""
+    """The sorted bits of the points each of _newton's kernel calls is
+    given: the batch's rounds."""
 
     def __init__(self, monkeypatch):
         self.seen = []
-        evaluator = rootfind._evaluator
+        kernel, newton = rootfind._array_kernel, rootfind._newton
 
         def recorded(target):
-            pairs = evaluator(target)
+            pairs = kernel(target)
 
             def recording(zr, zi):
                 self.seen.append(sorted(map(bits, map(complex, zr.tolist(), zi.tolist()))))
@@ -1136,7 +1144,12 @@ class Rounds:
 
             return recording
 
-        monkeypatch.setattr(rootfind, "_evaluator", recorded)
+        def watched(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(rootfind, "_array_kernel", recorded)
+                return newton(*args)
+
+        monkeypatch.setattr(rootfind, "_newton", watched)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1224,6 +1237,13 @@ class TestOracle:
     @example(kind=DIRECT, n=12, constant=1.0, tol=1e-10, seeds_and_box=(
         [complex(0.868836291913215, 48.92005032235982)],
         (-1.0384615384615385, 2.5, 33.073896476205974, 57.073896476205974)))
+    # One seed on the real axis, where every iterate keeps Im z = +-0.0.
+    @example(kind=ALT, n=3, constant=1.0, tol=1e-10, seeds_and_box=(
+        [complex(0.3, 0.0)], (-2.0, 3.0, -1.0, 1.0)))
+    @example(kind=ALT, n=12, constant=0.5, tol=1e-12, seeds_and_box=(
+        [complex(0.9, -0.0)], (-2.0, 3.0, -1.0, 1.0)))
+    @example(kind=DIRECT, n=6, constant=1.0, tol=1e-10, seeds_and_box=(
+        [complex(-0.7, -0.0)], (-3.0, 3.0, -1.0, 1.0)))
     def test_the_batch_and_a_direct_call_give_the_oracles_bits(
         self, kind, n, constant, tol, seeds_and_box
     ):
@@ -1278,11 +1298,9 @@ class TestRecall:
         for seed, tol, box, outcome, _ in calls:
             assert outcome == refined_alone(target, seed, tol, box), seed
 
-    def test_a_strip_search_evaluates_few_points_with_the_scalar_kernel(
-        self, monkeypatch
-    ):
-        # The array kernel, not the scalar kernel, evaluates the iterates:
-        # the search's scalar evaluations are under 5% of its seeds' alone.
+    def test_a_strip_search_makes_few_kernel_calls(self, monkeypatch):
+        # A round evaluates all its seeds' points in one kernel call: the
+        # search's calls are under 5% of its seeds' alone.
         target = PRESETS["paper-direct-6"]
         evaluations = Evaluations(monkeypatch)
         calls = search_calls(monkeypatch, target, STRIP)
@@ -1364,7 +1382,7 @@ class TestRecall:
         target = PRESETS["paper-direct-6"]
         near = complex(1e-9, LATTICE_2)
         points = [near, complex(0.5, 2.0), near, complex(1e-9, -LATTICE_2)]
-        refused, *_ = rootfind._evaluator(target)(
+        refused, *_ = rootfind._array_kernel(target)(
             np.array([z.real for z in points]), np.array([z.imag for z in points])
         )
         assert refused.tolist() == [True, False, True, True]
@@ -1406,19 +1424,29 @@ class TestRecall:
             assert fingerprint(find_zeros(b, AXES)) == fingerprint(alone)
 
 
+def oracle_bits(target, z):
+    """The oracle's outcome at z: "refused" where the pole gate refuses z,
+    else reference_value_and_derivative's (f, f') as hex text."""
+    try:
+        pole_gate(z, target.n)
+    except PoleProximityError:
+        return "refused"
+    return [bits(w) for w in reference_value_and_derivative(target, z)]
+
+
 def kernel_mismatches(target, points):
-    """(points at which the array kernel evaluates but does not
-    give Target._gated's bits, the kernel's evaluated mask)."""
+    """The points at which one kernel call over them all does not give
+    the oracle's outcome (oracle_bits)."""
     zr = np.array([z.real for z in points])
     zi = np.array([z.imag for z in points])
-    evaluated, out = rootfind._array_kernel(target)(zr, zi)
+    refused, fr, fi, dr, di = rootfind._array_kernel(target)(zr, zi)
     wrong = []
-    for k in np.flatnonzero(evaluated):
-        f, d = target._gated(points[k])
-        want = [f.real.hex(), f.imag.hex(), d.real.hex(), d.imag.hex()]
-        if [part.hex() for part in out[:, k].tolist()] != want:
-            wrong.append(points[k])
-    return wrong, evaluated
+    for k, z in enumerate(points):
+        pair = complex(fr[k], fi[k]), complex(dr[k], di[k])
+        got = "refused" if refused[k] else [bits(w) for w in pair]
+        if got != oracle_bits(target, z):
+            wrong.append(z)
+    return wrong
 
 
 def signed(magnitudes):
@@ -1427,24 +1455,35 @@ def signed(magnitudes):
     )
 
 
-# Real parts: ordinary, up to where exp underflows in every term, and on
-# either side of the gate; imaginary parts: ordinary, up to 2**27, and
-# subnormal, where the kernel's quotients meet zero parts.
+# Every point check_point admits.  Real parts: ordinary, up to where exp
+# underflows in every term, on either side of the gate, and up to the
+# largest double, past where z*log r overflows; imaginary parts: ordinary,
+# up to the height limit, and subnormal, where the kernel's quotients meet
+# zero parts; both with either sign of zero.  And points within a few
+# times POLE_GATE of a term pole, on either side of the gate.
 REAL_PARTS = signed(
     st.one_of(
         st.floats(0.0, 3.0),
         st.floats(1e-5, 2200.0),
         st.floats(0.5 * POLE_GATE, 2.0 * POLE_GATE),
         st.sampled_from((POLE_GATE, math.nextafter(POLE_GATE, 1.0))),
+        st.floats(2200.0, sys.float_info.max),
     )
 )
 IMAG_PARTS = signed(
     st.one_of(
         st.floats(0.0, 40.0),
-        st.floats(0.0, 2.0**27),
+        st.floats(0.0, MAX_HEIGHT),
         st.floats(5e-324, 1e-300),
         st.floats(1e-300, 1e-20),
     )
+)
+NEAR_POLES = st.builds(
+    lambda r, k, x, y: complex(x, 2.0 * math.pi * k / math.log(r) + y),
+    st.sampled_from((2, 3, 5, 6, 7)),
+    st.integers(-5, 5),
+    st.floats(-3.0 * POLE_GATE, 3.0 * POLE_GATE),
+    st.floats(-3.0 * POLE_GATE, 3.0 * POLE_GATE),
 )
 
 # Extreme points, as a fixed list for the warning and planted-kernel checks.
@@ -1470,6 +1509,19 @@ MIXED = [
     complex(-1e-5, 5e-324),
 ]
 MIXED_TWO = MIXED[:3] + MIXED[10:12]
+
+# Points that only the scalar loop once evaluated, now the kernel's with
+# every product whole: Im z = +-0.0 (at Re z = +-1100 on alt n = 2 with
+# constant -0.0, the signs of zero in the result show), Re z = +-1e300 and
+# past where z*log r overflows, and gate-strip points the gate clears and
+# refuses.
+EDGES = [
+    complex(a * x, b * y)
+    for x in (1100.0, 1e300, 1.7e308, 0.5)
+    for y in (0.0, 0.7)
+    for a in (1, -1)
+    for b in (1, -1)
+] + [complex(5e-7, 1.0), complex(-5e-7, -1.0), complex(1e-7, 0.0), complex(-0.0, 0.0)]
 
 
 def guard_edges(n):
@@ -1497,7 +1549,11 @@ class TestBatch:
         kind=st.sampled_from((DIRECT, ALT)),
         n=st.sampled_from((2, 3, 6, 12, 47, 300)),
         constant=st.sampled_from((1.0, 0.5, 0.0, -0.0)),
-        points=st.lists(st.builds(complex, REAL_PARTS, IMAG_PARTS), min_size=1, max_size=40),
+        points=st.lists(
+            st.one_of(st.builds(complex, REAL_PARTS, IMAG_PARTS), NEAR_POLES),
+            min_size=1,
+            max_size=40,
+        ),
         batch=st.sampled_from((rootfind._BATCH, 64, 7)),
     )
     @example(kind=ALT, n=12, constant=-0.0, points=EXTREMES, batch=rootfind._BATCH)
@@ -1511,27 +1567,34 @@ class TestBatch:
     @example(kind=DIRECT, n=2, constant=-0.0, points=guard_edges(2), batch=rootfind._BATCH)
     @example(kind=DIRECT, n=12, constant=-0.0, points=guard_edges(12), batch=7)
     @example(kind=ALT, n=300, constant=0.0, points=guard_edges(300), batch=rootfind._BATCH)
+    @example(kind=ALT, n=2, constant=-0.0, points=EDGES, batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=2, constant=-0.0, points=EDGES, batch=rootfind._BATCH)
+    @example(kind=DIRECT, n=47, constant=0.5, points=EDGES, batch=7)
+    @example(kind=ALT, n=300, constant=1.0, points=EDGES, batch=64)
     def test_the_array_kernel_gives_the_scalar_kernels_bits(
         self, kind, n, constant, points, batch
     ):
-        # Smaller batches split the terms into blocks, the running sums
-        # carried from one block to the next.  The kernel takes exactly the
-        # points inside its guard; at alt n = 2 with constant -0.0, a
-        # kernel without it gives other bits at Re z = 1100.
+        # One call over all the points, and one over those inside the
+        # guard, where the kernel drops its products by zero, give the
+        # oracle's bits or its refusal at every point.  Smaller batches
+        # split the terms into blocks, the running sums carried from one
+        # block to the next.  At alt n = 2 with constant -0.0, a kernel
+        # that dropped those products outside the guard gives other bits
+        # at Re z = 1100.
         target = make_target(kind, n, constant)
+        guarded = [z for z in points if in_guard(z, n)]
         with mock.patch.object(rootfind, "_BATCH", batch):
-            wrong, evaluated = kernel_mismatches(target, points)
-        assert wrong == []
-        for z, done in zip(points, evaluated):
-            assert done == in_guard(z, n), z
+            assert kernel_mismatches(target, points) == []
+            assert kernel_mismatches(target, guarded) == []
 
     @pytest.mark.parametrize("kind", [DIRECT, ALT])
     def test_the_array_kernel_carries_its_sums_past_one_block_of_terms(self, kind):
         target = make_target(kind, 17000, 0.5)
-        assert len(target.terms) > rootfind._BATCH
+        assert admissible_up_to(17000).term_count > rootfind._BATCH
         points = [complex(0.3, 14.1), complex(-0.4, -7.5), complex(2.0, 1e-310)]
-        wrong, evaluated = kernel_mismatches(target, points)
-        assert wrong == [] and evaluated.all()
+        assert all(in_guard(z, 17000) for z in points)
+        assert kernel_mismatches(target, points) == []
+        assert kernel_mismatches(target, [*points, complex(0.5, -0.0)]) == []
 
     @pytest.mark.parametrize("op", ["product", "quotient"])
     def test_a_kernel_on_numpys_complex_arithmetic_is_caught(self, monkeypatch, op):
@@ -1550,8 +1613,7 @@ class TestBatch:
         monkeypatch.setattr(rootfind, "_prod" if op == "product" else "_quot", numpy_op)
         rng = random.Random(7)
         points = [complex(rng.uniform(-3, 3), rng.uniform(-40, 40)) for _ in range(200)]
-        wrong, _ = kernel_mismatches(make_target(ALT, 12), points)
-        assert wrong
+        assert kernel_mismatches(make_target(ALT, 12), points)
 
     @pytest.mark.parametrize(
         "target, region",
@@ -1562,16 +1624,14 @@ class TestBatch:
     def test_every_pair_the_batch_uses_is_the_gated_pair(
         self, monkeypatch, target, region
     ):
-        # Every (f, f') a search's rounds step with, from the array kernel
-        # or the scalar one, is the scalar kernel's bit for bit, and every
-        # point refused is one the pole gate refuses.
+        # Every (f, f') a search evaluates, in its rounds and for its
+        # residuals, is the oracle's bit for bit, and every point refused is
+        # one the pole gate refuses.
         used = []
-        evaluator = rootfind._evaluator
         kernel = rootfind._array_kernel
-        from_kernel = []
 
         def recorded(target):
-            pairs = evaluator(target)
+            pairs = kernel(target)
 
             def recording(zr, zi):
                 out = pairs(zr, zi)
@@ -1580,31 +1640,13 @@ class TestBatch:
 
             return recording
 
-        def counted(target):
-            pairs = kernel(target)
-
-            def counting(zr, zi):
-                out = pairs(zr, zi)
-                from_kernel.append(int(out[0].sum()))
-                return out
-
-            return counting
-
-        monkeypatch.setattr(rootfind, "_evaluator", recorded)
-        monkeypatch.setattr(rootfind, "_array_kernel", counted)
+        monkeypatch.setattr(rootfind, "_array_kernel", recorded)
         find_zeros(target, region)
-        assert sum(from_kernel) > 0
-        for zr, zi, refused, *parts in used:
+        assert used
+        for zr, zi, refused, fr, fi, dr, di in used:
             z = complex(zr, zi)
-            try:
-                f, d = target._gated(z)
-            except PoleProximityError:
-                assert refused, z
-                continue
-            assert not refused, z
-            assert [p.hex() for p in parts] == [
-                f.real.hex(), f.imag.hex(), d.real.hex(), d.imag.hex()
-            ], z
+            got = "refused" if refused else [bits(complex(fr, fi)), bits(complex(dr, di))]
+            assert got == oracle_bits(target, z), z
 
     def test_a_search_steps_its_seeds_a_block_at_a_time(self, monkeypatch):
         # The batch holds one block's seeds at a time, no seed is refined
@@ -1681,9 +1723,53 @@ class TestBatch:
             warnings.simplefilter("error")
             with np.errstate(all="warn"):
                 for kind in (DIRECT, ALT):
-                    assert kernel_mismatches(make_target(kind, 47), EXTREMES)[0] == []
+                    assert kernel_mismatches(make_target(kind, 47), EXTREMES + EDGES) == []
                 find_zeros(PRESETS["paper-alt-6"], STRIP)
                 find_zeros(PRESETS["paper-direct-5"], AXES)
+
+
+# Nonzero real parts, from subnormal to where r**-z underflows in every
+# term: at Re z = +-0.0, z and -z both lie right of Re z = 0, where each
+# takes its own exp and the two need not be conjugate to the last bit.
+NONZERO_REAL = signed(
+    st.one_of(st.floats(5e-324, 1e-5), st.floats(1e-5, 3.0), st.floats(3.0, 40.0))
+)
+
+
+class TestReflection:
+    """s/(r**z - 1) + s/(r**-z - 1) = -s for each base, so a target's value
+    at z and at -z add to 2c - S, S the sum of the signs s_r."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from((DIRECT, ALT)),
+        n=st.integers(2, 300),
+        constant=st.sampled_from((1.0, 0.5, 0.0, -0.0, -2.0)),
+        re=NONZERO_REAL,
+        im=st.one_of(st.floats(-60.0, 60.0), st.sampled_from((0.0, -0.0))),
+    )
+    @example(ALT, 2, -0.0, 1.0, -0.0)
+    @example(ALT, 300, 1.0, -0.3, 14.1)
+    @example(DIRECT, 12, 0.5, 5e-7, 1.0)
+    @example(DIRECT, 2, 1.0, -40.0, 0.7)
+    def test_values_at_z_and_minus_z_add_to_2c_minus_s(self, kind, n, constant, re, im):
+        # The kernel, the only evaluator of a target left of Re z = 0, and
+        # values_at.  Within (l + 8) unit roundoffs of the constants and
+        # terms added: each term is within a few of its exact value, and a
+        # sum of l + 1 numbers adds at most l more.
+        target = make_target(kind, n, constant)
+        z = complex(re, im)
+        refused, fr, fi, _, _ = rootfind._array_kernel(target)(
+            np.array([z.real, -z.real]), np.array([z.imag, -z.imag])
+        )
+        assume(not refused.any())
+        logs, signs = _logs_and_signs(kind, n)
+        l, want = len(logs), 2.0 * constant - signs.sum()
+        terms = [signs / (np.exp(w * logs) - 1.0) for w in (z, -z)]
+        size = 2.0 * abs(constant) + sum(np.abs(t).sum() for t in terms)
+        bound = (l + 8) * 2.0**-53 * size
+        assert abs(complex(fr.sum(), fi.sum()) - want) <= bound, z
+        assert abs(target.values_at(np.array([z, -z])).sum() - want) <= bound, z
 
 
 class TestAltThreeErratum:

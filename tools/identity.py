@@ -33,6 +33,7 @@ import zetasieve as zs  # noqa: E402
 from zetasieve import RepresentationKind as Kind  # noqa: E402
 from zetasieve.cli import main as cli_main  # noqa: E402
 from zetasieve.representations import partial_sum_table  # noqa: E402
+from zetasieve.rootfind import _logs_and_signs  # noqa: E402
 
 RECORDS = 0
 
@@ -266,11 +267,14 @@ def sets() -> None:
 
 
 def target_terms(target):
-    return [target.describe(), len(target.terms), target.terms, target.start]
+    """A target's fields and the logs and signs its kernel sums over."""
+    logs, signs = _logs_and_signs(target.kind, target.n)
+    return [target.describe(), target.n, target.constant, logs.tolist(), signs.tolist()]
 
 
 def terms_sha256(kind, n):
-    return hashlib.sha256(text(zs.make_target(kind, n).terms).encode()).hexdigest()
+    logs, signs = _logs_and_signs(kind, n)
+    return hashlib.sha256(text([logs.tolist(), signs.tolist()]).encode()).hexdigest()
 
 
 def target_fields() -> None:
@@ -279,7 +283,7 @@ def target_fields() -> None:
             for constant in (1.0, 0.5, -0.0):
                 record("target terms", target_terms, zs.make_target(kind, n, constant))
         # The largest n below r = 9170, where math.log and np.log first
-        # disagree: every term's bits are the same whichever log it takes.
+        # disagree: every log's bits are the same whichever log makes it.
         record("target terms sha256", terms_sha256, kind, 9169)
 
 
