@@ -18,25 +18,15 @@ seeds and hands each outcome back through one newton_refine call per seed.
 It accepts a thread count but does not use threads.
 
 One kernel (_array_kernel) evaluates every point of a target: Newton's
-rounds, value_at, value_and_derivative_at and find_zeros's residuals.  It
-gives f and f' with the bits of a plain loop over the terms in Python
-complex numbers (reference_value_and_derivative in tests/test_rootfind.py):
-it writes the loop's complex products and quotients out on float64
-(terms x points) arrays as CPython's complex arithmetic computes them
-(numpy's complex * and / round differently), takes exp from numpy's
-complex exp, which is libm's cexp and has the bits of Python's, and adds
-the terms of its four sums, stacked as one array, one after another from
-the constant.  Those bits rest on the build: CPython's complex product
-compiled without fused multiply-add, and numpy's complex exp calling
-libm's cexp.  They are verified for CPython 3.11.7 and numpy 2.4.6 on
-x86-64; elsewhere test_the_array_kernel_gives_the_scalar_kernels_bits in
-tests/test_rootfind.py checks them.  The kernel takes a call's points at
-once, both half-planes in one pass, and the terms in blocks, so its
-temporaries are bounded by a few _BATCH elements whatever n.  A target
-gates its own sum, as the evaluators do: the kernel refuses a point within
-POLE_GATE of a term pole, and value_at and value_and_derivative_at put
-each point through check_point first and raise the gate's
-PoleProximityError.
+rounds, value_at, value_and_derivative_at and find_zeros's residuals,
+each call's points at once and its terms in blocks, so its temporaries
+are bounded by a few _BATCH elements whatever n.  It gives f and f' with
+the bits of a plain loop over the terms in Python complex numbers
+(reference_value_and_derivative in tests/test_rootfind.py, the oracle).
+A target gates its own sum, as the evaluators do: the kernel refuses a
+point within POLE_GATE of a term pole, and value_at and
+value_and_derivative_at put each point through check_point first and
+raise the gate's PoleProximityError.
 
 A target takes n up to MAX_LIMIT, as the evaluators do, a search at most
 MAX_SEEDS seeds, and a contour at most MAX_SAMPLES samples.  A point above
@@ -336,13 +326,15 @@ def newton_refine(
     A box given that reaches above that height limit is refused
     (InputError), as a seed above it is.
 
-    A call is a batch of one seed (_newton), which pays a round's numpy
-    calls per step, about 70 us: at n = 6 a seed that converges in 13
-    rounds takes about 0.95 ms and one that escapes after 4 steps 0.3 ms
-    (0.02 and 0.01 ms in the scalar loop before), at n = 1000 a root about
-    2.6 ms.  No workload calls it directly.  Inside find_zeros, a call with the search's own target, tol,
-    box and seed objects returns the outcome the search's batch holds; any
-    other call, even with equal arguments, is checked and refined alone.
+    A call is a batch of one seed (_newton), which pays a kernel call and
+    a round's numpy calls per step, about 150 us: at n = 6 a seed that
+    converges in 14 rounds takes about 2.1 ms and one that escapes on its
+    first step 0.18 ms (1.05 and 0.10 ms with a scalar loop for the
+    kernel), at n = 1000 a root about 2.3 ms.  No workload calls it
+    directly.  Inside find_zeros, a call with the search's own target,
+    tol, box and seed objects returns the outcome the search's batch
+    holds; any other call, even with equal arguments, is checked and
+    refined alone.
     """
     own_target, own_tol, own_box, held = _SEARCH.get()
     if target is own_target and tol is own_tol and box is own_box and id(seed) in held:
@@ -531,6 +523,16 @@ def _array_kernel(target):
     refused where the pole gate refuses the point.  A point in the gate
     strip (clear_of_poles false) goes through pole_gate one by one; the
     others pass without a scan.
+
+    The loop's complex products and quotients are written out on float64
+    (terms x points) arrays as CPython's complex arithmetic computes them
+    (numpy's complex * and / round differently), and exp is numpy's
+    complex exp, which is libm's cexp and has the bits of Python's.  Those
+    bits rest on the build: CPython's complex product compiled without
+    fused multiply-add, and numpy's complex exp calling libm's cexp.  They
+    are verified for CPython 3.11.7 and numpy 2.4.6 on x86-64; elsewhere
+    test_the_array_kernel_gives_the_scalar_kernels_bits in
+    tests/test_rootfind.py checks them.
 
     One pass takes the points the gate passes, both half-planes at once.
     With u = -z where Re z >= 0 (-0.0 included), z elsewhere, and
