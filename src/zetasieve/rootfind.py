@@ -507,8 +507,8 @@ def _add_rows(total, rows):
     point's rows, made zeros-strip about 4% slower end to end.  Where the
     rows outnumber the points (n in the thousands, on no benchmark
     workload), accumulate runs each point's chain in C: the loop's Python
-    step per row made a 4x4 search at n = 17000 twice as slow as the scalar
-    kernel alone.  (Both measured when the kernel took a pass per half-plane.)
+    step per row made a 4x4 search at n = 17000 twice as slow as a scalar
+    loop.  (Both measured when the kernel took a pass per half-plane.)
     """
     if len(rows) <= total.shape[-1]:
         for row in rows:
@@ -816,8 +816,7 @@ def find_zeros(
                 rec.location = snapped
 
     _canonicalize_conjugates(roots, dedupe_radius)
-    pairs = _gated_pairs(target, [rec.location for rec in roots])
-    for rec, (f, _) in zip(roots, pairs):
+    for rec, (f, _) in zip(roots, _gated_pairs(target, [r.location for r in roots])):
         rec.residual = abs(f)
     roots.sort(key=lambda r: (r.location.imag, r.location.real))
 

@@ -308,18 +308,19 @@ class TestTarget:
         for kind, constant in ((ALT, 1.0), (DIRECT, 0.5), (ALT, -0.0)):
             t = make_target(kind, 47, constant)
             logs, signs = _logs_and_signs(kind, 47)
+            want_logs, want_signs = store_floats(kind, 47)
             assert logs.dtype == signs.dtype == np.float64
             assert len(logs) == len(signs) == admissible_up_to(47).term_count
-            assert [x.hex() for x in logs.tolist()] == [x.hex() for x in store_floats(kind, 47)[0]]
-            assert signs.tolist() == store_floats(kind, 47)[1]
+            assert [x.hex() for x in logs.tolist()] == [x.hex() for x in want_logs]
+            assert signs.tolist() == want_signs
             assert t.constant.hex() == constant.hex()
             assert t == make_target(kind, 47, constant)
 
     def test_alternating_signs(self):
         # Bases 2, 3, 5, 6: s_r = (-1)**(r-1).
         t = make_target(ALT, 6)
-        signs = _logs_and_signs(t.kind, t.n)[1]
-        assert [s.hex() for s in signs.tolist()] == [s.hex() for s in (-1.0, 1.0, 1.0, -1.0)]
+        signs = _logs_and_signs(t.kind, t.n)[1].tolist()
+        assert [s.hex() for s in signs] == [s.hex() for s in (-1.0, 1.0, 1.0, -1.0)]
 
     @pytest.mark.parametrize("kind", [DIRECT, ALT])
     def test_term_logs_are_the_stores_bit_for_bit(self, kind):
@@ -1645,7 +1646,8 @@ class TestBatch:
         assert used
         for zr, zi, refused, fr, fi, dr, di in used:
             z = complex(zr, zi)
-            got = "refused" if refused else [bits(complex(fr, fi)), bits(complex(dr, di))]
+            pair = complex(fr, fi), complex(dr, di)
+            got = "refused" if refused else [bits(w) for w in pair]
             assert got == oracle_bits(target, z), z
 
     def test_a_search_steps_its_seeds_a_block_at_a_time(self, monkeypatch):
@@ -1723,7 +1725,8 @@ class TestBatch:
             warnings.simplefilter("error")
             with np.errstate(all="warn"):
                 for kind in (DIRECT, ALT):
-                    assert kernel_mismatches(make_target(kind, 47), EXTREMES + EDGES) == []
+                    target = make_target(kind, 47)
+                    assert kernel_mismatches(target, EXTREMES + EDGES) == []
                 find_zeros(PRESETS["paper-alt-6"], STRIP)
                 find_zeros(PRESETS["paper-direct-5"], AXES)
 

@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import math
 import random
 import sys
@@ -370,15 +371,16 @@ def kernel_edges() -> None:
     for kind in (Kind.DIRECT, Kind.ALTERNATING):
         for n in (2, 12, 1000):
             reach = 24.0 / math.log(n)
-            xs = (reach, math.nextafter(reach, math.inf), 0.5, 1100.0, 1e300, 1.7e308, 0.0)
+            past = math.nextafter(reach, math.inf)
+            xs = (reach, past, 0.5, 1100.0, 1e300, 1.7e308, 0.0)
             ys = (tiny, below, 0.7, 0.0)
             for constant in (1.0, -0.0):
                 t = zs.make_target(kind, n, constant)
                 for x in xs:
                     for y in ys:
-                        for z in (complex(a * x, b * y) for a in (1, -1) for b in (1, -1)):
+                        for a, b in itertools.product((1, -1), repeat=2):
                             record("value_and_derivative_at edges",
-                                   t.value_and_derivative_at, z)
+                                   t.value_and_derivative_at, complex(a * x, b * y))
                 record("value_and_derivative_at edges", t.value_and_derivative_at,
                        complex(5e-7, 1.0))
     # Newton from seeds on the real axis, whose iterates stay on it.
