@@ -112,10 +112,10 @@ class Target:
 
     def value_and_derivative_at(self, z) -> tuple[complex, complex]:
         """f(z) and f'(z); refuses what check_point and the pole gate refuse."""
-        return _gated_pairs(self, [check_point(z)])[0]
+        return _pairs_at(self, [check_point(z)])[0]
 
     def value_at(self, z) -> complex:
-        return _gated_pairs(self, [check_point(z)])[0][0]
+        return _pairs_at(self, [check_point(z)])[0][0]
 
     def values_at(self, points) -> np.ndarray:
         """value_at at each point of an array of numbers, equal to rounding.
@@ -144,21 +144,15 @@ class Target:
         left = not right.all()  # with every point on the right, no np.where
         u = np.where(right, -flat, flat) if left else -flat
         value = np.full(flat.shape, complex(self.constant))
-        logs, signs = _logs_and_signs(self.kind, self.n)
+        logs, signs = base_logs_and_signs(self.n)
+        direct = self.kind is RepresentationKind.DIRECT
         step = max(1, _BATCH // max(1, len(flat)))  # terms per block
         for t in range(0, len(logs), step):
-            s = signs[t : t + step, None]
+            s = 1.0 if direct else signs[t : t + step, None].astype(float)
             e = np.exp(u * logs[t : t + step, None])
             top = np.where(right, s * e, -s) if left else s * e
             value = _add_rows(value, top / (1.0 - e))
         return value.reshape(points.shape)
-
-
-def _logs_and_signs(kind, n):
-    """log r and s_r as float64 for the admissible bases r <= n, from the store."""
-    logs, signs = base_logs_and_signs(n)
-    direct = kind is RepresentationKind.DIRECT
-    return logs, np.ones(len(signs)) if direct else signs.astype(float)
 
 
 def make_target(kind, n, constant: float = 1.0) -> Target:
@@ -562,9 +556,7 @@ def _array_kernel(target):
     subnormal, and with |s| = 1 and |slg| >= log 2 > 1/2 so do those of
     s*e and slg*e.  |e| < 1 keeps d from zero: every pair is finite.
     """
-    logs, signs = _logs_and_signs(target.kind, target.n)
-    slgs = (signs * logs)[:, None]
-    logs, signs = logs[:, None], signs[:, None]
+    logs, signs = base_logs_and_signs(target.n)  # views; read a block at a time
     direct = target.kind is RepresentationKind.DIRECT
     reach = _REACH / math.log(target.n)
 
@@ -589,7 +581,9 @@ def _array_kernel(target):
             sums = np.repeat([[target.constant], [0.0], [0.0], [0.0]], len(at), axis=1)
             with np.errstate(all="ignore"):  # the branch _quot drops; underflow
                 for t in range(0, len(logs), step):
-                    lg, s, slg = (v[t : t + step] for v in (logs, signs, slgs))
+                    lg = logs[t : t + step, None]
+                    s = 1.0 if direct else signs[t : t + step, None].astype(float)
+                    slg = lg if direct else s * lg
                     e = np.empty((len(lg), len(at)), dtype=complex)
                     if whole:
                         e.real, e.imag = _prod(ur, ui, lg, 0.0)
@@ -618,7 +612,7 @@ def _array_kernel(target):
     return pairs
 
 
-def _gated_pairs(target, points) -> list[tuple[complex, complex]]:
+def _pairs_at(target, points) -> list[tuple[complex, complex]]:
     """(f, f') at each of a list of points check_point passed, from one
     kernel call; the first point the kernel refuses raises the pole gate's
     PoleProximityError."""
@@ -816,7 +810,7 @@ def find_zeros(
                 rec.location = snapped
 
     _canonicalize_conjugates(roots, dedupe_radius)
-    for rec, (f, _) in zip(roots, _gated_pairs(target, [r.location for r in roots])):
+    for rec, (f, _) in zip(roots, _pairs_at(target, [r.location for r in roots])):
         rec.residual = abs(f)
     roots.sort(key=lambda r: (r.location.imag, r.location.real))
 

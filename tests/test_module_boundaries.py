@@ -117,12 +117,12 @@ WALKERS = {"_split": {"_tree_sum"}, "_in_order": {"_tree_sum", "_prefix_sums"}}
 
 
 # Each sum that gates its own points, the only callers of the pole gate:
-# the evaluators' checks and the targets' one kernel, with _gated_pairs,
+# the evaluators' checks and the targets' one kernel, with _pairs_at,
 # which raises the refusal the kernel marks; the gate's no-scan test is
 # called only by the gate and the kernel, which puts every point it does
 # not clear through the gate.
 GATED_SUMS = {
-    "pole_gate": {"_prepare", "_bernoulli_checks", "_array_kernel", "_gated_pairs"},
+    "pole_gate": {"_prepare", "_bernoulli_checks", "_array_kernel", "_pairs_at"},
     "clear_of_poles": {"pole_gate", "_array_kernel"},
 }
 

@@ -40,7 +40,7 @@ from zetasieve import rootfind
 from zetasieve.admissible import MAX_LIMIT, admissible_up_to, base_logs_and_signs
 from zetasieve.errors import MAX_HEIGHT
 from zetasieve.representations import POLE_GATE, pole_gate
-from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, _logs_and_signs, _nudged
+from zetasieve.rootfind import MAX_SAMPLES, MAX_SEEDS, _nudged
 
 DIRECT = RepresentationKind.DIRECT
 ALT = RepresentationKind.ALTERNATING
@@ -302,34 +302,43 @@ class TestTarget:
         want = [t.value_at(2), t.value_at(3)]
         assert floats.tolist() == pytest.approx(want, rel=1e-15)
 
-    def test_the_kernel_reads_the_stores_logs_and_signs(self):
-        # float64 arrays, the logs and signs bit for bit as the store holds
-        # them; the constant keeps its sign.
+    def test_the_kernel_reads_the_stores_logs_and_signs(self, monkeypatch):
+        # Each evaluation reads the store at the target's n, and adds the
+        # terms of the store's logs and signs to the constant, its sign
+        # kept, bit for bit as the reference loop over them does.
+        read = []
+
+        def reading(n):
+            read.append(n)
+            return base_logs_and_signs(n)
+
+        monkeypatch.setattr(rootfind, "base_logs_and_signs", reading)
+        z = complex(0.3, 14.1)
         for kind, constant in ((ALT, 1.0), (DIRECT, 0.5), (ALT, -0.0)):
             t = make_target(kind, 47, constant)
-            logs, signs = _logs_and_signs(kind, 47)
-            want_logs, want_signs = store_floats(kind, 47)
-            assert logs.dtype == signs.dtype == np.float64
-            assert len(logs) == len(signs) == admissible_up_to(47).term_count
-            assert [x.hex() for x in logs.tolist()] == [x.hex() for x in want_logs]
-            assert signs.tolist() == want_signs
             assert t.constant.hex() == constant.hex()
             assert t == make_target(kind, 47, constant)
+            read.clear()
+            got = outcome_bits(t.value_and_derivative_at, z)
+            t.values_at(np.array([z]))
+            assert read == [47, 47]
+            assert got == outcome_bits(lambda w: reference_value_and_derivative(t, w), z)
 
     def test_alternating_signs(self):
         # Bases 2, 3, 5, 6: s_r = (-1)**(r-1).
         t = make_target(ALT, 6)
-        signs = _logs_and_signs(t.kind, t.n)[1].tolist()
-        assert [s.hex() for s in signs] == [s.hex() for s in (-1.0, 1.0, 1.0, -1.0)]
+        assert store_floats(ALT, 6)[1] == [-1.0, 1.0, 1.0, -1.0]
+        want = 1.0 - 1.0 / 3.0 + 1.0 / 8.0 + 1.0 / 24.0 - 1.0 / 35.0
+        assert abs(t.value_at(2.0) - want) <= 1e-15
 
     @pytest.mark.parametrize("kind", [DIRECT, ALT])
     def test_term_logs_are_the_stores_bit_for_bit(self, kind):
         # math.log and np.log first disagree at r = 9170; a target reads
         # the store's float, as the evaluators do.
         t = make_target(kind, 10**4)
-        logs = base_logs_and_signs(10**4)[0]
-        got = _logs_and_signs(t.kind, t.n)[0]
-        assert [x.hex() for x in got.tolist()] == [x.hex() for x in logs.tolist()]
+        z = complex(0.5, 14.1)
+        want = outcome_bits(lambda w: reference_value_and_derivative(t, w), z)
+        assert outcome_bits(t.value_and_derivative_at, z) == want
 
     def test_target_holds_only_kind_n_and_constant(self):
         assert [f.name for f in fields(Target)] == ["kind", "n", "constant"]
@@ -1766,7 +1775,7 @@ class TestReflection:
             np.array([z.real, -z.real]), np.array([z.imag, -z.imag])
         )
         assume(not refused.any())
-        logs, signs = _logs_and_signs(kind, n)
+        logs, signs = map(np.array, store_floats(kind, n))
         l, want = len(logs), 2.0 * constant - signs.sum()
         terms = [signs / (np.exp(w * logs) - 1.0) for w in (z, -z)]
         size = 2.0 * abs(constant) + sum(np.abs(t).sum() for t in terms)

@@ -32,9 +32,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import zetasieve as zs  # noqa: E402
 from zetasieve import RepresentationKind as Kind  # noqa: E402
+from zetasieve.admissible import base_logs_and_signs  # noqa: E402
 from zetasieve.cli import main as cli_main  # noqa: E402
 from zetasieve.representations import partial_sum_table  # noqa: E402
-from zetasieve.rootfind import _logs_and_signs  # noqa: E402
 
 RECORDS = 0
 
@@ -268,14 +268,14 @@ def sets() -> None:
 
 
 def target_terms(target):
-    """A target's fields and the logs and signs its kernel sums over."""
-    logs, signs = _logs_and_signs(target.kind, target.n)
+    """A target's fields and the store's logs and signs its sum reads."""
+    logs, signs = base_logs_and_signs(target.n)
     return [target.describe(), target.n, target.constant, logs.tolist(), signs.tolist()]
 
 
 def terms_sha256(kind, n):
-    logs, signs = _logs_and_signs(kind, n)
-    return hashlib.sha256(text([logs.tolist(), signs.tolist()]).encode()).hexdigest()
+    logs, signs = base_logs_and_signs(n)
+    return hashlib.sha256(text([kind, logs.tolist(), signs.tolist()]).encode()).hexdigest()
 
 
 def target_fields() -> None:
