@@ -603,8 +603,8 @@ def _array_kernel(target):
                         *(_prod(slg, 0.0, er, ei) if whole else (slg * er, slg * ei)),
                         *_prod(dr, di, dr, di),
                     )
-                    terms = np.stack((*_quot(vr, vi, dr, di), *slope), axis=1)
-                    sums = _add_rows(sums, terms)
+                    rows = np.stack((*_quot(vr, vi, dr, di), *slope), axis=1)
+                    sums = _add_rows(sums, rows)
             sums[2:] = -sums[2:]
             out[:, at] = sums
         return refused, *out
@@ -779,8 +779,8 @@ def find_zeros(
     results = []
     token = _SEARCH.set((target, tol, box, held))
     try:
-        for start in range(0, len(seeds), _BATCH):
-            block = seeds[start : start + _BATCH]
+        for lo in range(0, len(seeds), _BATCH):
+            block = seeds[lo : lo + _BATCH]
             held.clear()
             held.update(zip(map(id, block), _newton(target, block, tol, box)))
             results += [newton_refine(target, seed, tol=tol, box=box) for seed in block]
